@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import DensityMatrix, linear_entropy, von_neumann_entropy
+from .quantum import (
+    EIGENVALUE_FLOOR,
+    HERMITIAN_TOL,
+    DensityMatrix,
+    linear_entropy,
+    von_neumann_entropy,
+)
 
 LOG2 = math.log(2.0)
 
@@ -33,7 +39,8 @@ class Ensemble:
         prior = np.asarray(self.prior, dtype=float)
         if prior.ndim != 1 or len(prior) != len(self.states):
             raise ValueError("prior length must match the number of states")
-        if (prior < -1e-12).any() or abs(prior.sum() - 1.0) > 1e-9:
+        # written so that a NaN or infinite entry fails
+        if (prior < -1e-12).any() or not abs(prior.sum() - 1.0) <= 1e-9:
             raise ValueError("prior must be a probability vector")
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
@@ -61,6 +68,7 @@ class ChiReport:
     argmax_prior: np.ndarray
     iterations: int
     converged: bool
+    duality_gap: float  # max_j D(rho_j || mean) - chi at the last iterate, bits
 
     def to_json(self) -> str:
         return json.dumps(
@@ -70,6 +78,7 @@ class ChiReport:
                 "argmax_prior": list(self.argmax_prior),
                 "iterations": self.iterations,
                 "converged": self.converged,
+                "duality_gap_bits": self.duality_gap,
             },
             sort_keys=True,
         )
@@ -104,17 +113,6 @@ def holevo_chi(ensemble: Ensemble) -> float:
     return von_neumann_entropy(mean) - float(avg_entropy)
 
 
-def _relative_entropy_bits(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """D(rho || sigma) in bits; assumes supp(rho) <= supp(sigma)."""
-    vals_r, vecs_r = np.linalg.eigh(rho.matrix)
-    vals_s, vecs_s = np.linalg.eigh(sigma.matrix)
-    vals_r = np.clip(vals_r, 0.0, None)
-    log_sigma = (vecs_s * np.log(np.clip(vals_s, 1e-300, None))) @ vecs_s.conj().T
-    term1 = float(sum(v * math.log(v) for v in vals_r if v > 1e-15))
-    term2 = float(np.real(np.trace(rho.matrix @ log_sigma)))
-    return (term1 - term2) / LOG2
-
-
 def maximize_chi_over_priors(
     ensemble: Ensemble,
     rel_tol: float = 1e-8,
@@ -127,21 +125,39 @@ def maximize_chi_over_priors(
     increases chi monotonically (the fixed-point iteration used for classical
     channel capacity).  Convergence is certified by the duality gap
     max_j D(rho_j || mean) - chi(p), an upper bound on the remaining error.
+
+    The states are fixed, so their Tr(rho_j ln rho_j) are computed once.
+    Each iteration then decomposes only the mean, and
+        D(rho_j || mean) = Tr(rho_j ln rho_j) - Tr(rho_j ln mean)
+    for all j is one matrix-vector product.  The mean is validated as a
+    density matrix on the loop's own eigenvalues.
     """
     chi_uniform = holevo_chi(
         ensemble.with_prior(np.full(ensemble.size, 1.0 / ensemble.size))
     )
+    stack = np.stack([s.matrix for s in ensemble.states])
+    flat_states = stack.reshape(ensemble.size, -1)
+    kept = np.linalg.eigvalsh(stack)
+    kept = np.where(kept > 1e-15, kept, 1.0)  # 1 ln 1 = 0 drops the rest
+    neg_entropy = (kept * np.log(kept)).sum(axis=1)
     prior = np.full(ensemble.size, 1.0 / ensemble.size)
     iterations = 0
     converged = False
+    gap = math.inf
     while iterations < max_iterations:
         iterations += 1
-        mean = DensityMatrix.mixture(ensemble.states, list(prior))
-        divergences = np.array(
-            [_relative_entropy_bits(s, mean) for s in ensemble.states]
-        )
+        vals, vecs = np.linalg.eigh(np.tensordot(prior, stack, axes=1))
+        if vals[0] < EIGENVALUE_FLOOR:
+            raise ValueError(f"negative eigenvalue {vals[0]}")
+        if not abs(vals.sum() - 1.0) <= HERMITIAN_TOL:
+            raise ValueError(f"trace {vals.sum()} deviates from 1")
+        log_mean = (vecs * np.log(np.clip(vals, 1e-300, None))) @ vecs.conj().T
+        # Tr(rho_j ln mean) = sum_ik rho_j[i, k] ln(mean)[k, i]
+        cross = np.real(flat_states @ log_mean.T.reshape(-1))
+        divergences = (neg_entropy - cross) / LOG2
         chi_now = float(prior @ divergences)
-        if divergences.max() - chi_now <= rel_tol * max(chi_now, 1.0):
+        gap = float(divergences.max() - chi_now)
+        if gap <= rel_tol * max(chi_now, 1.0):
             converged = True
             break
         log_weights = np.log(np.clip(prior, 1e-300, None)) + divergences * LOG2
@@ -155,6 +171,7 @@ def maximize_chi_over_priors(
         argmax_prior=prior,
         iterations=iterations,
         converged=converged,
+        duality_gap=gap,
     )
 
 

@@ -15,12 +15,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .angles import Angle8
 from .clusters import ClusterConfig
 from .experiments import (
+    BLINDNESS_NOISE,
     ExperimentConfig,
     GROVER_TAG_ANGLES,
     run_blindness,
@@ -124,7 +126,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         server = TcpServer(_parse_address(args.listen), seed=seed)
-        print(f"listening on {server.server_address[0]}:{server.server_address[1]}")
+        print(
+            f"listening on {server.server_address[0]}:{server.server_address[1]}",
+            flush=True,
+        )
         try:
             server.serve_forever()
         except KeyboardInterrupt:
@@ -191,7 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         ok = abs(table["fidelity_to_ideal"] - table["true_fidelity"]) < 0.05
         _emit(args, table)
     elif args.command == "blindness":
-        table = run_blindness(config if config.noise else None)
+        if config.noise is None:
+            config = replace(config, noise=BLINDNESS_NOISE)
+        table = run_blindness(config)
         ok = (
             _close(table["ideal"]["chi_uniform_bits"], 0.0)
             and _close(table["ideal"]["chi_maximized_bits"], 0.0)

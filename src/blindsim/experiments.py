@@ -500,6 +500,10 @@ def _apply_unitary_density(
     return tensor.reshape(rho.shape)
 
 
+# the drift that makes the noisy ensemble of `run_blindness` leak
+BLINDNESS_NOISE = NoiseParams(phase_drift_sigma=0.15)
+
+
 def run_blindness(config: ExperimentConfig | None = None) -> dict:
     """Leakage of the theta_3 sweep: ideal, mask-broken, and noisy.
 
@@ -507,9 +511,7 @@ def run_blindness(config: ExperimentConfig | None = None) -> dict:
     the seeded generator: visibility damping alone is a setting-independent
     channel and cannot leak, so all the reported chi comes from the drift.
     """
-    config = config or ExperimentConfig(
-        "blindness", noise=NoiseParams(phase_drift_sigma=0.15)
-    )
+    config = config or ExperimentConfig("blindness", noise=BLINDNESS_NOISE)
     states = {
         n: DensityMatrix.from_pure(
             build_blind_cluster(

@@ -82,7 +82,7 @@ class PureState:
         if 2**n != vec.size:
             raise ValueError(f"amplitude vector length {vec.size} is not a power of 2")
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise ValueError(f"state norm {norm} deviates from 1")
         vec = vec / norm
         vec.setflags(write=False)

@@ -6,15 +6,22 @@ sizes used here).  Counts are Poisson with mean exposure * Born probability.
 The estimate maximizes the Poisson log-likelihood over rho = T^dag T / Tr,
 T lower-triangular, by gradient ascent with backtracking line search.
 Error bars come from re-running an extractor on Poisson-resampled counts.
+
+Every outcome projector is rank 1, |v><v| with v a product of local
+eigenvectors.  One read-only measurement model per settings tuple (the
+vectors, the completeness verdict and the linear-inversion tables) is built
+once and shared by the MLE, its linear-inversion seed and the Monte Carlo
+resamples, so no dense projector stack is rebuilt or kept.
 """
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,18 +39,27 @@ def pauli_settings(num_qubits: int) -> list[tuple[str, ...]]:
     return list(itertools.product("XYZ", repeat=num_qubits))
 
 
+def _tensor_products(factors: np.ndarray) -> np.ndarray:
+    """(M, n, a, b) local factors -> (M, a^n, b^n) Kronecker products."""
+    out = np.ones((factors.shape[0], 1, 1), dtype=factors.dtype)
+    for q in range(factors.shape[1]):
+        local = factors[:, q]
+        out = out[:, :, None, :, None] * local[:, None, :, None, :]
+        rows, cols = out.shape[1] * out.shape[2], out.shape[3] * out.shape[4]
+        out = out.reshape(-1, rows, cols)
+    return out
+
+
+def _outcome_vectors(settings: Sequence[Sequence[str]]) -> np.ndarray:
+    """(K, 2^n, 2^n): row o of block k is outcome o's vector of setting k."""
+    factors = np.array([[_EIGENBASES[axis] for axis in s] for s in settings])
+    return _tensor_products(factors).transpose(0, 2, 1)
+
+
 def setting_projectors(setting: Sequence[str]) -> np.ndarray:
     """(2^n, d, d) stack of outcome projectors; qubit 1 is the MSB."""
-    n = len(setting)
-    dim = 2**n
-    projectors = np.empty((dim, dim, dim), dtype=complex)
-    for outcome in range(dim):
-        vec = np.array([1.0 + 0j])
-        for q, axis in enumerate(setting):
-            bit = (outcome >> (n - 1 - q)) & 1
-            vec = np.kron(vec, _EIGENBASES[axis][:, bit])
-        projectors[outcome] = np.outer(vec, vec.conj())
-    return projectors
+    vectors = _outcome_vectors([setting])[0]
+    return vectors[:, :, None] * vectors[:, None, :].conj()
 
 
 def born_probabilities(rho: DensityMatrix, setting: Sequence[str]) -> np.ndarray:
@@ -127,6 +143,7 @@ class MLEResult:
     error_bars: dict[str, float]
     converged: bool
     iterations: int
+    gradient_norm: float  # |grad_T log L| at the last iterate it was taken
 
     def to_json(self) -> str:
         return json.dumps(
@@ -140,43 +157,92 @@ class MLEResult:
                 "error_bars": self.error_bars,
                 "converged": self.converged,
                 "iterations": self.iterations,
+                "gradient_norm": self.gradient_norm,
             }
         )
 
 
-def _linear_inversion(table: CountsTable) -> np.ndarray:
-    """Pauli-expectation inversion, projected to the PSD cone; MLE seed."""
-    n = table.num_qubits
+_PAULIS = np.array(
+    [
+        [[1, 0], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ],
+    dtype=complex,
+)  # I, X, Y, Z: the digits of a Pauli-string index, qubit 1 most significant
+
+
+class _MeasurementModel(NamedTuple):
+    vectors: np.ndarray  # (K 2^n, 2^n): row k 2^n + o is the vector v of (k, o)
+    conj: np.ndarray  # its complex conjugate
+    complete: bool  # informationally complete
+    walsh: np.ndarray  # (2^n, 2^n): [o, m] = (-1)^{popcount(o & m)}
+    string_index: np.ndarray  # (K, 2^n - 1): Pauli string of (k, subset m >= 1)
+    string_counts: np.ndarray  # (4^n,): estimates per Pauli string
+    paulis: np.ndarray  # (4^n, 2^n, 2^n): the Pauli strings
+
+
+@functools.lru_cache(maxsize=8)
+def _measurement_model(settings: tuple[tuple[str, ...], ...]) -> _MeasurementModel:
+    """The read-only model of one settings tuple, built once per tuple."""
+    n = len(settings[0])
     dim = 2**n
-    paulis = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
+    vectors = _outcome_vectors(settings).reshape(-1, dim)
+    complete = measurement_rank(settings, dim) >= dim * dim
+    walsh = _tensor_products(np.tile([[1.0, 1.0], [1.0, -1.0]], (1, n, 1, 1)))[0]
+    # Measuring setting k and keeping the bits of the qubits in subset m
+    # (qubit q <-> bit n-1-q of m) estimates the Pauli string that has
+    # setting k's axis on those qubits and I elsewhere.
+    axis_digit = np.array([["XYZ".index(a) + 1 for a in s] for s in settings])
+    in_subset = (np.arange(1, dim)[:, None] >> (n - 1 - np.arange(n))) & 1  # (m, q)
+    digits = axis_digit[:, None, :] * in_subset[None, :, :]
+    string_index = digits @ (4 ** np.arange(n - 1, -1, -1))
+    string_counts = np.bincount(string_index.reshape(-1), minlength=4**n)
+    all_strings = np.array(list(itertools.product(range(4), repeat=n)))
+    paulis = _tensor_products(_PAULIS[all_strings])
+    model = _MeasurementModel(
+        vectors, vectors.conj(), complete, walsh, string_index, string_counts, paulis
+    )
+    for field in model:
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)
+    return model
+
+
+def _model_of(table: CountsTable) -> _MeasurementModel:
+    return _measurement_model(tuple(tuple(s) for s in table.settings))
+
+
+def _model_probabilities(model: _MeasurementModel, rho: np.ndarray) -> np.ndarray:
+    """<v|rho|v> for every outcome vector v: Re rowsum((conj(V) rho) * V)."""
+    return np.real(((model.conj @ rho) * model.vectors).sum(axis=1))
+
+
+def _weighted_projector_sum(model: _MeasurementModel, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k |v_k><v_k| = V^T diag(w) conj(V)."""
+    return (model.vectors.T * weights) @ model.conj
+
+
+def _linear_inversion(table: CountsTable) -> np.ndarray:
+    """Pauli-expectation inversion, projected to the PSD cone; MLE seed.
+
+    Each Pauli string's expectation is the mean of its estimates over every
+    setting that measures it, each estimate a parity of the outcome bits.
+    """
+    model = _model_of(table)
+    dim = model.vectors.shape[1]
     totals = table.counts.sum(axis=1)
     freqs = table.counts / np.where(totals > 0, totals, 1.0)[:, None]
-    rho = np.eye(dim, dtype=complex) / dim
-    for string in itertools.product("IXYZ", repeat=n):
-        if all(s == "I" for s in string):
-            continue
-        support = [q for q, s in enumerate(string) if s != "I"]
-        estimates = []
-        for k, setting in enumerate(table.settings):
-            if all(setting[q] == string[q] for q in support):
-                signs = np.array(
-                    [
-                        (-1) ** sum((o >> (n - 1 - q)) & 1 for q in support)
-                        for o in range(dim)
-                    ]
-                )
-                estimates.append(float(freqs[k] @ signs))
-        if not estimates:
-            continue
-        op = np.array([[1.0 + 0j]])
-        for s in string:
-            op = np.kron(op, paulis[s])
-        rho = rho + (np.mean(estimates) / dim) * op
+    estimates = (freqs @ model.walsh)[:, 1:]
+    sums = np.bincount(
+        model.string_index.reshape(-1),
+        weights=estimates.reshape(-1),
+        minlength=len(model.string_counts),
+    )
+    means = sums / np.maximum(model.string_counts, 1)
+    means[0] = 1.0  # the identity string: Tr rho = 1
+    rho = np.tensordot(means / dim, model.paulis, axes=1)
     # clip to the PSD cone
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 1e-6, None)
@@ -185,11 +251,9 @@ def _linear_inversion(table: CountsTable) -> np.ndarray:
 
 
 def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
-    rows = []
-    for setting in settings:
-        for proj in setting_projectors(setting):
-            rows.append(proj.reshape(-1))
-    return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+    vectors = _outcome_vectors(settings).reshape(-1, dim)
+    rows = (vectors[:, :, None] * vectors[:, None, :].conj()).reshape(len(vectors), -1)
+    return int(np.linalg.matrix_rank(rows, tol=1e-9))
 
 
 def mle_reconstruct(
@@ -199,13 +263,10 @@ def mle_reconstruct(
     improvement_tol: float = 1e-9,
 ) -> MLEResult:
     """Most likely physical density matrix under the Poisson count model."""
-    n = table.num_qubits
-    dim = 2**n
-    if measurement_rank(table.settings, dim) < dim * dim:
+    model = _model_of(table)
+    if not model.complete:
         raise ValueError("settings are not informationally complete")
-    projectors = np.concatenate(
-        [setting_projectors(s) for s in table.settings], axis=0
-    )
+    dim = model.vectors.shape[1]
     counts = table.counts.reshape(-1)
     exposure = table.exposure
 
@@ -215,15 +276,16 @@ def mle_reconstruct(
         rho = t_mat @ t_mat.conj().T
         return rho / np.trace(rho).real
 
+    def probabilities(rho: np.ndarray) -> np.ndarray:
+        return np.clip(_model_probabilities(model, rho), 1e-15, None)
+
     def log_likelihood(rho: np.ndarray) -> float:
-        probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, rho)), 1e-15, None)
-        mu = exposure * probs
+        mu = exposure * probabilities(rho)
         return float(np.sum(counts * np.log(mu) - mu))
 
     def gradient(t_mat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, rho)), 1e-15, None)
-        weights = counts / probs - exposure
-        grad_rho = np.einsum("k,kij->ij", weights, projectors)
+        weights = counts / probabilities(rho) - exposure
+        grad_rho = _weighted_projector_sum(model, weights)
         trace_t = np.trace(t_mat @ t_mat.conj().T).real
         mean_shift = np.real(np.trace(grad_rho @ rho))
         grad_t = (2.0 / trace_t) * (grad_rho @ t_mat - mean_shift * t_mat)
@@ -242,9 +304,10 @@ def mle_reconstruct(
     prev_grad: np.ndarray | None = None
     converged = False
     iterations = 0
+    norm = math.nan
     for iterations in range(1, max_iterations + 1):
         grad_t = gradient(t_mat, rho)
-        norm = np.linalg.norm(grad_t)
+        norm = float(np.linalg.norm(grad_t))
         if norm < 1e-14:
             converged = True
             break
@@ -285,6 +348,7 @@ def mle_reconstruct(
         error_bars={},
         converged=converged,
         iterations=iterations,
+        gradient_norm=norm,
     )
 
 

@@ -1,4 +1,5 @@
 """Holevo-chi analyzer: closed-form cases, properties, prior maximization."""
+import json
 import math
 
 import numpy as np
@@ -41,6 +42,13 @@ class TestEnsemble:
             Ensemble([equatorial(0)], np.array([0.5]))
         with pytest.raises(ValueError):
             Ensemble([equatorial(0), equatorial(1)], np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "prior", [[math.nan, 0.5], [math.nan, math.nan], [math.inf, -math.inf]]
+    )
+    def test_non_finite_prior_rejected(self, prior):
+        with pytest.raises(ValueError):
+            Ensemble([equatorial(0), equatorial(1)], np.array(prior))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -160,6 +168,21 @@ class TestMaximizeChi:
         report = maximize_chi_over_priors(uniform([pure([1, 0]), pure([0, 1])]))
         assert isinstance(report, ChiReport)
         assert "chi_maximized_bits" in report.to_json()
+
+    def test_converged_report_certifies_its_gap(self):
+        rng = np.random.default_rng(11)
+        vecs = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        rel_tol = 1e-8
+        report = maximize_chi_over_priors(uniform([pure(v) for v in vecs]), rel_tol)
+        assert report.converged
+        assert 0.0 <= report.duality_gap <= rel_tol * max(report.chi_maximized, 1.0)
+        assert json.loads(report.to_json())["duality_gap_bits"] == report.duality_gap
+
+    def test_unconverged_report_keeps_its_gap(self):
+        ens = uniform([pure([1, 0]), pure([0, 1]), pure([1, 1])])
+        report = maximize_chi_over_priors(ens, max_iterations=2)
+        assert not report.converged and report.iterations == 2
+        assert report.duality_gap > 1e-8
 
 
 class TestMixedness:

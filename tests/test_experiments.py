@@ -1,9 +1,15 @@
 """Experiment runners: ideal values, algorithm hiding, reproducibility, CLI."""
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blindsim
 from blindsim.angles import Angle8
 from blindsim.cli import main
 from blindsim.experiments import (
@@ -227,6 +233,54 @@ class TestCli:
         assert main(["fig3d"]) == 0
         table = json.loads(capsys.readouterr().out)
         assert table["config"]["seed"] == 123
+
+    def test_blindness_seed_zero_reproduces_default_table(self, tmp_path):
+        out = tmp_path / "blindness.json"
+        assert main(["blindness", "--seed", "0", "--out", str(out)]) == 0
+        table = json.loads(out.read_text())
+        assert table["config"]["seed"] == 0
+        assert table["config"]["noise"]["phase_drift_sigma"] == 0.15
+        noisy = table["noisy"]
+        assert noisy["iterations"] == 5178 and noisy["converged"]
+        assert noisy["chi_uniform_bits"] == pytest.approx(0.012769709637880267, abs=1e-12)
+        assert noisy["chi_maximized_bits"] == pytest.approx(0.014591718451348434, abs=1e-12)
+        expected_prior = [
+            0.1422769354251918,
+            3.8987000667365785e-07,
+            0.16614639112365182,
+            0.19157628358114973,
+        ] * 2
+        np.testing.assert_allclose(noisy["argmax_prior"], expected_prior, rtol=0, atol=1e-12)
+
+    def test_blindness_seed_draws_the_drift(self, tmp_path):
+        chis = []
+        for seed in (0, 1):
+            out = tmp_path / f"blindness-{seed}.json"
+            assert main(["blindness", "--seed", str(seed), "--out", str(out)]) == 0
+            table = json.loads(out.read_text())
+            assert table["config"]["seed"] == seed
+            chis.append(table["noisy"]["chi_maximized_bits"])
+        assert abs(chis[0] - chis[1]) > 1e-6
+
+    def test_serve_announces_address_through_a_pipe(self):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(blindsim.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "blindsim.cli", "serve", "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 5.0)
+            assert ready, "no output within 5 s"
+            line = proc.stdout.readline().decode()
+            assert line.startswith("listening on 127.0.0.1:")
+            assert int(line.rsplit(":", 1)[1]) > 0
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_bulk(self, capsys):
         assert main(["bulk", "--csv"]) == 0

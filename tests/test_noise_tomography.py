@@ -1,5 +1,6 @@
 """Noise channel behavior, Poisson count simulation, MLE reconstruction,
 Monte Carlo error bars."""
+import json
 import math
 
 import numpy as np
@@ -156,6 +157,15 @@ class TestMle:
         vals = np.linalg.eigvalsh(result.rho_hat.matrix)
         assert vals.min() >= -1e-9
         assert np.trace(result.rho_hat.matrix).real == pytest.approx(1.0, abs=1e-9)
+
+    def test_gradient_norm_reported(self):
+        rng = np.random.default_rng(7)
+        table = simulate_counts(
+            DensityMatrix.from_pure(random_pure(2, rng)), pauli_settings(2), 1000, rng
+        )
+        result = mle_reconstruct(table)
+        assert math.isfinite(result.gradient_norm) and result.gradient_norm >= 0.0
+        assert json.loads(result.to_json())["gradient_norm"] == result.gradient_norm
 
     def test_likelihood_dominates_linear_inversion(self):
         from blindsim.tomography import _linear_inversion

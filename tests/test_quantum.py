@@ -208,6 +208,20 @@ class TestMeasurePauli:
             PureState.plus().measure_pauli(1, "Q", 0)
 
 
+class TestFromAmplitudes:
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[math.nan, 1.0], [1.0, complex(0.0, math.nan)], [math.inf, 0.0]],
+    )
+    def test_non_finite_rejected(self, amplitudes):
+        with pytest.raises(ValueError):
+            PureState.from_amplitudes(amplitudes)
+
+    def test_unnormalized_rejected(self):
+        with pytest.raises(ValueError):
+            PureState.from_amplitudes([1.0, 1.0])
+
+
 class TestDensityMatrix:
     def test_from_pure_fidelity_one(self):
         psi = PureState.ket_theta(PI / 4)
@@ -227,6 +241,10 @@ class TestDensityMatrix:
             [DensityMatrix.from_pure(psi), sigma], [0.679, 0.321]
         )
         assert fidelity_pure(rho, psi) == pytest.approx(0.679, abs=1e-12)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DensityMatrix.from_matrix(np.array([[math.nan, 0.0], [0.0, 0.5]]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
