@@ -96,11 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("grover")
     common(p)
     p.add_argument("--tag", choices=sorted(GROVER_TAG_ANGLES), default="01")
-    p.add_argument("--parallel", action="store_true")
     p = sub.add_parser("deutsch")
     common(p)
     p.add_argument("--oracle", choices=("constant", "balanced"), default="constant")
-    p.add_argument("--parallel", action="store_true")
     p = sub.add_parser("quantumness")
     common(p)
     p.add_argument("--rounds", type=int, default=10_000)
@@ -175,12 +173,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         _emit(args, table)
     elif args.command == "grover":
-        table = run_grover(args.tag, config, parallel=args.parallel)
+        table = run_grover(args.tag, config)
         ok = table["success_min"] >= 1.0 - 1e-9
         csv_text = rows_to_csv(table["rows"], ["n2", "n3", "success_probability"])
         _emit(args, table, csv_text)
     elif args.command == "deutsch":
-        table = run_deutsch(args.oracle, config, parallel=args.parallel)
+        table = run_deutsch(args.oracle, config)
         ok = table["success_min"] >= 1.0 - 1e-9
         csv_text = rows_to_csv(table["rows"], ["n2", "n3", "success_probability"])
         _emit(args, table, csv_text)

@@ -8,6 +8,7 @@ by theta_hat = (n2, n3) with theta_j = n_j pi/4.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -165,6 +166,42 @@ class BlindPhases:
         return (self.theta[2].eighths, self.theta[3].eighths)
 
 
+# e^{i e pi/4} for every e on the pi/4 grid
+_GRID_PHASES = np.exp(1j * np.arange(8) * (PI / 4.0))
+_GRID_PHASES.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _basis_tables(graph: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Bits of every basis label (2^n x n, qubit 1 first) and, per label,
+    the CPhase sign (-1)^{sum over edges of b_i b_j} in eighth-turns (0 or 4)."""
+    n = graph.vertex_count
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    edge_sum = sum((bits[:, i - 1] & bits[:, j - 1] for i, j in graph.edges), np.zeros(2**n, int))
+    bits.setflags(write=False)
+    signs = 4 * (edge_sum % 2)
+    signs.setflags(write=False)
+    return bits, signs
+
+
+def blind_cluster_batch(graph: GraphSpec, theta: np.ndarray) -> np.ndarray:
+    """Amplitudes of a batch of blind cluster states in one formula.
+
+    `theta` holds hiding phases in eighth-turns, shape (B, n), vertex j in
+    column j-1.  Row b is
+
+        <x|Phi_b> = e^{i sum_j theta_j x_j} (-1)^{sum over edges of x_i x_j} / 2^{n/2},
+
+    the product of the |theta_j> followed by one CPhase per edge.  Phases
+    are summed on the grid, so every amplitude is one table entry.
+    """
+    bits, signs = _basis_tables(graph)
+    eighths = np.asarray(theta) @ bits.T + signs
+    out = _GRID_PHASES[eighths % 8] / math.sqrt(2**graph.vertex_count)
+    out.setflags(write=False)
+    return out
+
+
 def build_blind_cluster(graph: GraphSpec, phases: BlindPhases) -> PureState:
     """Tensor |theta_j> over vertices, then CPhase along every edge.
 
@@ -173,12 +210,8 @@ def build_blind_cluster(graph: GraphSpec, phases: BlindPhases) -> PureState:
     missing = [v for v in range(1, graph.vertex_count + 1) if v not in phases.theta]
     if missing:
         raise ValueError(f"phase missing for vertices {missing}")
-    state = PureState.ket_theta(phases[1].radians)
-    for v in range(2, graph.vertex_count + 1):
-        state = state.tensor(PureState.ket_theta(phases[v].radians))
-    for i, j in sorted(graph.edges):
-        state = state.apply_cphase(i, j)
-    return state
+    theta = [[phases[v].eighths for v in range(1, graph.vertex_count + 1)]]
+    return PureState._trusted(blind_cluster_batch(graph, theta)[0])
 
 
 def linear_family_state(n2: int, n3: int) -> PureState:

@@ -23,8 +23,11 @@ from .blindness import (
     mixedness_check,
     pair_fold,
 )
-from .clusters import BlindPhases, ClusterConfig, build_blind_cluster
+from .clusters import BlindPhases, ClusterConfig, blind_cluster_batch, build_blind_cluster
 from .mbqc import (
+    MeasurementPattern,
+    _Branches,
+    _measure_batch,
     cluster_state_for,
     enumerate_adaptive,
     pattern_for,
@@ -168,25 +171,24 @@ def grover_circuit_readout(tag: str) -> tuple[int, int]:
     raise AssertionError("circuit readout is not deterministic")
 
 
-def _map_states(fn, states, parallel: bool):
-    if not parallel:
-        return [fn(s) for s in states]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(fn, states))
+def _family_batch(
+    config: ClusterConfig, pattern: MeasurementPattern, states: Sequence[tuple[int, int]]
+) -> _Branches:
+    """Every branch of `pattern` on the family states (n2, n3), in one call."""
+    theta = np.zeros((len(states), 4), dtype=np.int64)
+    theta[:, 1:3] = states
+    return _measure_batch(pattern, blind_cluster_batch(config.graph, theta), theta)
 
 
 def run_grover(
     tag: str,
     config: ExperimentConfig | None = None,
     states: Sequence[tuple[int, int]] | None = None,
-    parallel: bool = False,
 ) -> dict:
     """Blind Grover search on the triangle cluster for one tagged element.
 
-    Enumerates every branch of the adaptive pattern per blind state and
-    scores the probability that the decoded element equals the tag.
+    Enumerates every branch of the adaptive pattern for every blind state
+    and scores the probability that the decoded element equals the tag.
     """
     if tag not in GROVER_TAG_ANGLES:
         raise ValueError(f"tag must be one of {sorted(GROVER_TAG_ANGLES)}")
@@ -196,20 +198,15 @@ def run_grover(
     phi2, phi3 = GROVER_TAG_ANGLES[tag]
     phi = {1: GROVER_READOUT, 4: GROVER_READOUT, 2: phi2, 3: phi3}
     pattern = pattern_for(ClusterConfig.TRIANGLE, phi=phi)
-
-    def score(pair):
-        n2, n3 = pair
-        phases = BlindPhases.family(n2, n3)
-        state = cluster_state_for(ClusterConfig.TRIANGLE, phases)
-        success = 0.0
-        for branch in enumerate_adaptive(state, pattern, phases, {}):
-            if branch.impossible:
-                continue
-            if grover_decode(branch.interpreted) == tag:
-                success += branch.probability
-        return {"n2": n2, "n3": n3, "success_probability": success}
-
-    rows = _map_states(score, states, parallel)
+    branches = _family_batch(ClusterConfig.TRIANGLE, pattern, states)
+    # grover_decode, per branch: the tag reads (s1 xor s4, s1)
+    s1, s4 = branches.interpreted_of(1), branches.interpreted_of(4)
+    hit = ~branches.impossible & (s1 == int(tag[1])) & ((s1 ^ s4) == int(tag[0]))
+    success = np.where(hit, branches.probability, 0.0).sum(axis=1)
+    rows = [
+        {"n2": n2, "n3": n3, "success_probability": float(p)}
+        for (n2, n3), p in zip(states, success)
+    ]
     successes = [row["success_probability"] for row in rows]
     return {
         "config": config.echo(),
@@ -257,7 +254,6 @@ def run_deutsch(
     oracle: str,
     config: ExperimentConfig | None = None,
     states: Sequence[tuple[int, int]] = None,
-    parallel: bool = False,
 ) -> dict:
     """Blind Deutsch algorithm on the staircase cluster.
 
@@ -274,37 +270,30 @@ def run_deutsch(
     states = list(states) if states is not None else list(ALIGNED10)
     phi = {1: A(2), 2: A(0), 3: DEUTSCH_ORACLE_ANGLES[oracle]}
     pattern = pattern_for(ClusterConfig.STAIRCASE, phi=phi)
-    verdict_state = DEUTSCH_VERDICT_STATE[oracle]
+    verdict = DEUTSCH_VERDICT_STATE[oracle].amplitudes
     settings1 = pauli_settings(1)
-
-    def score(pair):
-        n2, n3 = pair
-        phases = BlindPhases.family(n2, n3)
-        state = cluster_state_for(ClusterConfig.STAIRCASE, phases)
-        success = 0.0
-        output = None
-        for branch in enumerate_adaptive(state, pattern, phases, {}):
-            if branch.impossible:
-                continue
-            output = branch.corrected_state
-            success += branch.probability * output.phase_insensitive_fidelity(
-                verdict_state
-            )
-        # tomograph the output qubit and decide constant vs balanced
+    branches = _family_batch(ClusterConfig.STAIRCASE, pattern, states)
+    possible = ~branches.impossible
+    fidelity = np.abs(branches.corrected @ verdict.conj()) ** 2
+    success = np.where(possible, branches.probability * fidelity, 0.0).sum(axis=1)
+    # the pattern is deterministic, so any possible branch's output will do
+    first = np.argmax(possible, axis=1)
+    rows = []
+    for b, (n2, n3) in enumerate(states):
+        output = PureState.from_amplitudes(branches.corrected[b, first[b]])
         counts = exact_counts(DensityMatrix.from_pure(output), settings1)
         rho_hat = mle_reconstruct(counts).rho_hat
         f_constant = fidelity_pure(rho_hat, DEUTSCH_VERDICT_STATE["constant"])
         f_balanced = fidelity_pure(rho_hat, DEUTSCH_VERDICT_STATE["balanced"])
-        verdict = "constant" if f_constant >= f_balanced else "balanced"
-        return {
-            "n2": n2,
-            "n3": n3,
-            "success_probability": success,
-            "tomography_verdict": verdict,
-            "verdict_fidelity": max(f_constant, f_balanced),
-        }
-
-    rows = _map_states(score, states, parallel)
+        rows.append(
+            {
+                "n2": n2,
+                "n3": n3,
+                "success_probability": float(success[b]),
+                "tomography_verdict": "constant" if f_constant >= f_balanced else "balanced",
+                "verdict_fidelity": max(f_constant, f_balanced),
+            }
+        )
     successes = [row["success_probability"] for row in rows]
     return {
         "config": config.echo(),

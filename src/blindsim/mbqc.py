@@ -16,9 +16,17 @@ hiding phases.
 Dependency sets here were fixed by byproduct flow along each configuration's
 measurement order and are validated by the determinism and oracle-equivalence
 test suites, not trusted.
+
+One batched engine (`_measure_batch`) runs every pattern: it holds a batch of
+input states times every branch so far as one array, issues each step's
+instruction per branch on the integer pi/4 grid, projects all branches with
+one einsum, prunes impossible ones and corrects every output at once.
+`enumerate_branches`, `enumerate_adaptive` and `run_adaptive` are its
+batch-of-one front ends.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,9 +39,11 @@ from .clusters import BlindPhases, ClusterConfig, build_blind_cluster
 from .quantum import (
     HADAMARD,
     IMPOSSIBLE_BRANCH,
+    NORM_TOL,
     PAULI_X,
     PAULI_Z,
     PureState,
+    equatorial_bra,
     phase_gate,
     rx,
     rz,
@@ -99,9 +109,6 @@ class MeasurementPattern:
             if step.qubit == qubit:
                 return step
         raise KeyError(qubit)
-
-
-_FRAME_GATES = {"H": HADAMARD}
 
 
 def adapt_angle(
@@ -249,14 +256,215 @@ class BranchRecord:
     corrected_state: PureState | None
 
 
-def _measure(
-    state: PureState, remaining: list[int], qubit: int,
-    delta: Angle8 | None, override: str | None, bit: int,
-) -> tuple[float, PureState | None]:
-    pos = remaining.index(qubit) + 1
-    if override is not None:
-        return state.measure_pauli(pos, override, bit)
-    return state.project_delta(pos, delta.radians, bit)
+@dataclass(frozen=True)
+class MbqcRun:
+    """One sampled trajectory of an adaptive pattern."""
+
+    outcomes: dict[int, int]
+    interpreted: dict[int, int]
+    deltas: dict[int, Angle8 | None]
+    probability: float
+
+
+# <b_delta| for every delta on the grid: _GRID_BRAS[e, b] = equatorial_bra(e pi/4, b)
+_GRID_BRAS = np.array([[equatorial_bra(Angle8(e).radians, b) for b in (0, 1)] for e in range(8)])
+_Z_BRAS = np.eye(2, dtype=complex)
+_PAULI_EIGHTHS = {"X": 0, "Y": 2}  # X and Y are the equatorial angles 0 and pi/2
+_ANGLES = tuple(Angle8(e) for e in range(8))
+_FRAME_GATES = {"H": HADAMARD}
+# byproduct Z^z X^x, indexed by 2x + z
+_BYPRODUCTS = np.array([np.eye(2), PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X], dtype=complex)
+for _table in (_GRID_BRAS, _Z_BRAS, _BYPRODUCTS):
+    _table.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _branch_bits(k: int) -> np.ndarray:
+    """(2^k, k) outcome bits of the branches of k steps, step 0 most significant."""
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    bits.setflags(write=False)
+    return bits
+
+
+@dataclass(frozen=True)
+class _Branches:
+    """Every branch of a batch of runs of one pattern, as read-only arrays.
+
+    Axis 0 is the batch, axis 1 the branch and axis 2 the step.  Branch m
+    carries step i's outcome in bit k-1-i of m, which is the order of a
+    depth-first walk that tries bit 0 first.  A branch is pruned (not
+    `live`) once one of its steps has probability below IMPOSSIBLE_BRANCH;
+    its state is then zero and every later branch below it has
+    probability 0.
+    """
+
+    qubits: tuple[int, ...]  # measured qubit of each step
+    outcomes: np.ndarray     # (B, M, k) bits reported by the measurement
+    interpreted: np.ndarray  # (B, M, k) outcomes xor r (raw for Pauli steps)
+    deltas: np.ndarray       # (B, M, k) instructed eighths, -1 for Pauli steps
+    probability: np.ndarray  # (B, M)
+    live: np.ndarray         # (B, M)
+    output: np.ndarray       # (B, M, 2^outputs) output amplitudes, zero if pruned
+    corrected: np.ndarray | None  # output after correction; None if it needs absent phases
+
+    @property
+    def impossible(self) -> np.ndarray:
+        return self.probability < IMPOSSIBLE_BRANCH
+
+    def interpreted_of(self, qubit: int) -> np.ndarray:
+        return self.interpreted[..., self.qubits.index(qubit)]
+
+
+def _measure_batch(
+    pattern: MeasurementPattern,
+    amplitudes: np.ndarray,
+    theta: np.ndarray | None = None,
+    r: np.ndarray | None = None,
+    deltas: Mapping[int, Angle8 | None] | None = None,
+    rng: np.random.Generator | None = None,
+) -> _Branches:
+    """Measure every step of `pattern` on a batch of states at once.
+
+    `amplitudes` is (B, 2^n), qubit 1 most significant; `theta` (eighths)
+    and `r` (bits) are (B, n), qubit q in column q-1.  Instructions follow
+    `adapt_angle` per branch unless fixed `deltas` are given, in which case
+    outcomes are not reinterpreted.  With `rng`, each batch element follows
+    one sampled branch instead of all of them.
+    """
+    steps = pattern.steps
+    n, k = pattern.num_qubits, len(pattern.steps)
+    psi = np.asarray(amplitudes, dtype=complex)
+    batch = psi.shape[0]
+    if psi.shape != (batch, 2**n):
+        raise ValueError(f"states of shape {psi.shape[1:]} for a {n}-qubit pattern")
+    adaptive = deltas is None
+    if adaptive and theta is None:
+        raise ValueError("adaptive instructions need the hiding phases")
+    qubits = tuple(s.qubit for s in steps)
+    column = {q: i for i, q in enumerate(qubits)}
+    # the mask each step's outcome is interpreted through
+    rmask = np.zeros((batch, k), dtype=np.int64)
+    if adaptive and r is not None:
+        masked = [i for i, s in enumerate(steps) if s.pauli_override is None]
+        rmask[:, masked] = np.asarray(r)[:, [qubits[i] - 1 for i in masked]]
+
+    def parity(deps: frozenset[int], depth: int) -> np.ndarray | int:
+        """Parity of the interpreted outcomes of `deps` on the current branches."""
+        if not deps:
+            return 0
+        cols = [column[d] for d in deps]
+        outcome = (_branch_bits(depth)[:, cols].sum(axis=1) & 1)[index]
+        return outcome ^ (rmask[:, cols].sum(axis=1, keepdims=True) & 1)
+
+    psi = psi.reshape(batch, 1, -1)
+    prob = np.ones((batch, 1))
+    index = np.zeros((1, 1), dtype=np.int64)  # branch numbers in the tree so far
+    mass = np.ones(batch)  # sampled runs: product of each step's total probability
+    remaining = list(range(1, n + 1))
+    used = np.empty((batch, 2**k if rng is None else 1, k), dtype=np.int64)
+    for i, step in enumerate(steps):
+        q = step.qubit
+        if step.pauli_override == "Z":
+            delta, bras = -1, _Z_BRAS
+        elif step.pauli_override is not None:
+            delta, bras = -1, _GRID_BRAS[_PAULI_EIGHTHS[step.pauli_override]]
+        else:
+            if not adaptive:
+                if deltas.get(q) is None:
+                    raise ValueError(f"no instruction for qubit {q}")
+                delta = deltas[q].eighths
+            else:
+                phi = step.phi.eighths
+                if step.x_deps:
+                    phi = np.where(parity(step.x_deps, i) == 1, -phi, phi)
+                z_par = parity(step.z_deps, i)
+                delta = (phi + theta[:, q - 1, None] + 4 * (rmask[:, i, None] ^ z_par)) % 8
+            bras = _GRID_BRAS[delta]
+        # every branch below a current one carries its instruction
+        fan = 2 ** (k - i) if rng is None else 1
+        used.reshape(batch, -1, fan, k)[..., i] = np.reshape(delta, np.shape(delta) + (1,))
+        left = 2 ** remaining.index(q)
+        branches = psi.shape[1]
+        psi = np.einsum(
+            "...kc,...lcr->...klr", bras, psi.reshape(batch, branches, left, 2, -1), order="C"
+        )
+        psi = psi.reshape(batch, 2 * branches, -1)
+        flat = psi.view(np.float64)  # real and imaginary parts side by side
+        p = np.einsum("...i,...i->...", flat, flat)
+        # a pruned branch has a zero state, so its children get probability 0
+        prob = np.repeat(prob, 2, axis=1) * p
+        live = p >= IMPOSSIBLE_BRANCH
+        psi = psi * (live / np.sqrt(np.maximum(p, IMPOSSIBLE_BRANCH)))[..., None]
+        if rng is None:
+            index = np.arange(2 * branches)[None]
+        else:
+            mass *= p.sum(axis=1)
+            pick = (rng.random(batch) >= p[:, 0]).astype(np.int64)
+            rows = np.arange(batch)
+            if not live[rows, pick].all():
+                raise RuntimeError("sampled an impossible branch")
+            psi, prob = psi[rows, pick][:, None], prob[rows, pick][:, None]
+            live = live[rows, pick][:, None]
+            index = 2 * index + pick[:, None]
+        remaining.remove(q)
+    total = mass if rng is not None else prob.sum(axis=1)
+    if not np.all(np.abs(total - 1.0) <= NORM_TOL):  # written so that NaN fails
+        raise ValueError(f"branch probabilities sum to {total} instead of 1")
+
+    outcomes = _branch_bits(k)[index]
+    interpreted = outcomes ^ rmask[:, None, :]
+    outcomes = np.broadcast_to(outcomes, interpreted.shape)
+    corrected = None
+    if pattern.outputs and (theta is not None or not pattern.theta_unwind):
+        outputs = sorted(pattern.outputs)
+
+        def output_parity(deps: Mapping[int, frozenset[int]]) -> np.ndarray:
+            """(B, M, outputs) parities, as interpreted bits times a 0/1 matrix."""
+            matrix = [[int(s.qubit in deps.get(q, ())) for q in outputs] for s in steps]
+            return (interpreted @ np.array(matrix, dtype=np.int64).reshape(k, -1)) & 1
+
+        unwind = None if theta is None else np.asarray(theta)[:, [q - 1 for q in outputs]]
+        corrected = _correct(
+            pattern, psi, output_parity(pattern.output_x_deps), output_parity(pattern.output_z_deps), unwind
+        )
+    result = _Branches(qubits, outcomes, interpreted, used, prob, live, psi, corrected)
+    for value in vars(result).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return result
+
+
+def _correct(
+    pattern: MeasurementPattern,
+    out: np.ndarray,
+    x_par: np.ndarray,
+    z_par: np.ndarray,
+    theta: np.ndarray | None,
+) -> np.ndarray:
+    """Theta unwind, Pauli byproducts and Clifford frame on a batch.
+
+    `out` is (B, M, 2^outputs); `x_par` and `z_par` are (B, M, outputs) and
+    `theta` (B, outputs) eighths, outputs in ascending order.  Each output
+    gets one 2x2 gate per branch, frame . Z^z X^x . Rz(-theta), and one
+    einsum applies them all.
+    """
+    outputs = sorted(pattern.outputs)
+    batch, branches = out.shape[:2]
+    gates = _BYPRODUCTS[2 * x_par + z_par]  # (B, M, outputs, 2, 2)
+    if pattern.frame:
+        frames = np.array([_FRAME_GATES.get(pattern.frame.get(q), np.eye(2)) for q in outputs])
+        gates = frames @ gates
+    if pattern.theta_unwind:
+        if theta is None:
+            raise ValueError("theta unwind requires the hiding phases")
+        half = np.where([q in pattern.theta_unwind for q in outputs], theta, 0) * (math.pi / 8.0)
+        unwind = np.stack([np.exp(1j * half), np.exp(-1j * half)], axis=-1)  # diagonal of Rz(-theta)
+        gates = gates * unwind[:, None, :, None, :]
+    rows, cols = "acegikoqsuwy"[: len(outputs)], "dfhjlnprtvxz"[: len(outputs)]
+    spec = ",".join(f"...{a}{c}" for a, c in zip(rows, cols)) + f",...{cols}->...{rows}"
+    t = out.reshape((batch, branches) + (2,) * len(outputs))
+    operands = [gates[..., i, :, :] for i in range(len(outputs))]
+    return np.einsum(spec, *operands, t).reshape(batch, branches, -1)
 
 
 def correct_output(
@@ -266,23 +474,75 @@ def correct_output(
     phases: BlindPhases | None = None,
 ) -> PureState:
     """Client-side correction: theta unwind, Pauli byproducts, Clifford frame."""
-    out = raw_output
     outputs = sorted(pattern.outputs)
-    for q in pattern.theta_unwind:
-        if phases is None:
-            raise ValueError("theta unwind requires the hiding phases")
-        out = out.apply_single(outputs.index(q) + 1, rz(-phases[q].radians))
-    for q in outputs:
-        pos = outputs.index(q) + 1
-        x_par = sum(interpreted[d] for d in pattern.output_x_deps.get(q, ())) % 2
-        z_par = sum(interpreted[d] for d in pattern.output_z_deps.get(q, ())) % 2
-        if x_par:
-            out = out.apply_single(pos, PAULI_X)
-        if z_par:
-            out = out.apply_single(pos, PAULI_Z)
-    for q, name in pattern.frame.items():
-        out = out.apply_single(outputs.index(q) + 1, _FRAME_GATES[name])
-    return out
+    if raw_output.num_qubits != len(outputs):
+        raise ValueError(
+            f"output state has {raw_output.num_qubits} qubits, pattern has {len(outputs)} outputs"
+        )
+
+    def parities(deps: Mapping[int, frozenset[int]]) -> np.ndarray:
+        return np.array([[[sum(interpreted[d] for d in deps.get(q, ())) % 2 for q in outputs]]])
+
+    theta = None
+    if phases is not None:
+        theta = np.array([[phases[q].eighths if q in pattern.theta_unwind else 0 for q in outputs]])
+    out = _correct(
+        pattern,
+        raw_output.amplitudes.reshape(1, 1, -1),
+        parities(pattern.output_x_deps),
+        parities(pattern.output_z_deps),
+        theta,
+    )
+    return PureState._trusted(out.reshape(-1))
+
+
+def _secrets_rows(
+    pattern: MeasurementPattern,
+    phases: BlindPhases | None,
+    r: Mapping[int, int],
+    adaptive: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(1, n) arrays of the theta eighths and mask bits one run reads."""
+    n = pattern.num_qubits
+    equatorial = [s.qubit for s in pattern.steps if s.pauli_override is None]
+    r_row = np.zeros((1, n), dtype=np.int64)
+    for q in equatorial:
+        r_row[0, q - 1] = r.get(q, 0)
+    if phases is None:
+        return None, r_row
+    theta = np.zeros((1, n), dtype=np.int64)
+    for q in (equatorial if adaptive else []) + sorted(pattern.theta_unwind):
+        theta[0, q - 1] = phases[q].eighths
+    return theta, r_row
+
+
+def _records(branches: _Branches, pattern: MeasurementPattern) -> list[BranchRecord]:
+    """BranchRecords of batch element 0."""
+    qubits = branches.qubits
+    outcomes = branches.outcomes[0].tolist()
+    interpreted = branches.interpreted[0].tolist()
+    deltas = branches.deltas[0].tolist()
+    probs = branches.probability[0].tolist()
+    live = branches.live[0].tolist()
+    has_output = bool(pattern.outputs)
+    corrected = branches.corrected
+    records = []
+    for m, p in enumerate(probs):
+        alive = has_output and live[m]
+        records.append(
+            BranchRecord(
+                outcomes=dict(zip(qubits, outcomes[m])),
+                interpreted=dict(zip(qubits, interpreted[m])),
+                deltas={q: (None if e < 0 else _ANGLES[e]) for q, e in zip(qubits, deltas[m])},
+                probability=p,
+                impossible=p < IMPOSSIBLE_BRANCH,
+                output_state=PureState._trusted(branches.output[0, m]) if alive else None,
+                corrected_state=(
+                    PureState._trusted(corrected[0, m]) if alive and corrected is not None else None
+                ),
+            )
+        )
+    return records
 
 
 def enumerate_branches(
@@ -294,49 +554,9 @@ def enumerate_branches(
     """All 2^k branches of a fixed (non-adaptive) instruction assignment.
 
     Zero-probability branches are retained with `impossible=True`."""
-    for step in pattern.steps:
-        if step.pauli_override is None and deltas.get(step.qubit) is None:
-            raise ValueError(f"no instruction for qubit {step.qubit}")
-    records: list[BranchRecord] = []
-
-    def walk(idx, state, remaining, prob, outcomes):
-        if idx == len(pattern.steps):
-            interp = dict(outcomes)
-            corrected = None
-            if state is not None and pattern.outputs:
-                try:
-                    corrected = correct_output(pattern, interp, state, phases)
-                except ValueError:
-                    corrected = None
-            records.append(
-                BranchRecord(
-                    outcomes=dict(outcomes),
-                    interpreted=interp,
-                    deltas={
-                        s.qubit: (None if s.pauli_override else deltas[s.qubit])
-                        for s in pattern.steps
-                    },
-                    probability=prob,
-                    impossible=prob < IMPOSSIBLE_BRANCH,
-                    output_state=state if pattern.outputs else None,
-                    corrected_state=corrected,
-                )
-            )
-            return
-        step = pattern.steps[idx]
-        for bit in (0, 1):
-            if state is None:
-                walk(idx + 1, None, remaining, 0.0, {**outcomes, step.qubit: bit})
-                continue
-            p, rest = _measure(
-                state, remaining, step.qubit,
-                deltas.get(step.qubit), step.pauli_override, bit,
-            )
-            nxt = [q for q in remaining if q != step.qubit]
-            walk(idx + 1, rest, nxt, prob * p, {**outcomes, step.qubit: bit})
-
-    walk(0, state, list(range(1, pattern.num_qubits + 1)), 1.0, {})
-    return records
+    theta, _ = _secrets_rows(pattern, phases, {}, adaptive=False)
+    branches = _measure_batch(pattern, state.amplitudes[None], theta, deltas=deltas)
+    return _records(branches, pattern)
 
 
 def enumerate_adaptive(
@@ -346,57 +566,8 @@ def enumerate_adaptive(
     r: Mapping[int, int],
 ) -> list[BranchRecord]:
     """All branches of the feed-forward process, with corrected outputs."""
-    records: list[BranchRecord] = []
-
-    def walk(idx, state, remaining, prob, outcomes, interpreted, used):
-        if idx == len(pattern.steps):
-            corrected = None
-            if state is not None and pattern.outputs:
-                corrected = correct_output(pattern, interpreted, state, phases)
-            records.append(
-                BranchRecord(
-                    outcomes=dict(outcomes),
-                    interpreted=dict(interpreted),
-                    deltas=dict(used),
-                    probability=prob,
-                    impossible=prob < IMPOSSIBLE_BRANCH,
-                    output_state=state if pattern.outputs else None,
-                    corrected_state=corrected,
-                )
-            )
-            return
-        step = pattern.steps[idx]
-        if step.pauli_override is not None:
-            delta = None  # r-masking needs an angle; override outcomes are raw
-        else:
-            delta = adapt_angle(
-                step, phases[step.qubit], r.get(step.qubit, 0), interpreted
-            )
-        for bit in (0, 1):
-            interp_bit = bit ^ (r.get(step.qubit, 0) if delta is not None else 0)
-            nxt_out = {**outcomes, step.qubit: bit}
-            nxt_int = {**interpreted, step.qubit: interp_bit}
-            nxt_used = {**used, step.qubit: delta}
-            if state is None:
-                walk(idx + 1, None, remaining, 0.0, nxt_out, nxt_int, nxt_used)
-                continue
-            p, rest = _measure(state, remaining, step.qubit, delta,
-                               step.pauli_override, bit)
-            nxt_rem = [q for q in remaining if q != step.qubit]
-            walk(idx + 1, rest, nxt_rem, prob * p, nxt_out, nxt_int, nxt_used)
-
-    walk(0, state, list(range(1, pattern.num_qubits + 1)), 1.0, {}, {}, {})
-    return records
-
-
-@dataclass(frozen=True)
-class MbqcRun:
-    """One sampled trajectory of an adaptive pattern."""
-
-    outcomes: dict[int, int]
-    interpreted: dict[int, int]
-    deltas: dict[int, Angle8 | None]
-    probability: float
+    theta, r_row = _secrets_rows(pattern, phases, r)
+    return _records(_measure_batch(pattern, state.amplitudes[None], theta, r_row), pattern)
 
 
 def run_adaptive(
@@ -415,38 +586,11 @@ def run_adaptive(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    remaining = list(range(1, pattern.num_qubits + 1))
-    outcomes: dict[int, int] = {}
-    interpreted: dict[int, int] = {}
-    used: dict[int, Angle8 | None] = {}
-    prob = 1.0
-    for step in pattern.steps:
-        if step.pauli_override is not None:
-            delta = None
-        else:
-            delta = adapt_angle(
-                step, phases[step.qubit], r.get(step.qubit, 0), interpreted
-            )
-        p0, rest0 = _measure(state, remaining, step.qubit, delta,
-                             step.pauli_override, 0)
-        bit = 0 if rng.random() < p0 else 1
-        if bit == 0:
-            p, rest = p0, rest0
-        else:
-            p, rest = _measure(state, remaining, step.qubit, delta,
-                               step.pauli_override, 1)
-        if rest is None:
-            raise RuntimeError("sampled an impossible branch")
-        outcomes[step.qubit] = bit
-        interpreted[step.qubit] = bit ^ (r.get(step.qubit, 0) if delta is not None else 0)
-        used[step.qubit] = delta
-        prob *= p
-        state = rest
-        remaining.remove(step.qubit)
-    run = MbqcRun(outcomes, interpreted, used, prob)
-    if not pattern.outputs:
-        return run, None
-    return run, correct_output(pattern, interpreted, state, phases)
+    theta, r_row = _secrets_rows(pattern, phases, r)
+    branches = _measure_batch(pattern, state.amplitudes[None], theta, r_row, rng=rng)
+    record = _records(branches, pattern)[0]
+    run = MbqcRun(record.outcomes, record.interpreted, record.deltas, record.probability)
+    return run, record.corrected_state
 
 
 def circuit_oracle(

@@ -141,6 +141,24 @@ def validate_blind_structure(pattern: MeasurementPattern, blind: Iterable[int]) 
             )
 
 
+def validate_deterministic(pattern: MeasurementPattern) -> None:
+    """Reject the one family of patterns whose corrected output is not unique.
+
+    On the staircase, with phi_1 and phi_2 both off {0, pi}, live branches
+    end in different corrected outputs, so a session would return a wrong
+    output silently.  Every other pattern of the six configurations is
+    deterministic (an exhaustive engine test checks both statements).
+    """
+    if pattern.config is not ClusterConfig.STAIRCASE:
+        return
+    phi1, phi2 = pattern.step_for(1).phi, pattern.step_for(2).phi
+    if phi1.eighths % 4 and phi2.eighths % 4:
+        raise ProtocolError(
+            f"staircase with phi_1 = {phi1!r} and phi_2 = {phi2!r} is not "
+            "deterministic: one of them must be 0 or pi"
+        )
+
+
 class ClientSession:
     """Client state machine: emits messages, consumes outcome reports."""
 
@@ -149,6 +167,7 @@ class ClientSession:
         self.pattern = pattern_for(
             secrets.config, phi=secrets.phi, input_prep=secrets.input_prep
         )
+        validate_deterministic(self.pattern)
         if enforce_blindness:
             validate_blind_structure(self.pattern, secrets.config.blind_qubits)
         self._seq = 0

@@ -2,7 +2,9 @@
 
 Convention: qubit 1 is the most significant bit of the basis index, so the
 basis label of a four-qubit amplitude reads |q1 q2 q3 q4>.  States are
-immutable; every operation returns a fresh value.
+immutable; every operation returns a fresh value.  Amplitudes are validated
+where they enter (`PureState.from_amplitudes`); operations that preserve the
+norm by construction (tensor, CPhase, renormalized projection) skip the check.
 
 The equatorial measurement basis is
     |b_delta> = (|0> + (-1)^b e^{i delta} |1>) / sqrt(2),   b in {0, 1},
@@ -84,9 +86,13 @@ class PureState:
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise ValueError(f"state norm {norm} deviates from 1")
-        vec = vec / norm
+        return cls._trusted(vec / norm)
+
+    @classmethod
+    def _trusted(cls, vec: np.ndarray) -> "PureState":
+        """Wrap a 1-D unit vector of length 2^n that is normalized by construction."""
         vec.setflags(write=False)
-        return cls(vec, n)
+        return cls(vec, vec.size.bit_length() - 1)
 
     @classmethod
     def computational(cls, num_qubits: int, index: int = 0) -> "PureState":
@@ -104,7 +110,7 @@ class PureState:
         return cls.ket_theta(0.0)
 
     def tensor(self, other: "PureState") -> "PureState":
-        return PureState.from_amplitudes(np.kron(self.amplitudes, other.amplitudes))
+        return PureState._trusted(np.kron(self.amplitudes, other.amplitudes))
 
     def _axis(self, qubit: int) -> int:
         if not 1 <= qubit <= self.num_qubits:
@@ -131,7 +137,7 @@ class PureState:
         sel[ai] = 1
         sel[aj] = 1
         tensor[tuple(sel)] *= -1.0
-        return PureState.from_amplitudes(tensor.reshape(-1))
+        return PureState._trusted(tensor.reshape(-1))
 
     def _project(self, qubit: int, bra: np.ndarray) -> tuple[float, "PureState | None"]:
         ax = self._axis(qubit)
@@ -141,7 +147,7 @@ class PureState:
         prob = float(np.linalg.norm(reduced) ** 2)
         if prob < IMPOSSIBLE_BRANCH:
             return prob, None
-        return prob, PureState.from_amplitudes(reduced / math.sqrt(prob))
+        return prob, PureState._trusted(reduced / math.sqrt(prob))
 
     def project_delta(
         self, qubit: int, delta: float, bit: int

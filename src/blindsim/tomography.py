@@ -144,6 +144,7 @@ class MLEResult:
     converged: bool
     iterations: int
     gradient_norm: float  # |grad_T log L| at the last iterate it was taken
+    line_search_halvings: int  # step halvings over all iterations
 
     def to_json(self) -> str:
         return json.dumps(
@@ -158,6 +159,7 @@ class MLEResult:
                 "converged": self.converged,
                 "iterations": self.iterations,
                 "gradient_norm": self.gradient_norm,
+                "line_search_halvings": self.line_search_halvings,
             }
         )
 
@@ -304,6 +306,7 @@ def mle_reconstruct(
     prev_grad: np.ndarray | None = None
     converged = False
     iterations = 0
+    halvings = 0
     norm = math.nan
     for iterations in range(1, max_iterations + 1):
         grad_t = gradient(t_mat, rho)
@@ -330,6 +333,7 @@ def mle_reconstruct(
                 improved = True
                 break
             trial /= 2.0
+            halvings += 1
         if not improved:
             converged = True
             break
@@ -349,6 +353,7 @@ def mle_reconstruct(
         converged=converged,
         iterations=iterations,
         gradient_norm=norm,
+        line_search_halvings=halvings,
     )
 
 

@@ -1,0 +1,404 @@
+"""The batched measurement engine against the recursive branch walk it
+replaced, batch consistency, read-only outputs, validation at the trust
+boundary, and an exhaustive determinism scan of every pattern."""
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blindsim.angles import Angle8
+from blindsim.clusters import BlindPhases, ClusterConfig, blind_cluster_batch
+from blindsim.mbqc import (
+    MeasurementPattern,
+    MeasurementStep,
+    _measure_batch,
+    adapt_angle,
+    circuit_oracle,
+    cluster_state_for,
+    enumerate_adaptive,
+    enumerate_branches,
+    pattern_for,
+    run_adaptive,
+)
+from blindsim.protocol import ClientSecrets, ClientSession, ProtocolError, amplitudes_from_wire
+from blindsim.quantum import (
+    HADAMARD,
+    IMPOSSIBLE_BRANCH,
+    PAULI_X,
+    PAULI_Z,
+    PureState,
+    rz,
+)
+from blindsim.verification import standard_test_setting
+
+A = Angle8
+PREPS = ("Z", "X", "Y") + tuple(A(e) for e in range(8))
+THETAS64 = list(itertools.product(range(8), repeat=2))
+
+
+# ---------------------------------------------------------------- reference
+# The recursive walk the engine replaced, kept verbatim in behaviour: one
+# PureState per node, one projection per branch, gates applied one by one.
+
+
+def _ref_measure(state, remaining, qubit, delta, override, bit):
+    pos = remaining.index(qubit) + 1
+    if override is not None:
+        return state.measure_pauli(pos, override, bit)
+    return state.project_delta(pos, delta.radians, bit)
+
+
+def _ref_correct(pattern, interpreted, raw_output, phases):
+    out = raw_output
+    outputs = sorted(pattern.outputs)
+    for q in pattern.theta_unwind:
+        if phases is None:
+            raise ValueError("theta unwind requires the hiding phases")
+        out = out.apply_single(outputs.index(q) + 1, rz(-phases[q].radians))
+    for q in outputs:
+        pos = outputs.index(q) + 1
+        x_par = sum(interpreted[d] for d in pattern.output_x_deps.get(q, ())) % 2
+        z_par = sum(interpreted[d] for d in pattern.output_z_deps.get(q, ())) % 2
+        if x_par:
+            out = out.apply_single(pos, PAULI_X)
+        if z_par:
+            out = out.apply_single(pos, PAULI_Z)
+    for q, name in pattern.frame.items():
+        assert name == "H"
+        out = out.apply_single(outputs.index(q) + 1, HADAMARD)
+    return out
+
+
+def _ref_adaptive(state, pattern, phases, r):
+    records = []
+
+    def walk(idx, state, remaining, prob, outcomes, interpreted, used):
+        if idx == len(pattern.steps):
+            corrected = None
+            if state is not None and pattern.outputs:
+                corrected = _ref_correct(pattern, interpreted, state, phases)
+            records.append(
+                (dict(outcomes), dict(interpreted), dict(used), prob,
+                 prob < IMPOSSIBLE_BRANCH,
+                 state if pattern.outputs else None, corrected)
+            )
+            return
+        step = pattern.steps[idx]
+        if step.pauli_override is not None:
+            delta = None
+        else:
+            delta = adapt_angle(step, phases[step.qubit], r.get(step.qubit, 0), interpreted)
+        for bit in (0, 1):
+            interp_bit = bit ^ (r.get(step.qubit, 0) if delta is not None else 0)
+            nxt_out = {**outcomes, step.qubit: bit}
+            nxt_int = {**interpreted, step.qubit: interp_bit}
+            nxt_used = {**used, step.qubit: delta}
+            if state is None:
+                walk(idx + 1, None, remaining, 0.0, nxt_out, nxt_int, nxt_used)
+                continue
+            p, rest = _ref_measure(state, remaining, step.qubit, delta, step.pauli_override, bit)
+            nxt_rem = [q for q in remaining if q != step.qubit]
+            walk(idx + 1, rest, nxt_rem, prob * p, nxt_out, nxt_int, nxt_used)
+
+    walk(0, state, list(range(1, pattern.num_qubits + 1)), 1.0, {}, {}, {})
+    return records
+
+
+def _ref_fixed(state, pattern, deltas):
+    records = []
+
+    def walk(idx, state, remaining, prob, outcomes):
+        if idx == len(pattern.steps):
+            records.append(
+                (dict(outcomes), dict(outcomes),
+                 {s.qubit: (None if s.pauli_override else deltas[s.qubit]) for s in pattern.steps},
+                 prob, prob < IMPOSSIBLE_BRANCH, None, None)
+            )
+            return
+        step = pattern.steps[idx]
+        for bit in (0, 1):
+            if state is None:
+                walk(idx + 1, None, remaining, 0.0, {**outcomes, step.qubit: bit})
+                continue
+            p, rest = _ref_measure(
+                state, remaining, step.qubit, deltas.get(step.qubit), step.pauli_override, bit
+            )
+            nxt = [q for q in remaining if q != step.qubit]
+            walk(idx + 1, rest, nxt, prob * p, {**outcomes, step.qubit: bit})
+
+    walk(0, state, list(range(1, pattern.num_qubits + 1)), 1.0, {})
+    return records
+
+
+def _ref_sample(state, pattern, phases, r, seed):
+    rng = np.random.default_rng(seed)
+    remaining = list(range(1, pattern.num_qubits + 1))
+    outcomes, interpreted, used, prob = {}, {}, {}, 1.0
+    for step in pattern.steps:
+        delta = None
+        if step.pauli_override is None:
+            delta = adapt_angle(step, phases[step.qubit], r.get(step.qubit, 0), interpreted)
+        p0, rest0 = _ref_measure(state, remaining, step.qubit, delta, step.pauli_override, 0)
+        bit = 0 if rng.random() < p0 else 1
+        p, rest = (p0, rest0) if bit == 0 else _ref_measure(
+            state, remaining, step.qubit, delta, step.pauli_override, 1
+        )
+        outcomes[step.qubit] = bit
+        interpreted[step.qubit] = bit ^ (r.get(step.qubit, 0) if delta is not None else 0)
+        used[step.qubit] = delta
+        prob *= p
+        state = rest
+        remaining.remove(step.qubit)
+    corrected = _ref_correct(pattern, interpreted, state, phases) if pattern.outputs else None
+    return outcomes, interpreted, used, prob, corrected
+
+
+def _same_up_to_phase(a, b, tol):
+    a, b = np.asarray(a), np.asarray(b)
+    overlap = np.vdot(a, b)
+    if abs(overlap) == 0.0:
+        return np.abs(a - b).max() <= tol
+    return np.abs(a * (overlap / abs(overlap)) - b).max() <= tol
+
+
+def _assert_records_match(records, reference):
+    assert len(records) == len(reference)
+    for rec, (outcomes, interpreted, deltas, prob, impossible, output, corrected) in zip(
+        records, reference
+    ):
+        assert rec.outcomes == outcomes
+        assert rec.interpreted == interpreted
+        assert rec.deltas == deltas
+        assert rec.impossible == impossible
+        assert abs(rec.probability - prob) <= 1e-12
+        assert (rec.output_state is None) == (output is None)
+        if output is not None:
+            assert _same_up_to_phase(rec.output_state.amplitudes, output.amplitudes, 1e-12)
+        assert (rec.corrected_state is None) == (corrected is None)
+        if corrected is not None:
+            assert _same_up_to_phase(rec.corrected_state.amplitudes, corrected.amplitudes, 1e-12)
+
+
+# ---------------------------------------------------------------- draws
+
+
+@st.composite
+def computations(draw):
+    """A configuration with target rotations, input preparation, theta and r."""
+    config = draw(st.sampled_from(list(ClusterConfig)))
+    order = config.measure_order
+    linear = config in (ClusterConfig.LINEAR_RIGHT, ClusterConfig.LINEAR_LEFT)
+    phi = {q: A(draw(st.integers(0, 7))) for q in (order[1:] if linear else order)}
+    prep = draw(st.sampled_from(PREPS)) if linear else "Z"
+    n2, n3 = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    r = {q: draw(st.integers(0, 1)) for q in order}
+    return config, phi, prep, (n2, n3), r
+
+
+class TestAgainstRecursiveWalk:
+    @given(computations())
+    @settings(max_examples=150, deadline=None)
+    def test_enumerate_adaptive(self, drawn):
+        config, phi, prep, (n2, n3), r = drawn
+        pattern = pattern_for(config, phi=phi, input_prep=prep)
+        phases = BlindPhases.family(n2, n3)
+        state = cluster_state_for(config, phases)
+        _assert_records_match(
+            enumerate_adaptive(state, pattern, phases, r),
+            _ref_adaptive(state, pattern, phases, r),
+        )
+
+    @given(computations(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_run_adaptive(self, drawn, seed):
+        config, phi, prep, (n2, n3), r = drawn
+        pattern = pattern_for(config, phi=phi, input_prep=prep)
+        phases = BlindPhases.family(n2, n3)
+        state = cluster_state_for(config, phases)
+        run, corrected = run_adaptive(state, pattern, phases, r, rng_seed=seed)
+        outcomes, interpreted, used, prob, ref_corrected = _ref_sample(
+            state, pattern, phases, r, seed
+        )
+        assert (run.outcomes, run.interpreted, run.deltas) == (outcomes, interpreted, used)
+        assert abs(run.probability - prob) <= 1e-12
+        assert (corrected is None) == (ref_corrected is None)
+        if corrected is not None:
+            assert _same_up_to_phase(corrected.amplitudes, ref_corrected.amplitudes, 1e-12)
+
+    @given(st.integers(0, 7), st.integers(0, 7), st.lists(st.integers(0, 7), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_enumerate_branches(self, n2, n3, eighths):
+        setting = standard_test_setting()
+        pattern = setting.pattern()
+        deltas = {1: None, 2: A(eighths[0]), 3: A(eighths[1]), 4: A(eighths[2])}
+        state = cluster_state_for(ClusterConfig.LINEAR_RIGHT, BlindPhases.family(n2, n3))
+        _assert_records_match(
+            enumerate_branches(state, pattern, deltas), _ref_fixed(state, pattern, deltas)
+        )
+
+    def test_pruned_branches_keep_their_instructions(self):
+        # |+>|+>|+>: with r_1 = 1 qubit 1 is measured at pi, so its bit 0
+        # is impossible and both branches below it are pruned
+        plus = PureState.plus()
+        state = plus.tensor(plus).tensor(plus)
+        pattern = MeasurementPattern(
+            (MeasurementStep(1, A(0)), MeasurementStep(2, A(1), x_deps=frozenset({1}))),
+            (3,),
+            output_x_deps={3: frozenset({2})},
+        )
+        phases = BlindPhases({1: A(0), 2: A(3), 3: A(0)})
+        records = enumerate_adaptive(state, pattern, phases, {1: 1})
+        _assert_records_match(records, _ref_adaptive(state, pattern, phases, {1: 1}))
+        pruned = [rec for rec in records if rec.outcomes[1] == 0]
+        assert [rec.probability for rec in pruned] == [0.0, 0.0]
+        assert all(rec.output_state is None and rec.corrected_state is None for rec in pruned)
+        assert {rec.deltas[2] for rec in pruned} == {A(2)}  # -phi_2 + theta_2
+
+
+class TestBatch:
+    @given(computations(), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                              st.integers(0, 1), st.integers(0, 1)),
+                                    min_size=2, max_size=9))
+    @settings(max_examples=40, deadline=None)
+    def test_one_batched_call_equals_single_calls(self, drawn, rows):
+        config, phi, prep, _, _ = drawn
+        pattern = pattern_for(config, phi=phi, input_prep=prep)
+        theta = np.array([[0, n2, n3, 0] for n2, n3, _, _ in rows])
+        r = np.array([[r2, r2, r3, r3] for _, _, r2, r3 in rows])
+        states = blind_cluster_batch(config.graph, theta)
+        whole = _measure_batch(pattern, states, theta, r)
+        for b in range(len(rows)):
+            one = _measure_batch(pattern, states[b : b + 1], theta[b : b + 1], r[b : b + 1])
+            for name in ("outcomes", "interpreted", "deltas", "live"):
+                np.testing.assert_array_equal(getattr(whole, name)[b], getattr(one, name)[0])
+            np.testing.assert_allclose(whole.probability[b], one.probability[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(whole.output[b], one.output[0], rtol=0, atol=1e-12)
+            if whole.corrected is not None:
+                np.testing.assert_allclose(whole.corrected[b], one.corrected[0], rtol=0, atol=1e-12)
+
+    def test_outputs_are_read_only(self):
+        pattern = pattern_for(ClusterConfig.HORSESHOE, phi={2: A(1), 3: A(6)})
+        theta = np.array([[0, 3, 5, 0], [0, 1, 2, 0]])
+        branches = _measure_batch(pattern, blind_cluster_batch(pattern.config.graph, theta), theta)
+        arrays = [v for v in vars(branches).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 7
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+        phases = BlindPhases.family(3, 5)
+        for record in enumerate_adaptive(
+            cluster_state_for(ClusterConfig.HORSESHOE, phases), pattern, phases, {}
+        ):
+            for state in (record.output_state, record.corrected_state):
+                if state is not None:
+                    assert not state.amplitudes.flags.writeable
+        assert not cluster_state_for(ClusterConfig.HORSESHOE, phases).amplitudes.flags.writeable
+
+    def test_unnormalized_batch_rejected(self):
+        pattern = pattern_for(ClusterConfig.HORSESHOE)
+        theta = np.zeros((2, 4), dtype=int)
+        states = blind_cluster_batch(pattern.config.graph, theta) * np.array([[1.0], [1.1]])
+        with pytest.raises(ValueError, match="sum to"):
+            _measure_batch(pattern, states, theta)
+        nan = blind_cluster_batch(pattern.config.graph, theta).copy()
+        nan[1, 0] = np.nan
+        with pytest.raises(ValueError, match="sum to"):
+            _measure_batch(pattern, nan, theta)
+
+    def test_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="qubit"):
+            _measure_batch(pattern_for(ClusterConfig.HORSESHOE), np.ones((1, 8)) / np.sqrt(8), np.zeros((1, 4)))
+
+
+class TestTrustBoundary:
+    @pytest.mark.parametrize("amplitudes", [
+        [np.nan, 0.0],
+        [1.0, np.nan],
+        [1.0, 1.0],
+        [0.5, 0.5],
+        [np.inf, 0.0],
+    ])
+    def test_invalid_amplitudes_rejected(self, amplitudes):
+        with pytest.raises(ValueError, match="norm"):
+            PureState.from_amplitudes(amplitudes)
+        with pytest.raises(ValueError, match="norm"):
+            amplitudes_from_wire([[a, 0.0] for a in amplitudes])
+
+
+# ------------------------------------------------------- exhaustive scan
+
+
+def _linear(config):
+    return config in (ClusterConfig.LINEAR_RIGHT, ClusterConfig.LINEAR_LEFT)
+
+
+def _staircase_rule(phi):
+    return phi[1].eighths % 4 != 0 and phi[2].eighths % 4 != 0
+
+
+def _scan(config):
+    """Per pattern: (phi, prep, deterministic, matches the circuit oracle).
+
+    One engine call per pattern covers all 64 theta with r = 0 and with
+    r = all ones on the measured qubits."""
+    order = config.measure_order
+    free = order[1:] if _linear(config) else order
+    theta = np.array([[0, n2, n3, 0] for n2, n3 in THETAS64] * 2)
+    r = np.zeros((128, 4), dtype=int)
+    r[64:, [q - 1 for q in order]] = 1
+    states = blind_cluster_batch(config.graph, theta)
+    out = []
+    for eighths in itertools.product(range(8), repeat=len(free)):
+        phi = {q: A(e) for q, e in zip(free, eighths)}
+        for prep in PREPS if _linear(config) else ("Z",):
+            pattern = pattern_for(config, phi=phi, input_prep=prep)
+            branches = _measure_batch(pattern, states, theta, r)
+            possible = ~branches.impossible
+            first = branches.corrected[np.arange(128), np.argmax(possible, axis=1)]
+            agree = np.abs(np.einsum("bmi,bi->bm", branches.corrected, first.conj()))
+            deterministic = bool(np.all(np.abs(agree - 1.0)[possible] < 1e-9))
+            oracle = circuit_oracle(config, phi, input_prep=prep).amplitudes
+            fidelity = np.abs(branches.corrected @ oracle.conj())
+            matches = bool(np.all(np.abs(fidelity - 1.0)[possible] < 1e-9))
+            out.append((phi, prep, deterministic, matches))
+    return out
+
+
+class TestExhaustiveDeterminism:
+    @pytest.mark.parametrize("config", [c for c in ClusterConfig if c.outputs], ids=lambda c: c.value)
+    def test_every_accepted_pattern_is_deterministic_and_matches_the_oracle(self, config):
+        scan = _scan(config)
+        expected = 8 ** (2 if _linear(config) else len(config.measure_order))
+        assert len(scan) == expected * (len(PREPS) if _linear(config) else 1)
+        for phi, prep, deterministic, matches in scan:
+            rejected = config is ClusterConfig.STAIRCASE and _staircase_rule(phi)
+            if rejected:
+                assert not deterministic, (phi, prep)
+            else:
+                assert deterministic and matches, (config, phi, prep)
+
+    def test_rejected_staircase_secrets_are_exactly_the_rule(self):
+        scan = _scan(ClusterConfig.STAIRCASE)
+
+        def key(phi):
+            return phi[1].eighths, phi[2].eighths, phi[3].eighths
+
+        not_deterministic = {key(phi) for phi, _, det, _ in scan if not det}
+        rule = {key(phi) for phi, _, _, _ in scan if _staircase_rule(phi)}
+        assert not_deterministic == rule and len(rule) == 288
+        # once the Clifford rule for phi_1 applies, 96 of them are left to reject
+        assert len({k for k in rule if k[0] % 2 == 0}) == 96
+        phases = BlindPhases.family(0, 0)
+        for phi, _, _, _ in scan:
+            secrets = ClientSecrets(ClusterConfig.STAIRCASE, phases, {}, phi)
+            for enforce_blindness in (False, True):
+                expect = key(phi) in rule or (enforce_blindness and key(phi)[0] % 2 == 1)
+                try:
+                    ClientSession(secrets, enforce_blindness=enforce_blindness)
+                except ProtocolError:
+                    assert expect, (phi, enforce_blindness)
+                else:
+                    assert not expect, (phi, enforce_blindness)

@@ -47,11 +47,6 @@ class TestGrover:
         phi2, phi3 = GROVER_TAG_ANGLES["01"]
         assert {phi2.eighths, phi3.eighths} == {6, 4}
 
-    def test_parallel_matches_sequential(self):
-        seq = run_grover("10")
-        par = run_grover("10", parallel=True)
-        assert seq["rows"] == par["rows"]
-
     def test_engine_vs_circuit_readout_frame(self):
         # engine readout = bitwise NOT of the circuit-model readout; both
         # decode to the same tag

@@ -167,6 +167,30 @@ class TestMle:
         assert math.isfinite(result.gradient_norm) and result.gradient_norm >= 0.0
         assert json.loads(result.to_json())["gradient_norm"] == result.gradient_norm
 
+    def test_line_search_halvings_reported(self, monkeypatch):
+        # Deutsch's verdict qubit from exact counts: 3 iterations, the last of
+        # which halves its step 60 times without improving the likelihood
+        import blindsim.tomography as tomography
+        from blindsim.experiments import deutsch_output_state
+
+        evaluations = 0
+        model_probabilities = tomography._model_probabilities
+
+        def counting(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return model_probabilities(*args)
+
+        monkeypatch.setattr(tomography, "_model_probabilities", counting)
+        output = deutsch_output_state("constant", 2, 3)
+        result = mle_reconstruct(exact_counts(DensityMatrix.from_pure(output), pauli_settings(1)))
+        assert (result.iterations, result.line_search_halvings) == (3, 69)
+        assert json.loads(result.to_json())["line_search_halvings"] == 69
+        # one gradient per iteration; one likelihood for the seed, one per
+        # halving and one per accepted step (the first two iterations)
+        likelihoods = evaluations - result.iterations
+        assert likelihoods == 1 + result.line_search_halvings + 2 == 72
+
     def test_likelihood_dominates_linear_inversion(self):
         from blindsim.tomography import _linear_inversion
 
