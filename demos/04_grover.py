@@ -8,14 +8,14 @@ hidden (theta_2, theta_3) were.  A classical strategy cannot beat 1/2.
 """
 from blindsim.experiments import run_grover, run_grover_sessions
 
-for tag in ("00", "01", "10", "11"):
-    table = run_grover(tag)
+tables = {tag: run_grover(tag) for tag in ("00", "01", "10", "11")}
+for tag, table in tables.items():
     print(f"tag |{tag}>: angles (phi2, phi3) = {table['angles_eighths']} eighths, "
           f"success over all 64 blind states: min {table['success_min']:.12f}, "
           f"avg {table['success_avg']:.12f}")
 print("classical bound:", 0.5)
-print("(apparatus references: max", run_grover('01')['paper_reference']['noisy_max'],
-      ", avg", run_grover('01')['paper_reference']['noisy_avg'], ")")
+reference = tables["01"]["reported_reference"]
+print("(apparatus references: max", reference["noisy_max"], ", avg", reference["noisy_avg"], ")")
 
 # The same search, live over the wire protocol with random secrets:
 print("\nlive sessions tagging |01>:", run_grover_sessions("01", seed=1, n_sessions=8))

@@ -8,7 +8,11 @@ Wire format is newline-delimited JSON, one message per line:
 with amplitudes as [re, im] pairs of 64-bit floats and angles as integer
 eighth-turns.  The same ClientSession/ServerSession state machines drive both
 the in-process transport and the TCP transport, so transcripts differ only in
-how the bytes travel.
+how the bytes travel.  Over TCP each side sends all the messages it has ready
+as one write, with Nagle's algorithm off, so no reply waits for a delayed
+ACK.  A line longer than MAX_LINE_BYTES, a malformed message or any other
+ProtocolError on the server ends the session with one `error` line that
+carries only a reason code.
 
 The transfer of qubit amplitudes on the wire is a simulation artifact: the
 server's *knowledge* is modeled by the r-averaged density matrices fed to the
@@ -37,8 +41,18 @@ from .mbqc import (
 from .quantum import DensityMatrix, PureState
 
 
+# longest line either side reads, newline included; the longest message of a
+# session, an output_return of two qubits, is about 250 bytes
+MAX_LINE_BYTES = 4096
+
+
 class ProtocolError(Exception):
-    """Raised for out-of-order messages, bad ids, or blindness violations."""
+    """Raised for out-of-order messages, bad ids, malformed input or blindness
+    violations.  `reason` is the code an `error` reply carries on the wire."""
+
+    def __init__(self, message: str, reason: str = "protocol"):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -52,9 +66,24 @@ class Message:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, line: str) -> "Message":
-        doc = json.loads(line)
-        return cls(int(doc["seq"]), str(doc["type"]), dict(doc["body"]))
+    def from_json(cls, line: str | bytes) -> "Message":
+        try:
+            doc = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+            raise ProtocolError(f"not JSON: {exc}", reason="bad_json") from None
+        if not isinstance(doc, dict):
+            raise ProtocolError("a message is a JSON object", reason="bad_message")
+        seq, type_, body = doc.get("seq"), doc.get("type"), doc.get("body")
+        if type(seq) is not int or not isinstance(type_, str) or not isinstance(body, dict):
+            raise ProtocolError(
+                "a message has an integer seq, a string type and an object body",
+                reason="bad_message",
+            )
+        return cls(seq, type_, body)
+
+
+def _ndjson_bytes(messages: Iterable[Message]) -> bytes:
+    return "".join(m.canonical_json() + "\n" for m in messages).encode("utf-8")
 
 
 def amplitudes_to_wire(psi: PureState) -> list[list[float]]:
@@ -259,6 +288,9 @@ class ClientSession:
             )
             self._closed = True
             return [self._msg("session_close", {"status": "ok"})]
+        if message.type == "error":
+            reason = str(message.body.get("reason"))
+            raise ProtocolError(f"server refused the session: {reason}", reason=reason)
         raise ProtocolError(f"client cannot handle message type {message.type!r}")
 
     @property
@@ -287,69 +319,127 @@ def server_entangle(qubits: Sequence[PureState], config: ClusterConfig) -> PureS
 
 
 class ServerSession:
-    """Server state machine: entangles received qubits, measures on demand."""
+    """Server state machine: entangles received qubits, measures on demand.
+
+    Every client message is checked before it changes the session: seq
+    strictly increasing, a known config and its own vertex count, each qubit
+    id in range and sent once as one qubit, and only the config's scheduled
+    qubits measured, each once.  A failed check, or a body that cannot be
+    read, raises ProtocolError.  Each check is O(1) dict and int work.
+    """
 
     def __init__(self, seed: int | np.random.Generator = 0):
         self._rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
         self._seq = 0
+        self._peer_seq = 0
         self._config: ClusterConfig | None = None
         self._expected = 0
         self._received: dict[int, PureState] = {}
         self._state: PureState | None = None
         self._remaining: list[int] = []
-        self._instructions = 0
+        self._scheduled: set[int] = set()
 
     def _msg(self, type_: str, body: dict) -> Message:
         self._seq += 1
         return Message(self._seq, type_, body)
 
-    def handle(self, message: Message) -> list[Message]:
-        if message.type == "session_init":
-            if self._config is not None:
-                raise ProtocolError("duplicate session_init")
-            self._config = ClusterConfig(message.body["config"])
-            self._expected = int(message.body["qubit_count"])
-            return []
-        if message.type == "qubit_transfer":
-            if self._config is None:
-                raise ProtocolError("qubit_transfer before session_init")
-            if self._state is not None:
-                raise ProtocolError("qubit_transfer after measurements began")
-            qid = int(message.body["qubit_id"])
-            self._received[qid] = amplitudes_from_wire(message.body["amplitudes"])
-            return []
-        if message.type == "measure_instruction":
-            return self._measure(message)
-        if message.type == "session_close":
-            return []
-        raise ProtocolError(f"server cannot handle message type {message.type!r}")
+    def refuse(self, error: ProtocolError) -> Message:
+        """The `error` reply to a failed check: its reason code, nothing else."""
+        return self._msg("error", {"reason": error.reason})
 
-    def _measure(self, message: Message) -> list[Message]:
+    def handle(self, message: Message) -> list[Message]:
+        try:
+            if not message.seq > self._peer_seq:
+                raise ProtocolError(
+                    f"seq {message.seq} does not follow {self._peer_seq}", reason="bad_seq"
+                )
+            self._peer_seq = message.seq
+            if message.type == "session_init":
+                return self._init(message.body)
+            if message.type == "qubit_transfer":
+                return self._transfer(message.body)
+            if message.type == "measure_instruction":
+                return self._measure(message.body)
+            if message.type == "session_close":
+                return []
+        except (KeyError, ValueError, IndexError, TypeError) as exc:
+            raise ProtocolError(
+                f"malformed {message.type!r}: {exc!r}", reason="bad_message"
+            ) from exc
+        raise ProtocolError(
+            f"server cannot handle message type {message.type!r}", reason="unknown_type"
+        )
+
+    def _init(self, body: dict) -> list[Message]:
+        if self._config is not None:
+            raise ProtocolError("duplicate session_init", reason="out_of_order")
+        try:
+            config = ClusterConfig(body["config"])
+        except ValueError:
+            raise ProtocolError(
+                f"unknown config {body['config']!r}", reason="unknown_config"
+            ) from None
+        count = int(body["qubit_count"])
+        if count != config.graph.vertex_count:
+            raise ProtocolError(
+                f"{config.value} has {config.graph.vertex_count} qubits, not {count}",
+                reason="bad_qubit_count",
+            )
+        self._config = config
+        self._expected = count
+        return []
+
+    def _transfer(self, body: dict) -> list[Message]:
         if self._config is None:
-            raise ProtocolError("measure_instruction before session_init")
+            raise ProtocolError("qubit_transfer before session_init", reason="out_of_order")
+        if self._state is not None:
+            raise ProtocolError("qubit_transfer after measurements began", reason="out_of_order")
+        qid = int(body["qubit_id"])
+        if not 1 <= qid <= self._expected or qid in self._received:
+            raise ProtocolError(
+                f"qubit {qid} is outside 1..{self._expected} or was sent before",
+                reason="bad_qubit",
+            )
+        pairs = body["amplitudes"]
+        if len(pairs) != 2:
+            raise ProtocolError("a qubit_transfer carries one qubit", reason="bad_qubit")
+        self._received[qid] = amplitudes_from_wire(pairs)
+        return []
+
+    def _measure(self, body: dict) -> list[Message]:
+        if self._config is None:
+            raise ProtocolError("measure_instruction before session_init", reason="out_of_order")
         if self._state is None:
-            if set(self._received) != set(range(1, self._expected + 1)):
-                raise ProtocolError("measurement requested before all qubits arrived")
+            # ids are checked on arrival, so a full count means every qubit
+            if len(self._received) != self._expected:
+                raise ProtocolError(
+                    "measurement requested before all qubits arrived", reason="out_of_order"
+                )
             qubits = [self._received[q] for q in range(1, self._expected + 1)]
             self._state = server_entangle(qubits, self._config)
             self._remaining = list(range(1, self._expected + 1))
-        qid = int(message.body["qubit_id"])
-        if qid not in self._remaining:
-            raise ProtocolError(f"unknown or already-measured qubit {qid}")
+            self._scheduled = set(self._config.measure_order)
+        qid = int(body["qubit_id"])
+        if qid not in self._scheduled:
+            raise ProtocolError(
+                f"qubit {qid} is unknown, already measured or an output of "
+                f"{self._config.value}",
+                reason="bad_qubit",
+            )
         pos = self._remaining.index(qid) + 1
-        if "pauli" in message.body:
-            axis = message.body["pauli"]
+        if "pauli" in body:
+            axis = body["pauli"]
             p0, rest0 = self._state.measure_pauli(pos, axis, 0)
         else:
-            delta = Angle8(int(message.body["delta_eighths"]))
+            delta = Angle8(int(body["delta_eighths"]))
             p0, rest0 = self._state.project_delta(pos, delta.radians, 0)
         bit = 0 if self._rng.random() < p0 else 1
         if bit == 0:
             rest = rest0
         else:
-            if "pauli" in message.body:
+            if "pauli" in body:
                 _, rest = self._state.measure_pauli(pos, axis, 1)
             else:
                 _, rest = self._state.project_delta(pos, delta.radians, 1)
@@ -357,10 +447,10 @@ class ServerSession:
             raise ProtocolError("measured an impossible branch")
         self._state = rest
         self._remaining.remove(qid)
-        self._instructions += 1
+        self._scheduled.remove(qid)
         out = [self._msg("outcome_report", {"qubit_id": qid, "bit": bit})]
         outputs = sorted(self._config.outputs)
-        if self._instructions == len(self._config.measure_order) and outputs:
+        if not self._scheduled and outputs:
             out.append(
                 self._msg(
                     "output_return",
@@ -403,18 +493,36 @@ def run_session(
 
 
 class _NdjsonHandler(socketserver.StreamRequestHandler):
+    """One connection, one session.  The replies to each inbound line go out
+    as one write; with Nagle off, no write waits for the client's ACK."""
+
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         session = ServerSession(seed=self.server.session_seed())  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            message = Message.from_json(line)
-            for reply in session.handle(message):
-                self.wfile.write((reply.canonical_json() + "\n").encode("utf-8"))
-            self.wfile.flush()
-            if message.type == "session_close":
-                break
+        try:
+            while True:
+                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if not raw:
+                    return
+                try:
+                    if len(raw) > MAX_LINE_BYTES:
+                        raise ProtocolError(
+                            f"line longer than {MAX_LINE_BYTES} bytes", reason="line_too_long"
+                        )
+                    if not raw.strip():
+                        continue
+                    message = Message.from_json(raw)
+                    replies = session.handle(message)
+                except ProtocolError as exc:
+                    self.wfile.write(_ndjson_bytes([session.refuse(exc)]))
+                    return
+                if replies:
+                    self.wfile.write(_ndjson_bytes(replies))
+                if message.type == "session_close":
+                    return
+        except ConnectionError:
+            return  # the client went away; its session ends with it
 
 
 class TcpServer(socketserver.ThreadingTCPServer):
@@ -447,36 +555,37 @@ def run_session_tcp(
     enforce_blindness: bool = True,
     timeout: float = 30.0,
 ) -> tuple[Transcript, SessionResult]:
-    """Drive one full session against a TCP server at `address`."""
+    """Drive one full session against a TCP server at `address`.
+
+    Each batch the client has ready (the opening session_init, transfers and
+    first instruction; then one instruction or the session_close) goes out
+    as one write before the next read, with Nagle off.
+    """
     client = ClientSession(secrets, enforce_blindness=enforce_blindness)
     transcript = Transcript()
     with socket.create_connection(address, timeout=timeout) as sock:
-        reader = sock.makefile("r", encoding="utf-8")
-        writer = sock.makefile("w", encoding="utf-8")
-
-        def send(msg: Message) -> None:
-            transcript.record(msg)
-            writer.write(msg.canonical_json() + "\n")
-            writer.flush()
-
-        pending = list(client.start())
-        while pending:
-            batch, pending = pending, []
-            for msg in batch:
-                send(msg)
-                if msg.type != "measure_instruction":
-                    continue
-                # drain replies until the client reacts or the session ends;
-                # the last instruction of an output-bearing run is answered
-                # by an outcome_report followed by the output_return
-                while not client.done and not pending:
-                    line = reader.readline()
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with sock.makefile("rb") as reader:
+            batch = client.start()
+            while batch:
+                for msg in batch:
+                    transcript.record(msg)
+                sock.sendall(_ndjson_bytes(batch))
+                batch = []
+                # read until the client reacts or the session ends; the last
+                # instruction of an output-bearing run is answered by an
+                # outcome_report followed by the output_return
+                while not batch and not client.done:
+                    line = reader.readline(MAX_LINE_BYTES + 1)
                     if not line:
                         raise ProtocolError("server closed the connection")
+                    if len(line) > MAX_LINE_BYTES:
+                        raise ProtocolError(
+                            f"line longer than {MAX_LINE_BYTES} bytes", reason="line_too_long"
+                        )
                     reply = Message.from_json(line)
                     transcript.record(reply)
-                    pending.extend(client.on_message(reply))
-        writer.flush()
+                    batch = client.on_message(reply)
     return transcript, client.result()
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .angles import Angle8
 from .clusters import BlindPhases, ClusterConfig
 from .mbqc import MeasurementPattern, MeasurementStep, enumerate_branches
-from .protocol import Message, ServerSession, amplitudes_to_wire
+from .protocol import Message, ServerSession, amplitudes_from_wire, amplitudes_to_wire
 from .quantum import PureState
 
 ZERO_TOL = 1e-12
@@ -113,7 +113,12 @@ def honest_protocol_round(
     setting: QuantumnessSetting,
     rng: np.random.Generator,
 ) -> int:
-    """One real client/server exchange measuring all four qubits."""
+    """One real client/server exchange measuring all four qubits.
+
+    The server measures qubits 1-3, the path's scheduled measurements, and
+    returns qubit 4, the output, with the third outcome; the client measures
+    the returned qubit at delta4, drawing from the same random stream.
+    """
     phases = BlindPhases.family(*theta)
     server = ServerSession(seed=rng)
     seq = 0
@@ -130,11 +135,14 @@ def honest_protocol_round(
     bits: dict[int, int] = {}
     replies = send("measure_instruction", {"qubit_id": 1, "pauli": "Z"})
     bits[1] = replies[0].body["bit"]
-    for qid, delta in ((2, setting.delta2), (3, setting.delta3), (4, setting.delta4)):
+    for qid, delta in ((2, setting.delta2), (3, setting.delta3)):
         replies = send(
             "measure_instruction", {"qubit_id": qid, "delta_eighths": delta.eighths}
         )
         bits[qid] = replies[0].body["bit"]
+    returned = amplitudes_from_wire(replies[1].body["amplitudes"])
+    p0, _ = returned.project_delta(1, setting.delta4.radians, 0)
+    bits[4] = 0 if rng.random() < p0 else 1
     send("session_close", {"status": "ok"})
     return _outcome_index(bits, setting)
 

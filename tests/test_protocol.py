@@ -3,6 +3,7 @@ instruction-distribution blindness, and the conditional I/2 property."""
 import itertools
 import json
 import math
+import socket
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from blindsim.blindness import holevo_chi
 from blindsim.clusters import BlindPhases, ClusterConfig, linear_family_state
 from blindsim.mbqc import circuit_oracle, pattern_for
 from blindsim.protocol import (
+    MAX_LINE_BYTES,
     ClientSecrets,
     ClientSession,
     Message,
@@ -416,6 +418,184 @@ class TestTcpTransport:
         )
         assert tcp_transcript.to_ndjson() == mem_transcript.to_ndjson()
         assert result_tcp.outcomes == result_ref.outcomes
+
+
+def _line(seq, type_, body) -> bytes:
+    return (Message(seq, type_, body).canonical_json() + "\n").encode()
+
+
+PLUS = [[2**-0.5, 0.0], [2**-0.5, 0.0]]
+INIT = _line(1, "session_init", {"config": "linear_right", "qubit_count": 4})
+OPENING = [INIT] + [
+    _line(q + 1, "qubit_transfer", {"qubit_id": q, "amplitudes": PLUS}) for q in range(1, 5)
+]
+MEASURE_ALL_SCHEDULED = [
+    _line(5 + q, "measure_instruction", {"qubit_id": q, "delta_eighths": 0}) for q in (1, 2, 3)
+]
+
+# name -> (lines a client sends, reason of the error reply to the last one)
+HOSTILE = {
+    "bad_json": ([b'{"seq": 1, "type": \n'], "bad_json"),
+    "deep_json": ([b"[" * 2000 + b"]" * 2000 + b"\n"], "bad_json"),
+    "not_an_object": ([b"[1, 2]\n"], "bad_message"),
+    "missing_key": ([_line(1, "session_init", {"config": "linear_right"})], "bad_message"),
+    "unknown_config": (
+        [_line(1, "session_init", {"config": "moebius", "qubit_count": 4})],
+        "unknown_config",
+    ),
+    "unknown_type": ([INIT, _line(2, "teleport", {})], "unknown_type"),
+    "qubit_count_5": (
+        [_line(1, "session_init", {"config": "linear_right", "qubit_count": 5})],
+        "bad_qubit_count",
+    ),
+    "qubit_id_9": (
+        [INIT, _line(2, "qubit_transfer", {"qubit_id": 9, "amplitudes": PLUS})],
+        "bad_qubit",
+    ),
+    "duplicate_transfer": (
+        [
+            INIT,
+            _line(2, "qubit_transfer", {"qubit_id": 1, "amplitudes": PLUS}),
+            _line(3, "qubit_transfer", {"qubit_id": 1, "amplitudes": PLUS}),
+        ],
+        "bad_qubit",
+    ),
+    "two_qubit_transfer": (
+        [INIT, _line(2, "qubit_transfer", {"qubit_id": 1, "amplitudes": [[0.5, 0.0]] * 4})],
+        "bad_qubit",
+    ),
+    "nan_amplitude": (
+        [INIT, _line(2, "qubit_transfer", {"qubit_id": 1, "amplitudes": [[math.nan, 0.0]] * 2})],
+        "bad_message",
+    ),
+    "remeasure_output": (
+        OPENING
+        + MEASURE_ALL_SCHEDULED
+        + [_line(9, "measure_instruction", {"qubit_id": 4, "delta_eighths": 0})],
+        "bad_qubit",
+    ),
+    "remeasure_scheduled": (
+        OPENING
+        + MEASURE_ALL_SCHEDULED
+        + [_line(9, "measure_instruction", {"qubit_id": 3, "delta_eighths": 0})],
+        "bad_qubit",
+    ),
+    "seq_replay": (
+        [INIT, _line(1, "qubit_transfer", {"qubit_id": 1, "amplitudes": PLUS})],
+        "bad_seq",
+    ),
+}
+OVER_LONG = ([b'{"seq": 1, ' + b" " * (3 * MAX_LINE_BYTES) + b"}\n"], "line_too_long")
+
+
+@pytest.fixture(scope="module")
+def tcp_server():
+    server = TcpServer(("127.0.0.1", 0), seed=5)
+    server.start_background()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def sends(monkeypatch):
+    """Every write on a socket: (local port, peer port, TCP_NODELAY, bytes)."""
+    log = []
+    for name in ("send", "sendall"):
+        original = getattr(socket.socket, name)
+
+        def recorded(sock, data, *args, _original=original):
+            log.append((
+                sock.getsockname()[1],
+                sock.getpeername()[1],
+                sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY),
+                bytes(data),
+            ))
+            return _original(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, recorded)
+    return log
+
+
+def _raw_exchange(address, lines):
+    """Send raw lines in one write; read every reply until the server closes."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(b"".join(lines))
+        with sock.makefile("rb") as reader:
+            return [Message.from_json(line) for line in reader]
+
+
+def _check_next_session_succeeds(server):
+    phi = {2: A(3), 3: A(6)}
+    secrets = secrets_for(ClusterConfig.HORSESHOE, phi, 2, 5, r={2: 1, 3: 0})
+    _, result = run_session_tcp(secrets, server.server_address, timeout=10)
+    oracle = circuit_oracle(ClusterConfig.HORSESHOE, phi)
+    assert states_equal_up_to_phase(result.output_state, oracle, tol=1e-9)
+
+
+class TestWire:
+    def test_one_write_per_batch_with_nagle_off(self, tcp_server, sends):
+        client_types = {
+            "session_init", "qubit_transfer", "measure_instruction", "session_close",
+        }
+        port = tcp_server.server_address[1]
+        last_reply_lines = {}
+        for config, phi in [
+            (ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}),
+            (ClusterConfig.TRIANGLE, {2: A(6), 3: A(4), 1: A(2), 4: A(2)}),
+        ]:
+            sends.clear()
+            secrets = secrets_for(config, phi, 3, 5, r={q: 1 for q in config.measure_order})
+            transcript, _ = run_session_tcp(secrets, tcp_server.server_address, timeout=10)
+            # runs of messages from one sender: each client run is one batch,
+            # each server run the replies to one instruction
+            runs = {True: [], False: []}
+            for from_client, group in itertools.groupby(
+                transcript.messages, key=lambda m: m.type in client_types
+            ):
+                runs[from_client].append(
+                    b"".join((m.canonical_json() + "\n").encode() for m in group)
+                )
+            client_writes = [data for _, peer, _, data in sends if peer == port]
+            server_writes = [data for local, _, _, data in sends if local == port]
+            assert client_writes == runs[True]
+            assert server_writes == runs[False]
+            assert all(nodelay for *_, nodelay, _ in sends)
+            last_reply_lines[config] = server_writes[-1].count(b"\n")
+        # outcome_report and output_return share the last write
+        assert last_reply_lines == {ClusterConfig.HORSESHOE: 2, ClusterConfig.TRIANGLE: 1}
+
+    @pytest.mark.parametrize("case", [*HOSTILE, "over_long_line"])
+    def test_hostile_input_gets_error_reply(self, case, tcp_server, capfd):
+        lines, reason = OVER_LONG if case == "over_long_line" else HOSTILE[case]
+        replies = _raw_exchange(tcp_server.server_address, lines)
+        assert replies[-1].type == "error"
+        assert replies[-1].body == {"reason": reason}
+        assert all(r.type in ("outcome_report", "output_return") for r in replies[:-1])
+        _check_next_session_succeeds(tcp_server)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("case", list(HOSTILE))
+    def test_hostile_input_raises_in_process(self, case):
+        lines, reason = HOSTILE[case]
+        server = ServerSession()
+        for line in lines[:-1]:
+            server.handle(Message.from_json(line))
+        with pytest.raises(ProtocolError) as info:
+            server.handle(Message.from_json(lines[-1]))
+        assert info.value.reason == reason
+
+    def test_client_raises_the_servers_reason(self, tcp_server, monkeypatch):
+        def refuse(self, message):
+            raise ProtocolError("refused", reason="bad_qubit")
+
+        monkeypatch.setattr(ServerSession, "handle", refuse)
+        secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 0, 0)
+        with pytest.raises(ProtocolError, match="bad_qubit") as info:
+            run_session_tcp(secrets, tcp_server.server_address, timeout=10)
+        assert info.value.reason == "bad_qubit"
 
 
 def run_session_with_rng(secrets, rng):
