@@ -28,6 +28,12 @@ from .quantum import (
 )
 
 LOG2 = math.log(2.0)
+# eigenvalues of a prior's mean at or below this lie outside its support
+SUPPORT_CUTOFF = 1e-12
+# a Newton step may lower chi by this much (bits): float rounding, not a loss
+CHI_ROUNDING = 1e-14
+# halvings of a Newton step before one multiplicative step replaces it
+MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,7 @@ class ChiReport:
     iterations: int
     converged: bool
     duality_gap: float  # max_j D(rho_j || mean) - chi at the last iterate, bits
+    support: tuple[int, ...]  # indices j with argmax_prior[j] > 0
 
     def to_json(self) -> str:
         return json.dumps(
@@ -79,6 +86,7 @@ class ChiReport:
                 "iterations": self.iterations,
                 "converged": self.converged,
                 "duality_gap_bits": self.duality_gap,
+                "support": list(self.support),
             },
             sort_keys=True,
         )
@@ -113,57 +121,148 @@ def holevo_chi(ensemble: Ensemble) -> float:
     return von_neumann_entropy(mean) - float(avg_entropy)
 
 
+def _evaluate(
+    prior: np.ndarray, stack: np.ndarray, neg_entropy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mean's eigh, validated as a density matrix, and every D(rho_j ||
+    mean) in bits: Tr(rho_j ln rho_j) - Tr(rho_j ln mean), one mat-vec."""
+    vals, vecs = np.linalg.eigh(np.tensordot(prior, stack, axes=1))
+    if vals[0] < EIGENVALUE_FLOOR:
+        raise ValueError(f"negative eigenvalue {vals[0]}")
+    if not abs(vals.sum() - 1.0) <= HERMITIAN_TOL:
+        raise ValueError(f"trace {vals.sum()} deviates from 1")
+    log_mean = (vecs * np.log(np.clip(vals, 1e-300, None))) @ vecs.conj().T
+    # Tr(rho_j ln mean) = sum_ik rho_j[i, k] ln(mean)[k, i]
+    cross = np.real(stack.reshape(len(stack), -1) @ log_mean.T.reshape(-1))
+    return vals, vecs, (neg_entropy - cross) / LOG2
+
+
+def _entropy_hessian(vals: np.ndarray, vecs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """H_jk = d^2 S(mean) / dp_j dp_k = -Tr(rho_j Dlog_mean[rho_k]), in nats.
+
+    In the mean's eigenbasis the Frechet derivative of the logarithm scales
+    entry (a, b) by the divided difference (ln l_a - ln l_b) / (l_a - l_b),
+    or 1 / l_a when l_a = l_b (Daleckii-Krein).  The mean is often rank
+    deficient, so the basis is restricted to its support.
+    """
+    keep = vals > SUPPORT_CUTOFF
+    lam, basis = vals[keep], vecs[:, keep]
+    flat = (basis.conj().T @ stack @ basis).reshape(len(stack), -1)
+    ratio = lam[:, None] / lam[None, :] - 1.0  # log1p keeps close pairs exact
+    with np.errstate(divide="ignore", invalid="ignore"):
+        divided = np.where(
+            ratio != 0.0, np.log1p(ratio) / (ratio * lam[None, :]), 1.0 / lam[None, :]
+        )
+    return -np.real((flat.conj() * divided.reshape(-1)) @ flat.T)
+
+
+def _newton_direction(
+    hessian: np.ndarray, grad: np.ndarray, prior: np.ndarray, active: np.ndarray, flat_tol: float
+) -> np.ndarray:
+    """Newton direction for chi on the active face of the simplex.
+
+    This is the least-squares solution of the KKT system [H 1; 1^T 0] with
+    gradient grad, taken in the eigenbasis of H projected onto sum-zero
+    steps.  H is singular: identical states, or states whose weighted sum
+    cancels, leave the mean unchanged along some steps.  Along such a step
+    chi is linear, so when its slope exceeds `flat_tol` the direction also
+    runs along it to the face.  A zero weight that the direction would make
+    negative leaves the active set, and the system is solved again.
+    """
+    while True:
+        idx = np.flatnonzero(active)
+        center = np.eye(len(idx)) - 1.0 / len(idx)
+        face = hessian[np.ix_(idx, idx)]
+        curvature, modes = np.linalg.eigh(-(center @ face @ center))
+        slopes = modes.T @ (center @ grad[idx])
+        # H's rows average to -1 under the prior, so its scale is at least 1
+        curved = curvature > 1e-12 * np.abs(face).max()
+        newton = np.zeros(len(prior))
+        newton[idx] = modes[:, curved] @ (slopes[curved] / curvature[curved])
+        linear = np.zeros(len(prior))
+        linear[idx] = modes[:, ~curved] @ slopes[~curved]
+        if np.abs(linear).max() <= flat_tol:
+            linear[:] = 0.0
+        blocked = active & (prior == 0.0) & ((newton < 0.0) | (linear < 0.0))
+        if not blocked.any():
+            break
+        active = active & ~blocked
+    falling = linear < 0.0
+    if falling.any():
+        newton += linear * np.min(-prior[falling] / linear[falling])
+    return newton
+
+
 def maximize_chi_over_priors(
     ensemble: Ensemble,
     rel_tol: float = 1e-8,
     max_iterations: int = 100_000,
 ) -> ChiReport:
-    """Maximize chi over the probability simplex.
+    """Maximize chi over the probability simplex by active-set Newton steps.
 
-    chi(p) is concave in p; the multiplicative update
-        p'_j  propto  p_j * 2^{D(rho_j || rho_mean(p))}
-    increases chi monotonically (the fixed-point iteration used for classical
-    channel capacity).  Convergence is certified by the duality gap
-    max_j D(rho_j || mean) - chi(p), an upper bound on the remaining error.
+    chi(p) is concave in p, and its gradient is D_j = D(rho_j || mean(p))
+    up to a constant.  The optimum often lies on the simplex boundary, where
+    the multiplicative (Blahut-Arimoto) update only crawls toward a zero
+    weight; Newton's method on the active face lands on it.
 
-    The states are fixed, so their Tr(rho_j ln rho_j) are computed once.
-    Each iteration then decomposes only the mean, and
+    Each iteration decomposes the mean once.  With the states' Tr(rho_j ln
+    rho_j) computed once up front,
         D(rho_j || mean) = Tr(rho_j ln rho_j) - Tr(rho_j ln mean)
-    for all j is one matrix-vector product.  The mean is validated as a
-    density matrix on the loop's own eigenvalues.
+    for all j is one matrix-vector product, and chi(p) = sum_j p_j D_j.
+    The iteration stops when the duality gap max_j D_j - chi(p), an upper
+    bound on the remaining error, is at most rel_tol * max(chi, 1) bits.
+    Otherwise the active set is every j with p_j > 0 or D_j > chi, and the
+    Newton direction on it (see _newton_direction) is capped at the nearest
+    face of the simplex and halved until chi does not fall.  If no halving
+    succeeds, one multiplicative step p_j <- p_j 2^{D_j} / Z is taken
+    instead, so chi rises monotonically either way.  `iterations` counts the
+    gap tests, and `support` lists the j with p_j > 0.
     """
     chi_uniform = holevo_chi(
         ensemble.with_prior(np.full(ensemble.size, 1.0 / ensemble.size))
     )
     stack = np.stack([s.matrix for s in ensemble.states])
-    flat_states = stack.reshape(ensemble.size, -1)
     kept = np.linalg.eigvalsh(stack)
     kept = np.where(kept > 1e-15, kept, 1.0)  # 1 ln 1 = 0 drops the rest
     neg_entropy = (kept * np.log(kept)).sum(axis=1)
     prior = np.full(ensemble.size, 1.0 / ensemble.size)
+    vals, vecs, divergences = _evaluate(prior, stack, neg_entropy)
     iterations = 0
     converged = False
     gap = math.inf
     while iterations < max_iterations:
         iterations += 1
-        vals, vecs = np.linalg.eigh(np.tensordot(prior, stack, axes=1))
-        if vals[0] < EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {vals[0]}")
-        if not abs(vals.sum() - 1.0) <= HERMITIAN_TOL:
-            raise ValueError(f"trace {vals.sum()} deviates from 1")
-        log_mean = (vecs * np.log(np.clip(vals, 1e-300, None))) @ vecs.conj().T
-        # Tr(rho_j ln mean) = sum_ik rho_j[i, k] ln(mean)[k, i]
-        cross = np.real(flat_states @ log_mean.T.reshape(-1))
-        divergences = (neg_entropy - cross) / LOG2
         chi_now = float(prior @ divergences)
         gap = float(divergences.max() - chi_now)
-        if gap <= rel_tol * max(chi_now, 1.0):
+        tolerance = rel_tol * max(chi_now, 1.0)
+        if gap <= tolerance:
             converged = True
             break
-        log_weights = np.log(np.clip(prior, 1e-300, None)) + divergences * LOG2
-        log_weights -= log_weights.max()
-        prior = np.exp(log_weights)
-        prior /= prior.sum()
+        direction = _newton_direction(
+            _entropy_hessian(vals, vecs, stack),
+            divergences * LOG2,
+            prior,
+            (prior > 0.0) | (divergences > chi_now),
+            0.25 * tolerance * LOG2,  # a slope this small cannot hold the gap up
+        )
+        falling = direction < 0.0
+        reach = np.full(ensemble.size, math.inf)
+        reach[falling] = -prior[falling] / direction[falling]
+        step = min(1.0, float(reach.min()))
+        for _ in range(MAX_HALVINGS if direction.any() else 0):
+            trial = prior + step * direction
+            trial[reach <= step * (1.0 + 1e-9)] = 0.0  # duplicates reach the face together
+            trial = np.clip(trial, 0.0, None)
+            trial /= trial.sum()
+            trial_vals, trial_vecs, trial_divergences = _evaluate(trial, stack, neg_entropy)
+            if trial @ trial_divergences >= chi_now - CHI_ROUNDING:
+                prior, vals, vecs, divergences = trial, trial_vals, trial_vecs, trial_divergences
+                break
+            step /= 2.0
+        else:
+            weights = prior * np.exp((divergences - divergences.max()) * LOG2)
+            prior = weights / weights.sum()
+            vals, vecs, divergences = _evaluate(prior, stack, neg_entropy)
     chi_final = holevo_chi(ensemble.with_prior(prior))
     return ChiReport(
         chi_uniform=chi_uniform,
@@ -172,6 +271,7 @@ def maximize_chi_over_priors(
         iterations=iterations,
         converged=converged,
         duality_gap=gap,
+        support=tuple(int(j) for j in np.flatnonzero(prior > 0.0)),
     )
 
 

@@ -39,6 +39,8 @@ from .noise import NoiseParams
 from .protocol import ClientSecrets, TcpServer, run_session_tcp
 
 PASS, FAIL = 0, 2
+# largest certified duality gap `blindness` accepts for the noisy chi
+NOISY_GAP_BITS = 1e-6
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -201,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
             _close(table["ideal"]["chi_uniform_bits"], 0.0)
             and _close(table["ideal"]["chi_maximized_bits"], 0.0)
             and _close(table["r_broken_chi_uniform_bits"], 1.0, tol=1e-6)
+            and table["noisy"]["converged"]
+            and table["noisy"]["duality_gap_bits"] <= NOISY_GAP_BITS
         )
         _emit(args, table)
     elif args.command == "bulk":

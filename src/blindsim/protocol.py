@@ -10,9 +10,9 @@ eighth-turns.  The same ClientSession/ServerSession state machines drive both
 the in-process transport and the TCP transport, so transcripts differ only in
 how the bytes travel.  Over TCP each side sends all the messages it has ready
 as one write, with Nagle's algorithm off, so no reply waits for a delayed
-ACK.  A line longer than MAX_LINE_BYTES, a malformed message or any other
-ProtocolError on the server ends the session with one `error` line that
-carries only a reason code.
+ACK.  A line longer than MAX_LINE_BYTES, no line for IDLE_TIMEOUT_S, a
+malformed message or any other ProtocolError on the server ends the session
+with one `error` line that carries only a reason code.
 
 The transfer of qubit amplitudes on the wire is a simulation artifact: the
 server's *knowledge* is modeled by the r-averaged density matrices fed to the
@@ -44,6 +44,10 @@ from .quantum import DensityMatrix, PureState
 # longest line either side reads, newline included; the longest message of a
 # session, an output_return of two qubits, is about 250 bytes
 MAX_LINE_BYTES = 4096
+# seconds the server waits for a client's next line, like the client's own
+# 30 s socket timeout; an idle connection then gets an `error` reply and is
+# closed, so it cannot hold a server thread
+IDLE_TIMEOUT_S = 30.0
 
 
 class ProtocolError(Exception):
@@ -261,13 +265,25 @@ class ClientSession:
         )
 
     def on_message(self, message: Message) -> list[Message]:
+        """The client's reply to one server message.  A reply that is out of
+        order or cannot be read raises ProtocolError."""
+        try:
+            return self._react(message)
+        except (KeyError, ValueError, IndexError, TypeError) as exc:
+            raise ProtocolError(
+                f"unreadable {message.type!r} body: {exc!r}", reason="bad_message"
+            ) from None
+
+    def _react(self, message: Message) -> list[Message]:
         if message.type == "outcome_report":
             qid = message.body["qubit_id"]
             if qid != self._pending_qubit:
                 raise ProtocolError(
                     f"outcome for qubit {qid}, expected {self._pending_qubit}"
                 )
-            bit = int(message.body["bit"])
+            bit = message.body["bit"]
+            if type(bit) is not int or bit not in (0, 1):
+                raise ValueError(f"outcome bit {bit!r}")
             step = self.pattern.steps[self._step_index]
             self._outcomes[qid] = bit
             mask = self.secrets.r.get(qid, 0) if step.pauli_override is None else 0
@@ -498,18 +514,28 @@ class _NdjsonHandler(socketserver.StreamRequestHandler):
 
     disable_nagle_algorithm = True
 
+    def _read_line(self) -> bytes:
+        try:
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+        except TimeoutError:
+            raise ProtocolError(
+                f"no line within {IDLE_TIMEOUT_S} s", reason="idle_timeout"
+            ) from None
+        if len(raw) > MAX_LINE_BYTES:
+            raise ProtocolError(
+                f"line longer than {MAX_LINE_BYTES} bytes", reason="line_too_long"
+            )
+        return raw
+
     def handle(self) -> None:
         session = ServerSession(seed=self.server.session_seed())  # type: ignore[attr-defined]
+        self.connection.settimeout(IDLE_TIMEOUT_S)
         try:
             while True:
-                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
-                if not raw:
-                    return
                 try:
-                    if len(raw) > MAX_LINE_BYTES:
-                        raise ProtocolError(
-                            f"line longer than {MAX_LINE_BYTES} bytes", reason="line_too_long"
-                        )
+                    raw = self._read_line()
+                    if not raw:
+                        return
                     if not raw.strip():
                         continue
                     message = Message.from_json(raw)
@@ -521,8 +547,8 @@ class _NdjsonHandler(socketserver.StreamRequestHandler):
                     self.wfile.write(_ndjson_bytes(replies))
                 if message.type == "session_close":
                     return
-        except ConnectionError:
-            return  # the client went away; its session ends with it
+        except (ConnectionError, TimeoutError):
+            return  # the client went away or stopped reading; its session ends
 
 
 class TcpServer(socketserver.ThreadingTCPServer):

@@ -258,6 +258,40 @@ def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
     return int(np.linalg.matrix_rank(rows, tol=1e-9))
 
 
+def _state_of(t_mat: np.ndarray) -> np.ndarray:
+    """rho = T T^dagger / Tr(T T^dagger), physical for every T."""
+    rho = t_mat @ t_mat.conj().T
+    return rho / np.trace(rho).real
+
+
+class _PoissonLikelihood(NamedTuple):
+    """log L(rho) = sum_k n_k ln(mu_k) - mu_k, with mu_k = exposure * p_k(rho)."""
+
+    model: _MeasurementModel
+    counts: np.ndarray
+    exposure: float
+
+    @classmethod
+    def of(cls, table: CountsTable) -> "_PoissonLikelihood":
+        return cls(_model_of(table), table.counts.reshape(-1), table.exposure)
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        return np.clip(_model_probabilities(self.model, rho), 1e-15, None)
+
+    def value(self, rho: np.ndarray) -> float:
+        mu = self.exposure * self.probabilities(rho)
+        return float(np.sum(self.counts * np.log(mu) - mu))
+
+    def gradient(self, t_mat: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Ascent direction G in T's lower triangle, scaled so that the
+        slope of log L along G is |G|^2."""
+        weights = self.counts / self.probabilities(rho) - self.exposure
+        grad_rho = _weighted_projector_sum(self.model, weights)
+        trace_t = np.trace(t_mat @ t_mat.conj().T).real
+        mean_shift = np.real(np.trace(grad_rho @ rho))
+        return np.tril((2.0 / trace_t) * (grad_rho @ t_mat - mean_shift * t_mat))
+
+
 def mle_reconstruct(
     table: CountsTable,
     target: PureState | None = None,
@@ -265,38 +299,15 @@ def mle_reconstruct(
     improvement_tol: float = 1e-9,
 ) -> MLEResult:
     """Most likely physical density matrix under the Poisson count model."""
-    model = _model_of(table)
-    if not model.complete:
+    likelihood = _PoissonLikelihood.of(table)
+    if not likelihood.model.complete:
         raise ValueError("settings are not informationally complete")
-    dim = model.vectors.shape[1]
-    counts = table.counts.reshape(-1)
-    exposure = table.exposure
-
-    lower = np.tril(np.ones((dim, dim), dtype=bool))
-
-    def rho_of(t_mat: np.ndarray) -> np.ndarray:
-        rho = t_mat @ t_mat.conj().T
-        return rho / np.trace(rho).real
-
-    def probabilities(rho: np.ndarray) -> np.ndarray:
-        return np.clip(_model_probabilities(model, rho), 1e-15, None)
-
-    def log_likelihood(rho: np.ndarray) -> float:
-        mu = exposure * probabilities(rho)
-        return float(np.sum(counts * np.log(mu) - mu))
-
-    def gradient(t_mat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        weights = counts / probabilities(rho) - exposure
-        grad_rho = _weighted_projector_sum(model, weights)
-        trace_t = np.trace(t_mat @ t_mat.conj().T).real
-        mean_shift = np.real(np.trace(grad_rho @ rho))
-        grad_t = (2.0 / trace_t) * (grad_rho @ t_mat - mean_shift * t_mat)
-        return np.where(lower, grad_t, 0.0)
+    dim = likelihood.model.vectors.shape[1]
 
     seed = _linear_inversion(table)
     t_mat = np.linalg.cholesky(seed + 1e-9 * np.eye(dim))  # lower triangular
-    rho = rho_of(t_mat)
-    ll = log_likelihood(rho)
+    rho = _state_of(t_mat)
+    ll = likelihood.value(rho)
 
     # Barzilai-Borwein step guess, halved until the likelihood improves.
     # The stopping gain is relative: count-scale likelihoods sit at ~1e6,
@@ -309,7 +320,7 @@ def mle_reconstruct(
     halvings = 0
     norm = math.nan
     for iterations in range(1, max_iterations + 1):
-        grad_t = gradient(t_mat, rho)
+        grad_t = likelihood.gradient(t_mat, rho)
         norm = float(np.linalg.norm(grad_t))
         if norm < 1e-14:
             converged = True
@@ -326,9 +337,13 @@ def mle_reconstruct(
         trial = abs(step)
         improved = False
         for _ in range(60):
+            # norm**2 is the slope of the likelihood along grad_t: a step
+            # whose first-order gain is under the stopping gain ends the run
+            if trial * norm**2 < improvement_tol * max(abs(ll), 1.0):
+                break
             candidate = t_mat + trial * grad_t
-            cand_rho = rho_of(candidate)
-            cand_ll = log_likelihood(cand_rho)
+            cand_rho = _state_of(candidate)
+            cand_ll = likelihood.value(cand_rho)
             if cand_ll > ll:
                 improved = True
                 break

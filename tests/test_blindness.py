@@ -164,6 +164,16 @@ class TestMaximizeChi:
             grid = grid_search_chi(ens, step=2e-3)
             assert report.chi_maximized >= grid - 1e-6
 
+    def test_boundary_optimum_lands_on_its_face(self):
+        # I/2 is the even mix of |0> and |1>: weight moved from it to them
+        # leaves the mean alone and raises chi linearly, up to the face p_3 = 0
+        mixed = DensityMatrix.maximally_mixed(1)
+        report = maximize_chi_over_priors(uniform([pure([1, 0]), pure([0, 1]), mixed]))
+        assert report.converged and report.iterations <= 5
+        assert report.support == (0, 1) and report.argmax_prior[2] == 0.0
+        assert report.chi_maximized == pytest.approx(1.0, abs=1e-12)
+        assert json.loads(report.to_json())["support"] == [0, 1]
+
     def test_report_json(self):
         report = maximize_chi_over_priors(uniform([pure([1, 0]), pure([0, 1])]))
         assert isinstance(report, ChiReport)

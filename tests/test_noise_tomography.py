@@ -169,7 +169,8 @@ class TestMle:
 
     def test_line_search_halvings_reported(self, monkeypatch):
         # Deutsch's verdict qubit from exact counts: 3 iterations, the last of
-        # which halves its step 60 times without improving the likelihood
+        # which halves its step until the step's first-order gain is under
+        # the stopping gain, 9 halvings in all
         import blindsim.tomography as tomography
         from blindsim.experiments import deutsch_output_state
 
@@ -184,12 +185,33 @@ class TestMle:
         monkeypatch.setattr(tomography, "_model_probabilities", counting)
         output = deutsch_output_state("constant", 2, 3)
         result = mle_reconstruct(exact_counts(DensityMatrix.from_pure(output), pauli_settings(1)))
-        assert (result.iterations, result.line_search_halvings) == (3, 69)
-        assert json.loads(result.to_json())["line_search_halvings"] == 69
+        assert (result.iterations, result.line_search_halvings) == (3, 9)
+        assert json.loads(result.to_json())["line_search_halvings"] == 9
         # one gradient per iteration; one likelihood for the seed, one per
         # halving and one per accepted step (the first two iterations)
         likelihoods = evaluations - result.iterations
-        assert likelihoods == 1 + result.line_search_halvings + 2 == 72
+        assert likelihoods == 1 + result.line_search_halvings + 2 == 12
+
+    def test_gradient_is_the_slope_along_itself(self):
+        # the line search's stop rests on |G|^2 being the slope of log L
+        # along G; checked by finite differences on a four-qubit input
+        from blindsim.tomography import _PoissonLikelihood, _linear_inversion, _state_of
+
+        rho_true = apply_noise(lab_family_state(2, 3), NoiseParams())
+        table = simulate_counts(rho_true, pauli_settings(4), 10_000, np.random.default_rng(3))
+        likelihood = _PoissonLikelihood.of(table)
+        t_mat = np.linalg.cholesky(_linear_inversion(table) + 1e-9 * np.eye(16))
+        rho = _state_of(t_mat)
+        grad = likelihood.gradient(t_mat, rho)
+        assert np.array_equal(grad, np.tril(grad))
+        slope = float(np.vdot(grad, grad).real)
+        eps = 1e-8
+        up = likelihood.value(_state_of(t_mat + eps * grad))
+        down = likelihood.value(_state_of(t_mat - eps * grad))
+        forward = (up - likelihood.value(rho)) / (eps * slope)
+        central = (up - down) / (2.0 * eps * slope)
+        assert abs(forward - 1.0) <= 0.01
+        assert abs(central - 1.0) <= 1e-5
 
     def test_likelihood_dominates_linear_inversion(self):
         from blindsim.tomography import _linear_inversion

@@ -4,10 +4,13 @@ import itertools
 import json
 import math
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from blindsim import protocol
 from blindsim.angles import Angle8
 from blindsim.blindness import holevo_chi
 from blindsim.clusters import BlindPhases, ClusterConfig, linear_family_state
@@ -487,6 +490,19 @@ HOSTILE = {
 }
 OVER_LONG = ([b'{"seq": 1, ' + b" " * (3 * MAX_LINE_BYTES) + b"}\n"], "line_too_long")
 
+# server replies a client cannot read, given the qubit it waits on
+MALFORMED_REPLIES = {
+    "empty_outcome_report": lambda qid: ("outcome_report", {}),
+    "missing_bit": lambda qid: ("outcome_report", {"qubit_id": qid}),
+    "bit_2": lambda qid: ("outcome_report", {"qubit_id": qid, "bit": 2}),
+    "text_bit": lambda qid: ("outcome_report", {"qubit_id": qid, "bit": "1"}),
+    "float_bit": lambda qid: ("outcome_report", {"qubit_id": qid, "bit": 1.0}),
+    "output_before_outcomes": lambda qid: (
+        "output_return", {"qubit_ids": [4], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    ),
+    "text_amplitudes": lambda qid: ("output_return", {"qubit_ids": [4], "amplitudes": "junk"}),
+}
+
 
 @pytest.fixture(scope="module")
 def tcp_server():
@@ -586,6 +602,49 @@ class TestWire:
         with pytest.raises(ProtocolError) as info:
             server.handle(Message.from_json(lines[-1]))
         assert info.value.reason == reason
+
+    @pytest.mark.parametrize("case", list(MALFORMED_REPLIES))
+    def test_client_refuses_a_malformed_reply_in_process(self, case):
+        client = ClientSession(secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5))
+        pending = client.start()[-1].body["qubit_id"]
+        type_, body = MALFORMED_REPLIES[case](pending)
+        with pytest.raises(ProtocolError) as info:
+            client.on_message(Message(1, type_, body))
+        assert info.value.reason == "bad_message"
+
+    def test_client_refuses_a_malformed_reply_over_tcp(self, tcp_server, monkeypatch, capfd):
+        def malformed(self, message):
+            return [Message(1, "outcome_report", {})]
+
+        monkeypatch.setattr(ServerSession, "handle", malformed)
+        secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 0, 0)
+        with pytest.raises(ProtocolError) as info:
+            run_session_tcp(secrets, tcp_server.server_address, timeout=10)
+        assert info.value.reason == "bad_message"
+        monkeypatch.undo()
+        _check_next_session_succeeds(tcp_server)
+        assert capfd.readouterr().err == ""
+
+    def test_idle_connections_are_refused_and_closed(self, tcp_server, monkeypatch, capfd):
+        monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 0.2)
+        threads_before = threading.active_count()
+        idle = [socket.create_connection(tcp_server.server_address, timeout=10) for _ in range(2)]
+        try:
+            for sock in idle:
+                with sock.makefile("rb") as reader:
+                    replies = [Message.from_json(line) for line in reader]
+                assert [(r.type, r.body) for r in replies] == [
+                    ("error", {"reason": "idle_timeout"})
+                ]
+        finally:
+            for sock in idle:
+                sock.close()
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= threads_before
+        _check_next_session_succeeds(tcp_server)
+        assert capfd.readouterr().err == ""
 
     def test_client_raises_the_servers_reason(self, tcp_server, monkeypatch):
         def refuse(self, message):

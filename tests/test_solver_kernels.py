@@ -1,15 +1,18 @@
 """The solvers' fast kernels against the straightforward algorithms.
 
-Each reference below is the direct form of what the kernel computes: the
-prior maximizer with a full eigendecomposition of every state and of the
-mean per iteration, the linear inversion as a loop over Pauli strings, and
-outcome probabilities and weighted projector sums over dense projectors.
+Each reference below is the direct form of what the kernel computes or
+certifies: the multiplicative (Blahut-Arimoto) prior update with a full
+eigendecomposition of every state and of the mean per iteration, the linear
+inversion as a loop over Pauli strings, and outcome probabilities and
+weighted projector sums over dense projectors.
 """
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsim.blindness import Ensemble, maximize_chi_over_priors, pair_fold
 from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster
@@ -38,23 +41,32 @@ def reference_relative_entropy_bits(rho: np.ndarray, sigma: np.ndarray) -> float
     return (term1 - term2) / LOG2
 
 
-def reference_maximize(ensemble: Ensemble, rel_tol=1e-8, max_iterations=100_000):
-    """(prior, iterations) of the multiplicative update, every D recomputed."""
+def reference_divergences(ensemble: Ensemble, prior: np.ndarray) -> tuple[np.ndarray, float]:
+    """D(rho_j || mean) for every j, and chi = sum_j p_j D_j, in bits."""
     mats = [s.matrix for s in ensemble.states]
-    prior = np.full(len(mats), 1.0 / len(mats))
+    mean = sum(w * m for w, m in zip(prior, mats))
+    divergences = np.array([reference_relative_entropy_bits(m, mean) for m in mats])
+    return divergences, float(prior @ divergences)
+
+
+def reference_maximize(ensemble: Ensemble, rel_tol=1e-8, max_iterations=100_000):
+    """(prior, iterations, chi, gap) of the multiplicative update.
+
+    chi at any iterate is a lower bound on the maximum, and chi + gap an
+    upper bound, so an unconverged run still brackets the optimum.
+    """
+    prior = np.full(ensemble.size, 1.0 / ensemble.size)
     iterations = 0
-    while iterations < max_iterations:
+    while True:
         iterations += 1
-        mean = sum(w * m for w, m in zip(prior, mats))
-        divergences = np.array([reference_relative_entropy_bits(m, mean) for m in mats])
-        chi_now = float(prior @ divergences)
-        if divergences.max() - chi_now <= rel_tol * max(chi_now, 1.0):
-            break
+        divergences, chi_now = reference_divergences(ensemble, prior)
+        gap = float(divergences.max() - chi_now)
+        if gap <= rel_tol * max(chi_now, 1.0) or iterations == max_iterations:
+            return prior, iterations, chi_now, gap
         log_weights = np.log(np.clip(prior, 1e-300, None)) + divergences * LOG2
         log_weights -= log_weights.max()
         prior = np.exp(log_weights)
         prior /= prior.sum()
-    return prior, iterations
 
 
 def random_density(dim: int, rank: int, rng) -> DensityMatrix:
@@ -63,9 +75,9 @@ def random_density(dim: int, rank: int, rng) -> DensityMatrix:
     return DensityMatrix.from_matrix(rho / np.trace(rho).real)
 
 
-def noisy_sweep_ensemble() -> Ensemble:
-    """The noisy pair-folded theta_3 sweep of `run_blindness` at seed 0."""
-    rng = np.random.default_rng(0)
+def noisy_sweep_ensemble(seed: int = 0) -> Ensemble:
+    """The noisy pair-folded theta_3 sweep of `run_blindness` at `seed`."""
+    rng = np.random.default_rng(seed)
     graph = ClusterConfig.LINEAR_LEFT.graph
     states = [
         apply_noise(build_blind_cluster(graph, BlindPhases.family(2, n)), BLINDNESS_NOISE, rng)
@@ -74,24 +86,82 @@ def noisy_sweep_ensemble() -> Ensemble:
     return pair_fold(Ensemble(states, np.full(8, 1.0 / 8.0)))
 
 
-def assert_same_iterates(ensemble: Ensemble) -> int:
-    prior, iterations = reference_maximize(ensemble)
-    report = maximize_chi_over_priors(ensemble)
-    assert report.iterations == iterations
-    np.testing.assert_allclose(report.argmax_prior, prior, rtol=0, atol=1e-12)
+def assert_kkt(ensemble: Ensemble, report) -> None:
+    """The optimality conditions at the returned prior, evaluated directly:
+    D_j <= chi + gap for every j, and D_j = chi on the support."""
+    prior = report.argmax_prior
+    divergences, chi = reference_divergences(ensemble, prior)
+    assert report.support == tuple(np.flatnonzero(prior > 0.0))
+    assert divergences.max() <= chi + report.duality_gap + 1e-12
+    support = list(report.support)
+    assert np.abs(divergences[support] - chi).max() <= 1e-8
+    assert abs(report.chi_maximized - chi) <= 1e-12
+
+
+def assert_matches_oracle(ensemble: Ensemble, report, max_iterations=100_000) -> int:
+    """chi within the multiplicative update's bracket, to float rounding;
+    returns the update's iteration count."""
+    _, iterations, chi_ba, gap_ba = reference_maximize(ensemble, max_iterations=max_iterations)
+    assert chi_ba - 1e-12 <= report.chi_maximized <= chi_ba + gap_ba + 1e-12
     return iterations
 
 
 class TestChiKernel:
     def test_noisy_sweep_ensemble(self):
-        assert assert_same_iterates(noisy_sweep_ensemble()) == 5178
+        # the prior is not compared: folded states n and n + 4 are identical,
+        # so the maximizing prior is not unique
+        ensemble = noisy_sweep_ensemble()
+        report = maximize_chi_over_priors(ensemble)
+        assert report.converged
+        assert assert_matches_oracle(ensemble, report) == 5178
+        assert_kkt(ensemble, report)
+
+    @pytest.mark.parametrize("seed", range(7))
+    def test_drift_seeds_converge_in_few_newton_iterations(self, seed):
+        ensemble = noisy_sweep_ensemble(seed)
+        report = maximize_chi_over_priors(ensemble)
+        assert report.converged and report.iterations <= 10
+        assert_kkt(ensemble, report)
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_three_state_ensembles(self, dim, seed):
         rng = np.random.default_rng([dim, seed])
         states = [random_density(dim, rank, rng) for rank in (1, 2, dim)]
-        assert_same_iterates(Ensemble(states, np.full(3, 1.0 / 3.0)))
+        ensemble = Ensemble(states, np.full(3, 1.0 / 3.0))
+        report = maximize_chi_over_priors(ensemble)
+        assert report.converged
+        assert_matches_oracle(ensemble, report)
+        assert_kkt(ensemble, report)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 4]),
+        # rank 0 repeats an earlier state
+        ranks=st.lists(st.integers(0, 4), min_size=2, max_size=8),
+        confined=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_ensembles(self, dim, ranks, confined, seed):
+        # confined: every state lives on the first two basis states, so at
+        # dim 4 the mean is rank deficient
+        rng = np.random.default_rng(seed)
+        space = 2 if confined else dim
+        states = []
+        for rank in ranks:
+            if rank == 0 and states:
+                states.append(states[int(rng.integers(len(states)))])
+                continue
+            small = random_density(space, min(max(rank, 1), space), rng).matrix
+            full = np.zeros((dim, dim), dtype=complex)
+            full[:space, :space] = small
+            states.append(DensityMatrix.from_matrix(full))
+        ensemble = Ensemble(states, np.full(len(states), 1.0 / len(states)))
+        # a gap well under 1e-8 keeps D_j within 1e-8 of chi on the support
+        report = maximize_chi_over_priors(ensemble, rel_tol=1e-10)
+        assert report.converged and report.iterations <= 50
+        assert_kkt(ensemble, report)
+        assert_matches_oracle(ensemble, report, max_iterations=300)
 
 
 def reference_linear_inversion(table: CountsTable) -> np.ndarray:
