@@ -193,7 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, table)
     elif args.command == "tomography":
         table = run_tomography(config, mean_total=args.mean_total, mc_trials=args.mc_trials)
-        ok = abs(table["fidelity_to_ideal"] - table["true_fidelity"]) < 0.05
+        ok = (
+            table["converged"]
+            and abs(table["fidelity_to_ideal"] - table["true_fidelity"]) < 0.05
+        )
         _emit(args, table)
     elif args.command == "blindness":
         if config.noise is None:

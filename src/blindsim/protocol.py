@@ -24,6 +24,7 @@ import json
 import socket
 import socketserver
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -44,9 +45,9 @@ from .quantum import DensityMatrix, PureState
 # longest line either side reads, newline included; the longest message of a
 # session, an output_return of two qubits, is about 250 bytes
 MAX_LINE_BYTES = 4096
-# seconds the server waits for a client's next line, like the client's own
-# 30 s socket timeout; an idle connection then gets an `error` reply and is
-# closed, so it cannot hold a server thread
+# seconds the server waits for a client's next whole line, like the client's
+# own 30 s socket timeout; a connection that is idle or trickles bytes then
+# gets an `error` reply and is closed, so it cannot hold a server thread
 IDLE_TIMEOUT_S = 30.0
 
 
@@ -514,26 +515,48 @@ class _NdjsonHandler(socketserver.StreamRequestHandler):
 
     disable_nagle_algorithm = True
 
-    def _read_line(self) -> bytes:
-        try:
-            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
-        except TimeoutError:
-            raise ProtocolError(
-                f"no line within {IDLE_TIMEOUT_S} s", reason="idle_timeout"
-            ) from None
-        if len(raw) > MAX_LINE_BYTES:
-            raise ProtocolError(
-                f"line longer than {MAX_LINE_BYTES} bytes", reason="line_too_long"
-            )
-        return raw
+    def _read_line(self, pending: bytearray) -> bytes:
+        """The next line, newline included, or what is left at the end of
+        the stream.  The whole line, idle wait included, must arrive within
+        IDLE_TIMEOUT_S, so a client that trickles bytes cannot hold the
+        thread either.  `pending` keeps the bytes read past the line."""
+        deadline = None
+        while True:
+            end = pending.find(b"\n", 0, MAX_LINE_BYTES) + 1
+            if end:
+                line = bytes(pending[:end])
+                del pending[:end]
+                return line
+            if len(pending) >= MAX_LINE_BYTES:
+                raise ProtocolError(
+                    f"line longer than {MAX_LINE_BYTES} bytes", reason="line_too_long"
+                )
+            if deadline is None:
+                deadline = time.monotonic() + IDLE_TIMEOUT_S
+            remaining = deadline - time.monotonic()
+            try:
+                if remaining <= 0.0:
+                    raise TimeoutError
+                # the writes of the replies keep this timeout too
+                self.connection.settimeout(remaining)
+                chunk = self.connection.recv(65536)
+            except TimeoutError:
+                raise ProtocolError(
+                    f"no line within {IDLE_TIMEOUT_S} s", reason="idle_timeout"
+                ) from None
+            if not chunk:
+                line = bytes(pending)
+                pending.clear()
+                return line
+            pending += chunk
 
     def handle(self) -> None:
         session = ServerSession(seed=self.server.session_seed())  # type: ignore[attr-defined]
-        self.connection.settimeout(IDLE_TIMEOUT_S)
+        pending = bytearray()
         try:
             while True:
                 try:
-                    raw = self._read_line()
+                    raw = self._read_line(pending)
                     if not raw:
                         return
                     if not raw.strip():

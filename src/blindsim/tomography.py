@@ -7,11 +7,16 @@ The estimate maximizes the Poisson log-likelihood over rho = T^dag T / Tr,
 T lower-triangular, by gradient ascent with backtracking line search.
 Error bars come from re-running an extractor on Poisson-resampled counts.
 
-Every outcome projector is rank 1, |v><v| with v a product of local
-eigenvectors.  One read-only measurement model per settings tuple (the
-vectors, the completeness verdict and the linear-inversion tables) is built
-once and shared by the MLE, its linear-inversion seed and the Monte Carlo
-resamples, so no dense projector stack is rebuilt or kept.
+The measurement model lives in the Pauli basis.  Each outcome projector of
+a product-Pauli setting is a signed sum of the 2^n Pauli strings that the
+setting measures, so outcome probabilities are Walsh transforms of the 4^n
+Pauli expectations Tr(rho P), and the likelihood gradient's weighted
+projector sum is one Pauli sum.  The settings are informationally complete
+exactly when together they measure every one of the 4^n strings.  One
+read-only model per settings tuple (the string tables, the Walsh and phase
+tables and the permutation to the layout they act on) is built once and
+shared by the MLE, its linear-inversion seed and the Monte Carlo resamples;
+no dense projector or outcome-vector stack is built for them.
 """
 from __future__ import annotations
 
@@ -145,6 +150,7 @@ class MLEResult:
     iterations: int
     gradient_norm: float  # |grad_T log L| at the last iterate it was taken
     line_search_halvings: int  # step halvings over all iterations
+    seed_clipped_eigenvalues: int  # seed eigenvalues raised to the 1e-6 floor
 
     def to_json(self) -> str:
         return json.dumps(
@@ -160,51 +166,50 @@ class MLEResult:
                 "iterations": self.iterations,
                 "gradient_norm": self.gradient_norm,
                 "line_search_halvings": self.line_search_halvings,
+                "seed_clipped_eigenvalues": self.seed_clipped_eigenvalues,
             }
         )
 
 
-_PAULIS = np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)  # I, X, Y, Z: the digits of a Pauli-string index, qubit 1 most significant
-
-
 class _MeasurementModel(NamedTuple):
-    vectors: np.ndarray  # (K 2^n, 2^n): row k 2^n + o is the vector v of (k, o)
-    conj: np.ndarray  # its complex conjugate
-    complete: bool  # informationally complete
+    """Settings in the Pauli basis.  A Pauli string is indexed z 2^n + x by
+    its Z-bits and X-bits (qubit 1 most significant): on qubit q it is I, X,
+    Z or Y as (x_q, z_q) is (0,0), (1,0), (0,1) or (1,1), and its only
+    nonzero entries are P[a ^ x, a] = i^popcount(x & z) (-1)^popcount(z & a).
+    """
+
+    complete: bool  # every Pauli string is measured by some setting
     walsh: np.ndarray  # (2^n, 2^n): [o, m] = (-1)^{popcount(o & m)}
-    string_index: np.ndarray  # (K, 2^n - 1): Pauli string of (k, subset m >= 1)
-    string_counts: np.ndarray  # (4^n,): estimates per Pauli string
-    paulis: np.ndarray  # (4^n, 2^n, 2^n): the Pauli strings
+    string_index: np.ndarray  # (K, 2^n): Pauli string of (setting k, subset m)
+    string_counts: np.ndarray  # (4^n,): how many (k, m) measure each string
+    phase: np.ndarray  # (2^n, 2^n): [z, x] = i^{popcount(x & z)} / 2^n
+    xor_index: np.ndarray  # (2^n, 2^n): [a, x] = a 2^n + (a ^ x), its own inverse
 
 
 @functools.lru_cache(maxsize=8)
 def _measurement_model(settings: tuple[tuple[str, ...], ...]) -> _MeasurementModel:
-    """The read-only model of one settings tuple, built once per tuple."""
+    """The read-only model of one settings tuple, built once per tuple.
+
+    Setting k's outcome-o projector is (1/d) sum_m (-1)^{popcount(o & m)}
+    P_{k,m}, where P_{k,m} has setting k's axis on the qubits of subset m
+    (qubit q <-> bit n-1-q of m) and I elsewhere.  So the projectors of one
+    setting span its 2^n strings, and the settings are informationally
+    complete exactly when together they measure all 4^n strings.
+    """
     n = len(settings[0])
     dim = 2**n
-    vectors = _outcome_vectors(settings).reshape(-1, dim)
-    complete = measurement_rank(settings, dim) >= dim * dim
     walsh = _tensor_products(np.tile([[1.0, 1.0], [1.0, -1.0]], (1, n, 1, 1)))[0]
-    # Measuring setting k and keeping the bits of the qubits in subset m
-    # (qubit q <-> bit n-1-q of m) estimates the Pauli string that has
-    # setting k's axis on those qubits and I elsewhere.
-    axis_digit = np.array([["XYZ".index(a) + 1 for a in s] for s in settings])
-    in_subset = (np.arange(1, dim)[:, None] >> (n - 1 - np.arange(n))) & 1  # (m, q)
-    digits = axis_digit[:, None, :] * in_subset[None, :, :]
-    string_index = digits @ (4 ** np.arange(n - 1, -1, -1))
-    string_counts = np.bincount(string_index.reshape(-1), minlength=4**n)
-    all_strings = np.array(list(itertools.product(range(4), repeat=n)))
-    paulis = _tensor_products(_PAULIS[all_strings])
+    # the 1/d of every projector, folded in exactly: d is a power of two
+    phase = _tensor_products(np.tile([[1.0, 1.0], [1.0, 1j]], (1, n, 1, 1)))[0] / dim
+    bit = 1 << np.arange(n - 1, -1, -1)
+    x_bits = np.array([[a in "XY" for a in s] for s in settings]) @ bit
+    z_bits = np.array([[a in "YZ" for a in s] for s in settings]) @ bit
+    subsets = np.arange(dim)
+    string_index = (z_bits[:, None] & subsets) * dim + (x_bits[:, None] & subsets)
+    string_counts = np.bincount(string_index.reshape(-1), minlength=dim * dim)
+    xor_index = subsets[:, None] * dim + (subsets[:, None] ^ subsets[None, :])
     model = _MeasurementModel(
-        vectors, vectors.conj(), complete, walsh, string_index, string_counts, paulis
+        bool(string_counts.all()), walsh, string_index, string_counts, phase, xor_index
     )
     for field in model:
         if isinstance(field, np.ndarray):
@@ -216,40 +221,64 @@ def _model_of(table: CountsTable) -> _MeasurementModel:
     return _measurement_model(tuple(tuple(s) for s in table.settings))
 
 
+def _walsh_times(model: _MeasurementModel, mat: np.ndarray) -> np.ndarray:
+    """walsh @ mat for a C-ordered mat, as one real product over the
+    interleaved real and imaginary parts."""
+    pairs = mat.astype(np.complex128, copy=False).view(np.float64)
+    return (model.walsh @ pairs).view(np.complex128)
+
+
 def _model_probabilities(model: _MeasurementModel, rho: np.ndarray) -> np.ndarray:
-    """<v|rho|v> for every outcome vector v: Re rowsum((conj(V) rho) * V)."""
-    return np.real(((model.conj @ rho) * model.vectors).sum(axis=1))
+    """Every outcome's probability, from the 4^n Pauli expectations
+    Tr(rho P)[z, x] = Re(i^{popcount(x & z)} (walsh @ M)[z, x]), where
+    M[a, x] = rho[a, a ^ x]; here each is divided by d."""
+    scaled = (model.phase * _walsh_times(model, rho.take(model.xor_index))).real
+    return (scaled.take(model.string_index) @ model.walsh).reshape(-1)
+
+
+def _pauli_sum(model: _MeasurementModel, coefficients: np.ndarray) -> np.ndarray:
+    """G = (1/d) sum_s c_s P_s for real c.  With C[z, x] = c_{z 2^n + x},
+    G[a ^ x, a] = (walsh @ (C * i^{popcount(x & z)}))[a, x] / d."""
+    dim = len(model.walsh)
+    q_mat = _walsh_times(model, coefficients.reshape(dim, dim) * model.phase)
+    return q_mat.take(model.xor_index).T
 
 
 def _weighted_projector_sum(model: _MeasurementModel, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k |v_k><v_k| = V^T diag(w) conj(V)."""
-    return (model.vectors.T * weights) @ model.conj
+    """sum_{k,o} w_{k,o} Pi_{k,o}, the adjoint of `_model_probabilities`."""
+    dim = len(model.walsh)
+    per_string = np.bincount(
+        model.string_index.reshape(-1),
+        weights=(weights.reshape(-1, dim) @ model.walsh).reshape(-1),
+        minlength=dim * dim,
+    )
+    return _pauli_sum(model, per_string)
 
 
-def _linear_inversion(table: CountsTable) -> np.ndarray:
+def _linear_inversion(table: CountsTable) -> tuple[np.ndarray, int]:
     """Pauli-expectation inversion, projected to the PSD cone; MLE seed.
 
     Each Pauli string's expectation is the mean of its estimates over every
     setting that measures it, each estimate a parity of the outcome bits.
+    Returns the seed and how many of its eigenvalues were raised to 1e-6.
     """
     model = _model_of(table)
-    dim = model.vectors.shape[1]
     totals = table.counts.sum(axis=1)
     freqs = table.counts / np.where(totals > 0, totals, 1.0)[:, None]
-    estimates = (freqs @ model.walsh)[:, 1:]
     sums = np.bincount(
         model.string_index.reshape(-1),
-        weights=estimates.reshape(-1),
+        weights=(freqs @ model.walsh).reshape(-1),
         minlength=len(model.string_counts),
     )
     means = sums / np.maximum(model.string_counts, 1)
     means[0] = 1.0  # the identity string: Tr rho = 1
-    rho = np.tensordot(means / dim, model.paulis, axes=1)
+    rho = _pauli_sum(model, means)
     # clip to the PSD cone
     vals, vecs = np.linalg.eigh(rho)
+    clipped = int(np.count_nonzero(vals < 1e-6))
     vals = np.clip(vals, 1e-6, None)
     rho = (vecs * vals) @ vecs.conj().T
-    return rho / np.trace(rho).real
+    return rho / np.trace(rho).real, clipped
 
 
 def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
@@ -276,7 +305,7 @@ class _PoissonLikelihood(NamedTuple):
         return cls(_model_of(table), table.counts.reshape(-1), table.exposure)
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return np.clip(_model_probabilities(self.model, rho), 1e-15, None)
+        return np.maximum(_model_probabilities(self.model, rho), 1e-15)
 
     def value(self, rho: np.ndarray) -> float:
         mu = self.exposure * self.probabilities(rho)
@@ -302,9 +331,9 @@ def mle_reconstruct(
     likelihood = _PoissonLikelihood.of(table)
     if not likelihood.model.complete:
         raise ValueError("settings are not informationally complete")
-    dim = likelihood.model.vectors.shape[1]
+    dim = len(likelihood.model.walsh)
 
-    seed = _linear_inversion(table)
+    seed, clipped = _linear_inversion(table)
     t_mat = np.linalg.cholesky(seed + 1e-9 * np.eye(dim))  # lower triangular
     rho = _state_of(t_mat)
     ll = likelihood.value(rho)
@@ -369,6 +398,7 @@ def mle_reconstruct(
         iterations=iterations,
         gradient_norm=norm,
         line_search_halvings=halvings,
+        seed_clipped_eigenvalues=clipped,
     )
 
 

@@ -282,6 +282,15 @@ class TestCli:
         monkeypatch.setattr(cli, "run_blindness", lambda config: flawed)
         assert main(["blindness", "--out", str(tmp_path / "blindness.json")]) == 2
 
+    def test_tomography_fails_on_an_unconverged_mle(self, monkeypatch, tmp_path):
+        import blindsim.cli as cli
+
+        table = run_tomography(mc_trials=1)
+        assert table["converged"]
+        flawed = {**table, "converged": False}
+        monkeypatch.setattr(cli, "run_tomography", lambda config, **kwargs: flawed)
+        assert main(["tomography", "--out", str(tmp_path / "tomography.json")]) == 2
+
     def test_blindness_seed_draws_the_drift(self, tmp_path):
         chis = []
         for seed in (0, 1):

@@ -167,6 +167,16 @@ class TestMle:
         assert math.isfinite(result.gradient_norm) and result.gradient_norm >= 0.0
         assert json.loads(result.to_json())["gradient_norm"] == result.gradient_norm
 
+    def test_seed_clipped_eigenvalues_reported(self):
+        mixed = mle_reconstruct(exact_counts(DensityMatrix.maximally_mixed(2), pauli_settings(2)))
+        assert mixed.seed_clipped_eigenvalues == 0
+        pure = DensityMatrix.from_pure(random_pure(2, np.random.default_rng(2)))
+        result = mle_reconstruct(exact_counts(pure, pauli_settings(2)))
+        assert result.seed_clipped_eigenvalues > 0
+        assert json.loads(result.to_json())["seed_clipped_eigenvalues"] == (
+            result.seed_clipped_eigenvalues
+        )
+
     def test_line_search_halvings_reported(self, monkeypatch):
         # Deutsch's verdict qubit from exact counts: 3 iterations, the last of
         # which halves its step until the step's first-order gain is under
@@ -200,7 +210,7 @@ class TestMle:
         rho_true = apply_noise(lab_family_state(2, 3), NoiseParams())
         table = simulate_counts(rho_true, pauli_settings(4), 10_000, np.random.default_rng(3))
         likelihood = _PoissonLikelihood.of(table)
-        t_mat = np.linalg.cholesky(_linear_inversion(table) + 1e-9 * np.eye(16))
+        t_mat = np.linalg.cholesky(_linear_inversion(table)[0] + 1e-9 * np.eye(16))
         rho = _state_of(t_mat)
         grad = likelihood.gradient(t_mat, rho)
         assert np.array_equal(grad, np.tril(grad))
@@ -222,7 +232,7 @@ class TestMle:
             DensityMatrix.from_pure(target), pauli_settings(2), 1000, rng
         )
         result = mle_reconstruct(table)
-        seed = _linear_inversion(table)
+        seed, _ = _linear_inversion(table)
         projectors = np.concatenate(
             [born_probabilities(DensityMatrix.from_matrix(seed), s) for s in table.settings]
         )

@@ -3,6 +3,7 @@ instruction-distribution blindness, and the conditional I/2 property."""
 import itertools
 import json
 import math
+import select
 import socket
 import threading
 import time
@@ -639,6 +640,29 @@ class TestWire:
         finally:
             for sock in idle:
                 sock.close()
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > threads_before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= threads_before
+        _check_next_session_succeeds(tcp_server)
+        assert capfd.readouterr().err == ""
+
+    def test_trickled_line_is_refused_by_its_deadline(self, tcp_server, monkeypatch, capfd):
+        # each byte comes well inside the timeout; the line never ends
+        monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 0.3)
+        threads_before = threading.active_count()
+        with socket.create_connection(tcp_server.server_address, timeout=10) as sock:
+            start = time.monotonic()
+            while time.monotonic() - start < 5.0:
+                readable, _, _ = select.select([sock], [], [], 0.05)
+                if readable:
+                    break
+                sock.sendall(b" ")
+            elapsed = time.monotonic() - start
+            with sock.makefile("rb") as reader:
+                replies = [Message.from_json(line) for line in reader]
+        assert [(r.type, r.body) for r in replies] == [("error", {"reason": "idle_timeout"})]
+        assert elapsed < 1.0
         deadline = time.monotonic() + 5.0
         while threading.active_count() > threads_before and time.monotonic() < deadline:
             time.sleep(0.01)

@@ -4,7 +4,7 @@ Each reference below is the direct form of what the kernel computes or
 certifies: the multiplicative (Blahut-Arimoto) prior update with a full
 eigendecomposition of every state and of the mean per iteration, the linear
 inversion as a loop over Pauli strings, and outcome probabilities and
-weighted projector sums over dense projectors.
+weighted projector sums over dense outcome vectors and dense projectors.
 """
 import itertools
 import math
@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindsim.blindness import Ensemble, maximize_chi_over_priors, pair_fold
-from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster
+from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster, lab_family_state
 from blindsim.experiments import BLINDNESS_NOISE
-from blindsim.noise import apply_noise
+from blindsim.noise import NoiseParams, apply_noise
+from blindsim import tomography
 from blindsim.quantum import DensityMatrix
 from blindsim.tomography import (
     CountsTable,
@@ -25,8 +26,11 @@ from blindsim.tomography import (
     _measurement_model,
     _model_probabilities,
     _weighted_projector_sum,
+    measurement_rank,
+    mle_reconstruct,
     pauli_settings,
     setting_projectors,
+    simulate_counts,
 )
 
 LOG2 = math.log(2.0)
@@ -218,7 +222,7 @@ class TestTomographyKernels:
             settings = [s for s in settings if s[0] != "Z"]
         table = random_table(settings, rng)
         np.testing.assert_allclose(
-            _linear_inversion(table), reference_linear_inversion(table), rtol=0, atol=1e-12
+            _linear_inversion(table)[0], reference_linear_inversion(table), rtol=0, atol=1e-12
         )
         assert _measurement_model(tuple(settings)).complete == complete
 
@@ -245,12 +249,112 @@ class TestTomographyKernels:
 
     def test_model_arrays_read_only(self):
         model = _measurement_model(tuple(pauli_settings(2)))
-        arrays = [field for field in model if isinstance(field, np.ndarray)]
-        assert len(arrays) == 6
-        for array in arrays:
+        arrays = {
+            name: field
+            for name, field in zip(model._fields, model)
+            if isinstance(field, np.ndarray)
+        }
+        assert set(arrays) == {"walsh", "string_index", "string_counts", "phase", "xor_index"}
+        for array in arrays.values():
             with pytest.raises(ValueError):
                 array.reshape(-1)[0] = 0
 
     def test_model_built_once_per_settings(self):
         settings = tuple(pauli_settings(3))
         assert _measurement_model(settings) is _measurement_model(settings)
+
+
+# the dense model: outcome vector v of (setting k, outcome o) is row k 2^n + o
+LOCAL_EIGENVECTORS = {
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "Y": np.array([[1, 1j], [1, -1j]], dtype=complex) / math.sqrt(2),
+    "Z": np.eye(2, dtype=complex),
+}  # row b is the outcome-b (eigenvalue (-1)^b) eigenvector
+
+
+def oracle_vectors(settings) -> np.ndarray:
+    rows = []
+    for setting in settings:
+        for outcome in itertools.product((0, 1), repeat=len(setting)):
+            v = np.ones(1, dtype=complex)
+            for axis, b in zip(setting, outcome):
+                v = np.kron(v, LOCAL_EIGENVECTORS[axis][b])
+            rows.append(v)
+    return np.array(rows)
+
+
+def oracle_probabilities(vectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<v|rho|v> for every outcome vector: Re rowsum((conj(V) rho) * V)."""
+    return np.real(((vectors.conj() @ rho) * vectors).sum(axis=1))
+
+
+def oracle_weighted_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k |v_k><v_k| = V^T diag(w) conj(V)."""
+    return (vectors.T * weights) @ vectors.conj()
+
+
+@st.composite
+def setting_lists(draw, sizes):
+    """Settings of n qubits: random lists, with repeats and usually
+    incomplete, or all 3^n settings plus a few repeats."""
+    n = draw(sizes)
+    setting = st.tuples(*[st.sampled_from("XYZ")] * n)
+    if draw(st.booleans()):
+        return draw(st.lists(setting, min_size=1, max_size=3**n + 2))
+    extra = draw(st.lists(setting, max_size=3))
+    return pauli_settings(n) + extra
+
+
+class TestPauliBasisKernels:
+    """The Pauli-basis kernels against the dense outcome-vector model."""
+
+    def check_against_oracle(self, settings, seed):
+        n = len(settings[0])
+        dim = 2**n
+        rng = np.random.default_rng(seed)
+        model = _measurement_model(tuple(settings))
+        vectors = oracle_vectors(settings)
+        rho = random_density(dim, int(rng.integers(1, dim + 1)), rng).matrix
+        weights = rng.normal(size=len(vectors))
+        probs = _model_probabilities(model, rho)
+        np.testing.assert_allclose(probs, oracle_probabilities(vectors, rho), rtol=0, atol=1e-12)
+        weighted = _weighted_projector_sum(model, weights)
+        np.testing.assert_allclose(
+            weighted, oracle_weighted_sum(vectors, weights), rtol=0, atol=1e-12
+        )
+        # the adjoint identity: sum_k w_k p_k(rho) = Re Tr(rho G(w))
+        assert abs(weights @ probs - np.real(np.trace(rho @ weighted))) <= 1e-12
+        assert model.complete == (measurement_rank(settings, dim) >= dim * dim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(settings_=setting_lists(st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+    def test_small_registers(self, settings_, seed):
+        self.check_against_oracle(settings_, seed)
+
+    @settings(max_examples=8, deadline=None)
+    @given(settings_=setting_lists(st.just(4)), seed=st.integers(0, 2**32 - 1))
+    def test_four_qubits(self, settings_, seed):
+        self.check_against_oracle(settings_, seed)
+
+    def test_mle_iterates_match_the_dense_kernels(self, monkeypatch):
+        # the noisy (2,3) laboratory-basis state, as `run_tomography` measures it
+        rho_true = apply_noise(lab_family_state(2, 3), NoiseParams())
+        settings = pauli_settings(4)
+        table = simulate_counts(rho_true, settings, 1e4, np.random.default_rng(21))
+        fast = mle_reconstruct(table)
+        vectors = oracle_vectors(settings)
+        monkeypatch.setattr(
+            tomography, "_model_probabilities", lambda _, rho: oracle_probabilities(vectors, rho)
+        )
+        monkeypatch.setattr(
+            tomography, "_weighted_projector_sum", lambda _, w: oracle_weighted_sum(vectors, w)
+        )
+        dense = mle_reconstruct(table)
+        assert fast.converged and dense.converged
+        assert (fast.iterations, fast.line_search_halvings) == (
+            dense.iterations,
+            dense.line_search_halvings,
+        )
+        np.testing.assert_allclose(
+            fast.rho_hat.matrix, dense.rho_hat.matrix, rtol=0, atol=1e-12
+        )
