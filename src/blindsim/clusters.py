@@ -102,17 +102,15 @@ class ClusterConfig(Enum):
 
     @property
     def graph(self) -> GraphSpec:
-        if self is ClusterConfig.TRIANGLE:
-            return triangle_cluster_graph()
-        return path_graph(4)
-
-    @property
-    def measure_order(self) -> tuple[int, ...]:
         return _CONFIG_TABLE[self][0]
 
     @property
-    def outputs(self) -> tuple[int, ...]:
+    def measure_order(self) -> tuple[int, ...]:
         return _CONFIG_TABLE[self][1]
+
+    @property
+    def outputs(self) -> tuple[int, ...]:
+        return _CONFIG_TABLE[self][2]
 
     @property
     def blind_qubits(self) -> tuple[int, ...]:
@@ -120,13 +118,15 @@ class ClusterConfig(Enum):
         return (2, 3)
 
 
-_CONFIG_TABLE: dict[ClusterConfig, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    ClusterConfig.LINEAR_RIGHT: ((1, 2, 3), (4,)),
-    ClusterConfig.LINEAR_LEFT: ((4, 3, 2), (1,)),
-    ClusterConfig.HORSESHOE: ((2, 3), (1, 4)),
-    ClusterConfig.ROTATED_HORSESHOE: ((1, 4), (2, 3)),
-    ClusterConfig.STAIRCASE: ((2, 3, 1), (4,)),
-    ClusterConfig.TRIANGLE: ((2, 3, 1, 4), ()),
+# graph, measurement order and outputs; the graphs are built once and shared
+_PATH4 = path_graph(4)
+_CONFIG_TABLE: dict[ClusterConfig, tuple[GraphSpec, tuple[int, ...], tuple[int, ...]]] = {
+    ClusterConfig.LINEAR_RIGHT: (_PATH4, (1, 2, 3), (4,)),
+    ClusterConfig.LINEAR_LEFT: (_PATH4, (4, 3, 2), (1,)),
+    ClusterConfig.HORSESHOE: (_PATH4, (2, 3), (1, 4)),
+    ClusterConfig.ROTATED_HORSESHOE: (_PATH4, (1, 4), (2, 3)),
+    ClusterConfig.STAIRCASE: (_PATH4, (2, 3, 1), (4,)),
+    ClusterConfig.TRIANGLE: (triangle_cluster_graph(), (2, 3, 1, 4), ()),
 }
 
 

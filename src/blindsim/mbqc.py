@@ -268,13 +268,13 @@ class MbqcRun:
 
 # <b_delta| for every delta on the grid: _GRID_BRAS[e, b] = equatorial_bra(e pi/4, b)
 _GRID_BRAS = np.array([[equatorial_bra(Angle8(e).radians, b) for b in (0, 1)] for e in range(8)])
-_Z_BRAS = np.eye(2, dtype=complex)
-_PAULI_EIGHTHS = {"X": 0, "Y": 2}  # X and Y are the equatorial angles 0 and pi/2
+# the bras of each Pauli measurement; X and Y are the equatorial angles 0 and pi/2
+_PAULI_BRAS = {"X": _GRID_BRAS[0], "Y": _GRID_BRAS[2], "Z": np.eye(2, dtype=complex)}
 _ANGLES = tuple(Angle8(e) for e in range(8))
 _FRAME_GATES = {"H": HADAMARD}
 # byproduct Z^z X^x, indexed by 2x + z
 _BYPRODUCTS = np.array([np.eye(2), PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X], dtype=complex)
-for _table in (_GRID_BRAS, _Z_BRAS, _BYPRODUCTS):
+for _table in (_GRID_BRAS, _BYPRODUCTS, *_PAULI_BRAS.values()):
     _table.setflags(write=False)
 
 
@@ -364,10 +364,8 @@ def _measure_batch(
     used = np.empty((batch, 2**k if rng is None else 1, k), dtype=np.int64)
     for i, step in enumerate(steps):
         q = step.qubit
-        if step.pauli_override == "Z":
-            delta, bras = -1, _Z_BRAS
-        elif step.pauli_override is not None:
-            delta, bras = -1, _GRID_BRAS[_PAULI_EIGHTHS[step.pauli_override]]
+        if step.pauli_override is not None:
+            delta, bras = -1, _PAULI_BRAS[step.pauli_override]
         else:
             if not adaptive:
                 if deltas.get(q) is None:

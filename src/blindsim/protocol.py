@@ -6,13 +6,15 @@ Wire format is newline-delimited JSON, one message per line:
     {"seq": int, "type": str, "body": {...}}
 
 with amplitudes as [re, im] pairs of 64-bit floats and angles as integer
-eighth-turns.  The same ClientSession/ServerSession state machines drive both
-the in-process transport and the TCP transport, so transcripts differ only in
-how the bytes travel.  Over TCP each side sends all the messages it has ready
-as one write, with Nagle's algorithm off, so no reply waits for a delayed
-ACK.  A line longer than MAX_LINE_BYTES, no line for IDLE_TIMEOUT_S, a
-malformed message or any other ProtocolError on the server ends the session
-with one `error` line that carries only a reason code.
+eighth-turns.  One session loop runs the ClientSession state machine over
+both transports, so transcripts differ only in how the bytes travel.  Over
+TCP each batch the client has ready is one write, with Nagle's algorithm
+off, so no reply waits for a delayed ACK.  The server builds its state by
+the blind cluster's product formula and measures on the engine's bras.  A
+line longer than MAX_LINE_BYTES, no line for IDLE_TIMEOUT_S, a malformed
+message (ids, counts and angles are JSON integers) or any other
+ProtocolError on the server ends the session with one `error` line that
+carries only a reason code.
 
 The transfer of qubit amplitudes on the wire is a simulation artifact: the
 server's *knowledge* is modeled by the r-averaged density matrices fed to the
@@ -20,26 +22,31 @@ blindness analyzer, never by the raw amplitude payloads.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 import socket
 import socketserver
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .angles import Angle8
 from .blindness import Ensemble, pair_fold
-from .clusters import BlindPhases, ClusterConfig
+from .clusters import BlindPhases, ClusterConfig, _basis_tables
 from .mbqc import (
+    _GRID_BRAS,
+    _PAULI_BRAS,
     MeasurementPattern,
     adapt_angle,
     correct_output,
     pattern_for,
 )
-from .quantum import DensityMatrix, PureState
+from .quantum import IMPOSSIBLE_BRANCH, DensityMatrix, PureState
 
 
 # longest line either side reads, newline included; the longest message of a
@@ -96,7 +103,18 @@ def amplitudes_to_wire(psi: PureState) -> list[list[float]]:
 
 
 def amplitudes_from_wire(pairs: Sequence[Sequence[float]]) -> PureState:
+    """A state from [re, im] pairs of JSON numbers; a bool or a string is refused."""
+    if not all({type(re), type(im)} <= {int, float} for re, im in pairs):
+        raise TypeError("an amplitude is not a pair of numbers")
     return PureState.from_amplitudes([complex(re, im) for re, im in pairs])
+
+
+def _int_field(body: dict, key: str) -> int:
+    """body[key], which must be a JSON integer: not a bool, float or string."""
+    value = body[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -194,13 +212,19 @@ def validate_deterministic(pattern: MeasurementPattern) -> None:
 
 
 class ClientSession:
-    """Client state machine: emits messages, consumes outcome reports."""
+    """Client state machine: emits messages, consumes outcome reports.  It
+    runs `pattern`, by default the `pattern_for` of its secrets."""
 
-    def __init__(self, secrets: ClientSecrets, enforce_blindness: bool = True):
+    def __init__(
+        self,
+        secrets: ClientSecrets,
+        enforce_blindness: bool = True,
+        pattern: MeasurementPattern | None = None,
+    ):
         self.secrets = secrets
-        self.pattern = pattern_for(
-            secrets.config, phi=secrets.phi, input_prep=secrets.input_prep
-        )
+        if pattern is None:
+            pattern = pattern_for(secrets.config, phi=secrets.phi, input_prep=secrets.input_prep)
+        self.pattern = pattern
         validate_deterministic(self.pattern)
         if enforce_blindness:
             validate_blind_structure(self.pattern, secrets.config.blind_qubits)
@@ -277,13 +301,13 @@ class ClientSession:
 
     def _react(self, message: Message) -> list[Message]:
         if message.type == "outcome_report":
-            qid = message.body["qubit_id"]
+            qid = _int_field(message.body, "qubit_id")
             if qid != self._pending_qubit:
                 raise ProtocolError(
                     f"outcome for qubit {qid}, expected {self._pending_qubit}"
                 )
-            bit = message.body["bit"]
-            if type(bit) is not int or bit not in (0, 1):
+            bit = _int_field(message.body, "bit")
+            if bit not in (0, 1):
                 raise ValueError(f"outcome bit {bit!r}")
             step = self.pattern.steps[self._step_index]
             self._outcomes[qid] = bit
@@ -326,13 +350,24 @@ class ClientSession:
 
 
 def server_entangle(qubits: Sequence[PureState], config: ClusterConfig) -> PureState:
-    """Tensor the received qubits and CPhase along the configuration's graph."""
-    state = qubits[0]
-    for q in qubits[1:]:
-        state = state.tensor(q)
-    for i, j in sorted(config.graph.edges):
-        state = state.apply_cphase(i, j)
-    return state
+    """The received qubits with one CPhase per edge of the configuration's
+    graph, by the product formula: amplitude x is the product over qubits j
+    of <x_j|q_j>, times (-1)^{sum over edges of x_i x_j}."""
+    bits, signs = _basis_tables(config.graph)
+    single = np.array([q.amplitudes for q in qubits])
+    # one column per qubit, multiplied left to right like a chain of krons
+    product = functools.reduce(np.multiply, single[np.arange(len(qubits)), bits].T)
+    return PureState._trusted(np.where(signs, -product, product))
+
+
+def _project_pair(state: PureState, pos: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcomes of measuring the qubit at 0-based `pos` with two bras:
+    their probabilities and their unnormalized residual states, row b for
+    outcome b, from one einsum on the state reshaped to (2^pos, 2, rest)."""
+    psi = state.amplitudes.reshape(2**pos, 2, -1)
+    branches = np.einsum("bc,lcr->blr", bras, psi).reshape(2, -1)
+    flat = branches.view(np.float64)  # real and imaginary parts side by side
+    return np.einsum("bi,bi->b", flat, flat), branches
 
 
 class ServerSession:
@@ -398,7 +433,7 @@ class ServerSession:
             raise ProtocolError(
                 f"unknown config {body['config']!r}", reason="unknown_config"
             ) from None
-        count = int(body["qubit_count"])
+        count = _int_field(body, "qubit_count")
         if count != config.graph.vertex_count:
             raise ProtocolError(
                 f"{config.value} has {config.graph.vertex_count} qubits, not {count}",
@@ -413,7 +448,7 @@ class ServerSession:
             raise ProtocolError("qubit_transfer before session_init", reason="out_of_order")
         if self._state is not None:
             raise ProtocolError("qubit_transfer after measurements began", reason="out_of_order")
-        qid = int(body["qubit_id"])
+        qid = _int_field(body, "qubit_id")
         if not 1 <= qid <= self._expected or qid in self._received:
             raise ProtocolError(
                 f"qubit {qid} is outside 1..{self._expected} or was sent before",
@@ -438,31 +473,22 @@ class ServerSession:
             self._state = server_entangle(qubits, self._config)
             self._remaining = list(range(1, self._expected + 1))
             self._scheduled = set(self._config.measure_order)
-        qid = int(body["qubit_id"])
+        qid = _int_field(body, "qubit_id")
         if qid not in self._scheduled:
             raise ProtocolError(
                 f"qubit {qid} is unknown, already measured or an output of "
                 f"{self._config.value}",
                 reason="bad_qubit",
             )
-        pos = self._remaining.index(qid) + 1
         if "pauli" in body:
-            axis = body["pauli"]
-            p0, rest0 = self._state.measure_pauli(pos, axis, 0)
+            bras = _PAULI_BRAS[body["pauli"]]  # an unknown axis is a KeyError
         else:
-            delta = Angle8(int(body["delta_eighths"]))
-            p0, rest0 = self._state.project_delta(pos, delta.radians, 0)
-        bit = 0 if self._rng.random() < p0 else 1
-        if bit == 0:
-            rest = rest0
-        else:
-            if "pauli" in body:
-                _, rest = self._state.measure_pauli(pos, axis, 1)
-            else:
-                _, rest = self._state.project_delta(pos, delta.radians, 1)
-        if rest is None:
+            bras = _GRID_BRAS[_int_field(body, "delta_eighths") % 8]
+        prob, branches = _project_pair(self._state, self._remaining.index(qid), bras)
+        bit = 0 if self._rng.random() < prob[0] else 1
+        if prob[bit] < IMPOSSIBLE_BRANCH:
             raise ProtocolError("measured an impossible branch")
-        self._state = rest
+        self._state = PureState._trusted(branches[bit] / math.sqrt(prob[bit]))
         self._remaining.remove(qid)
         self._scheduled.remove(qid)
         out = [self._msg("outcome_report", {"qubit_id": qid, "bit": bit})]
@@ -480,6 +506,39 @@ class ServerSession:
         return out
 
 
+def _drive(
+    client: ClientSession,
+    send: Callable[[list[Message]], None],
+    receive: Callable[[], Message],
+) -> Transcript:
+    """Run one session: each batch the client has ready goes out in one
+    `send`, then replies are taken one at a time until the client reacts or
+    is done (an output-bearing run's last instruction gets two replies)."""
+    transcript = Transcript()
+    batch = client.start()
+    while batch:
+        for msg in batch:
+            transcript.record(msg)
+        send(batch)
+        batch = []
+        while not batch and not client.done:
+            reply = receive()
+            transcript.record(reply)
+            batch = client.on_message(reply)
+    return transcript
+
+
+def _drive_in_process(client: ClientSession, server: ServerSession) -> Transcript:
+    """`_drive` with each message handed to `server` and its replies queued."""
+    replies: deque[Message] = deque()
+
+    def send(batch: list[Message]) -> None:
+        for msg in batch:
+            replies.extend(server.handle(msg))
+
+    return _drive(client, send, replies.popleft)
+
+
 def run_session(
     secrets: ClientSecrets,
     server_seed: int = 0,
@@ -487,25 +546,7 @@ def run_session(
 ) -> tuple[Transcript, SessionResult]:
     """Drive one full session over the in-process transport."""
     client = ClientSession(secrets, enforce_blindness=enforce_blindness)
-    server = ServerSession(seed=server_seed)
-    transcript = Transcript()
-    queue = list(client.start())
-    for msg in queue:
-        transcript.record(msg)
-    while queue and not client.done:
-        outbound = queue
-        queue = []
-        replies: list[Message] = []
-        for msg in outbound:
-            replies.extend(server.handle(msg))
-        for reply in replies:
-            transcript.record(reply)
-            for follow_up in client.on_message(reply):
-                transcript.record(follow_up)
-                queue.append(follow_up)
-    # flush any trailing client messages (e.g. session_close) to the server
-    for msg in queue:
-        server.handle(msg)
+    transcript = _drive_in_process(client, ServerSession(seed=server_seed))
     return transcript, client.result()
 
 
@@ -604,46 +645,25 @@ def run_session_tcp(
     enforce_blindness: bool = True,
     timeout: float = 30.0,
 ) -> tuple[Transcript, SessionResult]:
-    """Drive one full session against a TCP server at `address`.
-
-    Each batch the client has ready (the opening session_init, transfers and
-    first instruction; then one instruction or the session_close) goes out
-    as one write before the next read, with Nagle off.
-    """
+    """Drive one full session against a TCP server at `address`: each batch
+    is one write, with Nagle off, and each reply one bounded line."""
     client = ClientSession(secrets, enforce_blindness=enforce_blindness)
-    transcript = Transcript()
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with sock.makefile("rb") as reader:
-            batch = client.start()
-            while batch:
-                for msg in batch:
-                    transcript.record(msg)
-                sock.sendall(_ndjson_bytes(batch))
-                batch = []
-                # read until the client reacts or the session ends; the last
-                # instruction of an output-bearing run is answered by an
-                # outcome_report followed by the output_return
-                while not batch and not client.done:
-                    line = reader.readline(MAX_LINE_BYTES + 1)
-                    if not line:
-                        raise ProtocolError("server closed the connection")
-                    if len(line) > MAX_LINE_BYTES:
-                        raise ProtocolError(
-                            f"line longer than {MAX_LINE_BYTES} bytes", reason="line_too_long"
-                        )
-                    reply = Message.from_json(line)
-                    transcript.record(reply)
-                    batch = client.on_message(reply)
+
+            def receive() -> Message:
+                line = reader.readline(MAX_LINE_BYTES + 1)
+                if not line:
+                    raise ProtocolError("server closed the connection")
+                if len(line) > MAX_LINE_BYTES:
+                    raise ProtocolError(
+                        f"line longer than {MAX_LINE_BYTES} bytes", reason="line_too_long"
+                    )
+                return Message.from_json(line)
+
+            transcript = _drive(client, lambda batch: sock.sendall(_ndjson_bytes(batch)), receive)
     return transcript, client.result()
-
-
-def transmitted_product_state(phases: BlindPhases, qubit_count: int = 4) -> PureState:
-    """The joint state of everything the client transmits: tensor of |theta_j>."""
-    state = PureState.ket_theta(phases[1].radians)
-    for q in range(2, qubit_count + 1):
-        state = state.tensor(PureState.ket_theta(phases[q].radians))
-    return state
 
 
 def conditional_transmitted_state(delta: Angle8, phi: Angle8) -> DensityMatrix:

@@ -3,8 +3,9 @@
 Convention: qubit 1 is the most significant bit of the basis index, so the
 basis label of a four-qubit amplitude reads |q1 q2 q3 q4>.  States are
 immutable; every operation returns a fresh value.  Amplitudes are validated
-where they enter (`PureState.from_amplitudes`); operations that preserve the
-norm by construction (tensor, CPhase, renormalized projection) skip the check.
+where they enter (`PureState.from_amplitudes`); states that are normalized
+by construction (a renormalized projection, a blind cluster built by its
+product formula) skip the check.
 
 The equatorial measurement basis is
     |b_delta> = (|0> + (-1)^b e^{i delta} |1>) / sqrt(2),   b in {0, 1},
@@ -109,9 +110,6 @@ class PureState:
     def plus(cls) -> "PureState":
         return cls.ket_theta(0.0)
 
-    def tensor(self, other: "PureState") -> "PureState":
-        return PureState._trusted(np.kron(self.amplitudes, other.amplitudes))
-
     def _axis(self, qubit: int) -> int:
         if not 1 <= qubit <= self.num_qubits:
             raise IndexError(f"qubit {qubit} out of range 1..{self.num_qubits}")
@@ -127,28 +125,6 @@ class PureState:
         tensor = np.moveaxis(tensor, 0, ax)
         return PureState.from_amplitudes(tensor.reshape(-1))
 
-    def apply_cphase(self, i: int, j: int) -> "PureState":
-        """CPhase |i>|j> -> (-1)^{ij} |i>|j> between two qubits."""
-        if i == j:
-            raise ValueError("CPhase requires two distinct qubits")
-        ai, aj = self._axis(i), self._axis(j)
-        tensor = self.amplitudes.reshape([2] * self.num_qubits).copy()
-        sel = [slice(None)] * self.num_qubits
-        sel[ai] = 1
-        sel[aj] = 1
-        tensor[tuple(sel)] *= -1.0
-        return PureState._trusted(tensor.reshape(-1))
-
-    def _project(self, qubit: int, bra: np.ndarray) -> tuple[float, "PureState | None"]:
-        ax = self._axis(qubit)
-        tensor = self.amplitudes.reshape([2] * self.num_qubits)
-        tensor = np.moveaxis(tensor, ax, 0)
-        reduced = np.tensordot(bra, tensor, axes=([0], [0])).reshape(-1)
-        prob = float(np.linalg.norm(reduced) ** 2)
-        if prob < IMPOSSIBLE_BRANCH:
-            return prob, None
-        return prob, PureState._trusted(reduced / math.sqrt(prob))
-
     def project_delta(
         self, qubit: int, delta: float, bit: int
     ) -> tuple[float, "PureState | None"]:
@@ -158,20 +134,13 @@ class PureState:
         A branch with probability below 1e-12 returns None for the state so
         the caller can prune it.
         """
-        return self._project(qubit, equatorial_bra(delta, bit))
-
-    def measure_pauli(
-        self, qubit: int, axis: str, bit: int
-    ) -> tuple[float, "PureState | None"]:
-        """Measure in a Pauli eigenbasis; bit 0 labels the +1 eigenstate."""
-        if axis == "X":
-            return self.project_delta(qubit, 0.0, bit)
-        if axis == "Y":
-            return self.project_delta(qubit, math.pi / 2.0, bit)
-        if axis == "Z":
-            bra = np.array([1.0, 0.0], dtype=complex) if bit == 0 else np.array([0.0, 1.0], dtype=complex)
-            return self._project(qubit, bra)
-        raise ValueError(f"unknown Pauli axis {axis!r}")
+        tensor = self.amplitudes.reshape([2] * self.num_qubits)
+        tensor = np.moveaxis(tensor, self._axis(qubit), 0)
+        reduced = np.tensordot(equatorial_bra(delta, bit), tensor, axes=([0], [0])).reshape(-1)
+        prob = float(np.linalg.norm(reduced) ** 2)
+        if prob < IMPOSSIBLE_BRANCH:
+            return prob, None
+        return prob, PureState._trusted(reduced / math.sqrt(prob))
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))

@@ -20,8 +20,7 @@ import numpy as np
 from .angles import Angle8
 from .clusters import BlindPhases, ClusterConfig
 from .mbqc import MeasurementPattern, MeasurementStep, enumerate_branches
-from .protocol import Message, ServerSession, amplitudes_from_wire, amplitudes_to_wire
-from .quantum import PureState
+from .protocol import ClientSecrets, ClientSession, ServerSession, _drive_in_process
 
 ZERO_TOL = 1e-12
 
@@ -115,35 +114,27 @@ def honest_protocol_round(
 ) -> int:
     """One real client/server exchange measuring all four qubits.
 
-    The server measures qubits 1-3, the path's scheduled measurements, and
-    returns qubit 4, the output, with the third outcome; the client measures
-    the returned qubit at delta4, drawing from the same random stream.
+    The client runs the setting as a pattern on the path: Z on qubit 1 and,
+    with r = 0, phi_j = delta_j - theta_j on qubits 2 and 3, so that the
+    server is told exactly delta_2 and delta_3.  The server measures qubits
+    1-3 and returns qubit 4, the output; the client measures it at delta4,
+    drawing from the same random stream.
     """
+    config = ClusterConfig.LINEAR_RIGHT
     phases = BlindPhases.family(*theta)
-    server = ServerSession(seed=rng)
-    seq = 0
-
-    def send(type_: str, body: dict) -> list[Message]:
-        nonlocal seq
-        seq += 1
-        return server.handle(Message(seq, type_, body))
-
-    send("session_init", {"config": ClusterConfig.LINEAR_RIGHT.value, "qubit_count": 4})
-    for qid in range(1, 5):
-        psi = PureState.ket_theta(phases[qid].radians)
-        send("qubit_transfer", {"qubit_id": qid, "amplitudes": amplitudes_to_wire(psi)})
-    bits: dict[int, int] = {}
-    replies = send("measure_instruction", {"qubit_id": 1, "pauli": "Z"})
-    bits[1] = replies[0].body["bit"]
-    for qid, delta in ((2, setting.delta2), (3, setting.delta3)):
-        replies = send(
-            "measure_instruction", {"qubit_id": qid, "delta_eighths": delta.eighths}
-        )
-        bits[qid] = replies[0].body["bit"]
-    returned = amplitudes_from_wire(replies[1].body["amplitudes"])
-    p0, _ = returned.project_delta(1, setting.delta4.radians, 0)
-    bits[4] = 0 if rng.random() < p0 else 1
-    send("session_close", {"status": "ok"})
+    phi = {2: setting.delta2 - phases[2], 3: setting.delta3 - phases[3]}
+    steps = (
+        MeasurementStep(1, pauli_override="Z"),
+        MeasurementStep(2, phi[2]),
+        MeasurementStep(3, phi[3]),
+    )
+    client = ClientSession(
+        ClientSecrets(config, phases, {}, phi), pattern=MeasurementPattern(steps, (4,), config)
+    )
+    _drive_in_process(client, ServerSession(seed=rng))
+    result = client.result()
+    p0, _ = result.output_state.project_delta(1, setting.delta4.radians, 0)
+    bits = {**result.outcomes, 4: 0 if rng.random() < p0 else 1}
     return _outcome_index(bits, setting)
 
 

@@ -81,14 +81,18 @@ class TestBuildBlindCluster:
         base = None
         edge_lists = itertools.permutations([(1, 2), (2, 3), (3, 4)])
         for edges in edge_lists:
-            state = PureState.ket_theta(0.0)
+            # the dense form: a kron chain, then one sign flip per edge
+            state = PureState.ket_theta(0.0).amplitudes
             for v in (2, 3, 4):
-                state = state.tensor(PureState.ket_theta(phases[v].radians))
+                state = np.kron(state, PureState.ket_theta(phases[v].radians).amplitudes)
+            state = state.reshape(2, 2, 2, 2)
             for i, j in edges:
-                state = state.apply_cphase(i, j)
+                sel = [slice(None)] * 4
+                sel[i - 1] = sel[j - 1] = 1
+                state[tuple(sel)] *= -1.0
             if base is None:
                 base = state
-            np.testing.assert_allclose(state.amplitudes, base.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(state, base, atol=1e-12)
 
     def test_zero_phase_path_is_standard_cluster(self):
         # stabilizer check: K_j = X_j prod_{k in N(j)} Z_k fixes the state

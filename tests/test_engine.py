@@ -45,8 +45,16 @@ THETAS64 = list(itertools.product(range(8), repeat=2))
 
 def _ref_measure(state, remaining, qubit, delta, override, bit):
     pos = remaining.index(qubit) + 1
+    if override == "Z":
+        # the Z bra <bit| keeps the slice where the qubit reads `bit`
+        tensor = state.amplitudes.reshape([2] * state.num_qubits)
+        reduced = np.moveaxis(tensor, pos - 1, 0)[bit].reshape(-1)
+        prob = float(np.linalg.norm(reduced) ** 2)
+        if prob < IMPOSSIBLE_BRANCH:
+            return prob, None
+        return prob, PureState.from_amplitudes(reduced / np.sqrt(prob))
     if override is not None:
-        return state.measure_pauli(pos, override, bit)
+        delta = A({"X": 0, "Y": 2}[override])  # the equatorial angles of X and Y
     return state.project_delta(pos, delta.radians, bit)
 
 
@@ -241,8 +249,7 @@ class TestAgainstRecursiveWalk:
     def test_pruned_branches_keep_their_instructions(self):
         # |+>|+>|+>: with r_1 = 1 qubit 1 is measured at pi, so its bit 0
         # is impossible and both branches below it are pruned
-        plus = PureState.plus()
-        state = plus.tensor(plus).tensor(plus)
+        state = PureState.from_amplitudes(np.full(8, 8**-0.5))
         pattern = MeasurementPattern(
             (MeasurementStep(1, A(0)), MeasurementStep(2, A(1), x_deps=frozenset({1}))),
             (3,),

@@ -100,7 +100,7 @@ class TestPatternFor:
 
 class TestEnumerateBranches:
     def test_plus_plus_single_live_branch(self):
-        state = PureState.plus().tensor(PureState.plus())
+        state = PureState.from_amplitudes(np.full(4, 0.5))
         pattern = MeasurementPattern(
             (MeasurementStep(1), MeasurementStep(2)), ()
         )
@@ -349,7 +349,7 @@ class TestRunAdaptive:
 
     def test_never_samples_zero_probability_branch(self):
         # |+>|+> measured at delta=0 twice: only the (0,0) branch is live
-        state = PureState.plus().tensor(PureState.plus())
+        state = PureState.from_amplitudes(np.full(4, 0.5))
         pattern = MeasurementPattern(
             (MeasurementStep(1), MeasurementStep(2)), ()
         )

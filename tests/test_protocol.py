@@ -10,12 +10,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsim import protocol
 from blindsim.angles import Angle8
 from blindsim.blindness import holevo_chi
 from blindsim.clusters import BlindPhases, ClusterConfig, linear_family_state
-from blindsim.mbqc import circuit_oracle, pattern_for
+from blindsim.mbqc import _GRID_BRAS, _PAULI_BRAS, circuit_oracle, pattern_for
 from blindsim.protocol import (
     MAX_LINE_BYTES,
     ClientSecrets,
@@ -25,12 +27,12 @@ from blindsim.protocol import (
     ServerSession,
     TcpServer,
     Transcript,
+    _project_pair,
     conditional_transmitted_state,
     run_session,
     run_session_tcp,
     server_entangle,
     server_view_ensemble,
-    transmitted_product_state,
     validate_blind_structure,
 )
 from blindsim.quantum import (
@@ -82,14 +84,6 @@ class TestClientPrepare:
         qubits = ClientSession(secrets).prepared_qubits()
         assert all(q.num_qubits == 1 for q in qubits)
 
-    def test_transmitted_product_state_is_tensor_of_singles(self):
-        phases = BlindPhases.family(5, 2)
-        joint = transmitted_product_state(phases)
-        rebuilt = PureState.ket_theta(0.0)
-        for q in (2, 3, 4):
-            rebuilt = rebuilt.tensor(PureState.ket_theta(phases[q].radians))
-        assert states_equal_up_to_phase(joint, rebuilt)
-
 
 class TestServerEntangle:
     def test_matches_build_blind_cluster(self):
@@ -119,6 +113,55 @@ class TestServerEntangle:
 
         reference = build_blind_cluster(triangle_cluster_graph(), phases)
         assert states_equal_up_to_phase(entangled, reference, tol=1e-10)
+
+
+# a one-qubit state as the real and imaginary parts of its two amplitudes
+QUBIT = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda v: math.hypot(*v) > 0.1)
+
+
+def _qubit(parts) -> PureState:
+    vec = np.array([complex(parts[0], parts[1]), complex(parts[2], parts[3])])
+    return PureState.from_amplitudes(vec / np.linalg.norm(vec))
+
+
+class TestServerKernels:
+    @given(
+        st.sampled_from(list(ClusterConfig)),
+        st.lists(QUBIT, min_size=4, max_size=4),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_product_formula_and_projection_match_the_dense_forms(self, config, parts, pos):
+        qubits = [_qubit(p) for p in parts]
+        dense = qubits[0].amplitudes
+        for q in qubits[1:]:
+            dense = np.kron(dense, q.amplitudes)
+        dense = dense.reshape(2, 2, 2, 2)
+        for i, j in config.graph.edges:
+            sel = [slice(None)] * 4
+            sel[i - 1] = sel[j - 1] = 1
+            dense[tuple(sel)] *= -1.0
+        state = server_entangle(qubits, config)
+        np.testing.assert_allclose(state.amplitudes, dense.reshape(-1), rtol=0, atol=1e-15)
+
+        # every instruction, a Pauli axis or a delta, at qubit position pos + 1
+        for instruction, bras in [*_PAULI_BRAS.items(), *enumerate(_GRID_BRAS)]:
+            prob, branches = _project_pair(state, pos, bras)
+            for bit in (0, 1):
+                if instruction == "Z":
+                    moved = np.moveaxis(state.amplitudes.reshape(2, 2, 2, 2), pos, 0)
+                    ref_branch = moved[bit].reshape(-1)
+                    ref_p = float(np.linalg.norm(ref_branch) ** 2)
+                else:
+                    eighths = {"X": 0, "Y": 2}.get(instruction, instruction)
+                    ref_p, ref_rest = state.project_delta(pos + 1, A(eighths).radians, bit)
+                    if ref_rest is not None:
+                        ref_branch = ref_rest.amplitudes * math.sqrt(ref_p)
+                    else:
+                        ref_branch = None
+                assert abs(prob[bit] - ref_p) <= 1e-15
+                if ref_branch is not None:
+                    np.testing.assert_allclose(branches[bit], ref_branch, rtol=0, atol=1e-15)
 
 
 class TestCliffordRule:
@@ -488,6 +531,35 @@ HOSTILE = {
         [INIT, _line(1, "qubit_transfer", {"qubit_id": 1, "amplitudes": PLUS})],
         "bad_seq",
     ),
+    # numbers and ids are JSON integers: no float, string or bool stands in
+    "qubit_count_text": (
+        [_line(1, "session_init", {"config": "linear_right", "qubit_count": "4"})],
+        "bad_message",
+    ),
+    "qubit_id_float": (
+        [INIT, _line(2, "qubit_transfer", {"qubit_id": 1.9, "amplitudes": PLUS})],
+        "bad_message",
+    ),
+    "qubit_id_bool": (
+        OPENING + [_line(6, "measure_instruction", {"qubit_id": True, "delta_eighths": 0})],
+        "bad_message",
+    ),
+    "delta_float": (
+        OPENING + [_line(6, "measure_instruction", {"qubit_id": 1, "delta_eighths": 2.7})],
+        "bad_message",
+    ),
+    "delta_text": (
+        OPENING + [_line(6, "measure_instruction", {"qubit_id": 1, "delta_eighths": "3"})],
+        "bad_message",
+    ),
+    "bool_amplitude": (
+        [INIT, _line(2, "qubit_transfer", {"qubit_id": 1, "amplitudes": [[True, 0], [0, 0]]})],
+        "bad_message",
+    ),
+    "unknown_pauli_axis": (
+        OPENING + [_line(6, "measure_instruction", {"qubit_id": 1, "pauli": "Q"})],
+        "bad_message",
+    ),
 }
 OVER_LONG = ([b'{"seq": 1, ' + b" " * (3 * MAX_LINE_BYTES) + b"}\n"], "line_too_long")
 
@@ -498,6 +570,8 @@ MALFORMED_REPLIES = {
     "bit_2": lambda qid: ("outcome_report", {"qubit_id": qid, "bit": 2}),
     "text_bit": lambda qid: ("outcome_report", {"qubit_id": qid, "bit": "1"}),
     "float_bit": lambda qid: ("outcome_report", {"qubit_id": qid, "bit": 1.0}),
+    "float_qubit_id": lambda qid: ("outcome_report", {"qubit_id": float(qid), "bit": 0}),
+    "text_qubit_id": lambda qid: ("outcome_report", {"qubit_id": str(qid), "bit": 0}),
     "output_before_outcomes": lambda qid: (
         "output_return", {"qubit_ids": [4], "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
     ),

@@ -102,30 +102,6 @@ class TestApplySingle:
             PureState.plus().apply_single(1, np.array([[1, 0], [0, 2.0]]))
 
 
-class TestCphase:
-    def test_minus_on_11(self):
-        out = PureState.computational(2, 0b11).apply_cphase(1, 2)
-        assert np.allclose(out.amplitudes, [0, 0, 0, -1])
-
-    def test_identity_on_00(self):
-        out = PureState.computational(2, 0b00).apply_cphase(1, 2)
-        assert np.allclose(out.amplitudes, [1, 0, 0, 0])
-
-    def test_involution_and_symmetry(self):
-        rng = np.random.default_rng(7)
-        vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi = PureState.from_amplitudes(vec / np.linalg.norm(vec))
-        twice = psi.apply_cphase(1, 3).apply_cphase(1, 3)
-        np.testing.assert_allclose(twice.amplitudes, psi.amplitudes, atol=1e-12)
-        np.testing.assert_allclose(
-            psi.apply_cphase(3, 1).amplitudes, psi.apply_cphase(1, 3).amplitudes
-        )
-
-    def test_same_qubit_rejected(self):
-        with pytest.raises(ValueError):
-            PureState.computational(2).apply_cphase(1, 1)
-
-
 class TestProjectDelta:
     def test_same_vector_probability_one(self):
         theta = 3 * PI / 4
@@ -171,41 +147,6 @@ class TestProjectDelta:
         p_after, _ = rotated.project_delta(1, delta, 0)
         p_before, _ = psi.project_delta(1, delta - gamma, 0)
         assert p_after == pytest.approx(p_before, abs=1e-10)
-
-
-class TestMeasurePauli:
-    def test_z_on_zero(self):
-        p, _ = PureState.computational(1).measure_pauli(1, "Z", 0)
-        assert p == pytest.approx(1.0)
-
-    def test_x_on_plus(self):
-        p, _ = PureState.plus().measure_pauli(1, "X", 0)
-        assert p == pytest.approx(1.0)
-
-    def test_z_on_family_first_qubit(self):
-        from blindsim.clusters import linear_family_state
-
-        n2, n3 = 3, 6
-        t2, t3 = n2 * PI / 4, n3 * PI / 4
-        p, rest = linear_family_state(n2, n3).measure_pauli(1, "Z", 0)
-        assert p == pytest.approx(0.5, abs=1e-10)
-        # direct amplitude selection from the linear-family expansion: q1=0 slice
-        plus = np.array([1, 1]) / math.sqrt(2)
-        minus = np.array([1, -1]) / math.sqrt(2)
-        k0, k1 = np.array([1.0, 0]), np.array([0, 1.0])
-        expected = (
-            np.kron(np.kron(k0, k0), plus)
-            + np.exp(1j * t3) * np.kron(np.kron(k0, k1), minus)
-            + np.exp(1j * t2) * np.kron(np.kron(k1, k0), plus)
-            - np.exp(1j * (t2 + t3)) * np.kron(np.kron(k1, k1), minus)
-        ) / 2.0
-        assert states_equal_up_to_phase(
-            rest, PureState.from_amplitudes(expected), tol=1e-10
-        )
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            PureState.plus().measure_pauli(1, "Q", 0)
 
 
 class TestFromAmplitudes:
@@ -284,7 +225,9 @@ class TestEntropies:
 
 class TestPartialTrace:
     def test_product_state_factor(self):
-        psi = PureState.ket_theta(PI / 4).tensor(PureState.computational(1, 1))
+        psi = PureState.from_amplitudes(
+            np.kron(PureState.ket_theta(PI / 4).amplitudes, [0.0, 1.0])
+        )
         rho = DensityMatrix.from_pure(psi)
         reduced = partial_trace(rho, keep=[1])
         expected = DensityMatrix.from_pure(PureState.ket_theta(PI / 4))

@@ -1,5 +1,6 @@
 """Quantumness-test statistics: exact distributions, zero structure, the
 classical baseline, and the live test harness."""
+import hashlib
 import math
 
 import numpy as np
@@ -113,6 +114,21 @@ class TestHarness:
             for _ in range(25)
         )
         assert rejected == 25
+
+    def test_seed_fixes_the_outcome_stream(self):
+        # SHA-256 of the (n2, n3, outcome) bytes of 2,000 honest rounds at
+        # seed 0, as the dense kron + CPhase server produced them
+        digest = hashlib.sha256()
+
+        def recorded(theta, setting, rng):
+            outcome = honest_protocol_round(theta, setting, rng)
+            digest.update(bytes([theta[0], theta[1], outcome]))
+            return outcome
+
+        run_quantumness_test(recorded, 2000, np.random.default_rng(0), states=SWEEP8)
+        assert digest.hexdigest() == (
+            "dc5243cac2c324cc3ef3414dcd5d08bb80e1354b9f1619b51c00b703535af76b"
+        )
 
     def test_report_serialization(self):
         rng = np.random.default_rng(3)
