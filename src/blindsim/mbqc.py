@@ -104,6 +104,13 @@ class MeasurementPattern:
     def num_qubits(self) -> int:
         return len(self.steps) + len(self.outputs)
 
+    @property
+    def corrects_outputs(self) -> bool:
+        """False when the output correction is the identity: no output
+        dependencies, no frame and no theta unwind."""
+        deps = (*self.output_x_deps.values(), *self.output_z_deps.values())
+        return any(deps) or bool(self.frame) or bool(self.theta_unwind)
+
     def step_for(self, qubit: int) -> MeasurementStep:
         for step in self.steps:
             if step.qubit == qubit:
@@ -458,11 +465,16 @@ def _correct(
         half = np.where([q in pattern.theta_unwind for q in outputs], theta, 0) * (math.pi / 8.0)
         unwind = np.stack([np.exp(1j * half), np.exp(-1j * half)], axis=-1)  # diagonal of Rz(-theta)
         gates = gates * unwind[:, None, :, None, :]
-    rows, cols = "acegikoqsuwy"[: len(outputs)], "dfhjlnprtvxz"[: len(outputs)]
-    spec = ",".join(f"...{a}{c}" for a, c in zip(rows, cols)) + f",...{cols}->...{rows}"
     t = out.reshape((batch, branches) + (2,) * len(outputs))
     operands = [gates[..., i, :, :] for i in range(len(outputs))]
-    return np.einsum(spec, *operands, t).reshape(batch, branches, -1)
+    return np.einsum(_correct_spec(len(outputs)), *operands, t).reshape(batch, branches, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _correct_spec(count: int) -> str:
+    """The einsum spec that applies one 2x2 gate to each of `count` outputs."""
+    rows, cols = "acegikoqsuwy"[:count], "dfhjlnprtvxz"[:count]
+    return ",".join(f"...{a}{c}" for a, c in zip(rows, cols)) + f",...{cols}->...{rows}"
 
 
 def correct_output(
@@ -471,12 +483,15 @@ def correct_output(
     raw_output: PureState,
     phases: BlindPhases | None = None,
 ) -> PureState:
-    """Client-side correction: theta unwind, Pauli byproducts, Clifford frame."""
+    """Client-side correction: theta unwind, Pauli byproducts, Clifford frame.
+    A pattern whose correction is the identity returns `raw_output` itself."""
     outputs = sorted(pattern.outputs)
     if raw_output.num_qubits != len(outputs):
         raise ValueError(
             f"output state has {raw_output.num_qubits} qubits, pattern has {len(outputs)} outputs"
         )
+    if not pattern.corrects_outputs:
+        return raw_output
 
     def parities(deps: Mapping[int, frozenset[int]]) -> np.ndarray:
         return np.array([[[sum(interpreted[d] for d in deps.get(q, ())) % 2 for q in outputs]]])

@@ -9,8 +9,10 @@ with amplitudes as [re, im] pairs of 64-bit floats and angles as integer
 eighth-turns.  One session loop runs the ClientSession state machine over
 both transports, so transcripts differ only in how the bytes travel.  Over
 TCP each batch the client has ready is one write, with Nagle's algorithm
-off, so no reply waits for a delayed ACK.  The server builds its state by
-the blind cluster's product formula and measures on the engine's bras.  A
+off, so no reply waits for a delayed ACK.  The client's qubits |theta_j>
+come from one shared table of the eight grid kets, built at import.  The
+server builds its state by the blind cluster's product formula and
+measures on the engine's bras with `quantum.project_qubit`.  A
 line longer than MAX_LINE_BYTES, no line for IDLE_TIMEOUT_S, a malformed
 message (ids, counts and angles are JSON integers) or any other
 ProtocolError on the server ends the session with one `error` line that
@@ -46,7 +48,7 @@ from .mbqc import (
     correct_output,
     pattern_for,
 )
-from .quantum import IMPOSSIBLE_BRANCH, DensityMatrix, PureState
+from .quantum import IMPOSSIBLE_BRANCH, DensityMatrix, PureState, project_qubit
 
 
 # longest line either side reads, newline included; the longest message of a
@@ -56,6 +58,10 @@ MAX_LINE_BYTES = 4096
 # own 30 s socket timeout; a connection that is idle or trickles bytes then
 # gets an `error` reply and is closed, so it cannot hold a server thread
 IDLE_TIMEOUT_S = 30.0
+
+# |theta> for every theta on the pi/4 grid; the client hands out these shared,
+# read-only states instead of building and validating new ones per session
+_GRID_KETS = tuple(PureState.ket_theta(Angle8(e).radians) for e in range(8))
 
 
 class ProtocolError(Exception):
@@ -236,18 +242,16 @@ class ClientSession:
         self._pending_qubit: int | None = None
         self._output_state: PureState | None = None
         self._closed = False
+        self._outputs = sorted(self.pattern.outputs)
 
     def _msg(self, type_: str, body: dict) -> Message:
         self._seq += 1
         return Message(self._seq, type_, body)
 
     def prepared_qubits(self) -> list[PureState]:
-        """|theta_j> per qubit; nothing is entangled client-side."""
-        n = self.pattern.num_qubits
-        return [
-            PureState.ket_theta(self.secrets.phases[q].radians)
-            for q in range(1, n + 1)
-        ]
+        """|theta_j> per qubit, shared from the grid table; nothing is entangled client-side."""
+        phases = self.secrets.phases
+        return [_GRID_KETS[phases[q].eighths] for q in range(1, self.pattern.num_qubits + 1)]
 
     def start(self) -> list[Message]:
         out = [
@@ -291,7 +295,8 @@ class ClientSession:
 
     def on_message(self, message: Message) -> list[Message]:
         """The client's reply to one server message.  A reply that is out of
-        order or cannot be read raises ProtocolError."""
+        order or cannot be read raises ProtocolError; one output_return is
+        read, after every outcome, with the pattern's sorted outputs as ids."""
         try:
             return self._react(message)
         except (KeyError, ValueError, IndexError, TypeError) as exc:
@@ -323,6 +328,14 @@ class ClientSession:
                 return [self._msg("session_close", {"status": "ok"})]
             return []  # waiting for output_return
         if message.type == "output_return":
+            ids = message.body["qubit_ids"]
+            if ids != self._outputs or any(type(q) is not int for q in ids):
+                raise ValueError(f"output ids {ids!r}, expected {self._outputs}")
+            if self._closed or self._step_index < len(self.pattern.steps):
+                raise ProtocolError(
+                    "output_return before every outcome or after the close",
+                    reason="out_of_order",
+                )
             raw = amplitudes_from_wire(message.body["amplitudes"])
             self._output_state = correct_output(
                 self.pattern, self._interpreted, raw, self.secrets.phases
@@ -360,16 +373,6 @@ def server_entangle(qubits: Sequence[PureState], config: ClusterConfig) -> PureS
     return PureState._trusted(np.where(signs, -product, product))
 
 
-def _project_pair(state: PureState, pos: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both outcomes of measuring the qubit at 0-based `pos` with two bras:
-    their probabilities and their unnormalized residual states, row b for
-    outcome b, from one einsum on the state reshaped to (2^pos, 2, rest)."""
-    psi = state.amplitudes.reshape(2**pos, 2, -1)
-    branches = np.einsum("bc,lcr->blr", bras, psi).reshape(2, -1)
-    flat = branches.view(np.float64)  # real and imaginary parts side by side
-    return np.einsum("bi,bi->b", flat, flat), branches
-
-
 class ServerSession:
     """Server state machine: entangles received qubits, measures on demand.
 
@@ -392,6 +395,7 @@ class ServerSession:
         self._state: PureState | None = None
         self._remaining: list[int] = []
         self._scheduled: set[int] = set()
+        self._outputs: list[int] = []
 
     def _msg(self, type_: str, body: dict) -> Message:
         self._seq += 1
@@ -473,6 +477,7 @@ class ServerSession:
             self._state = server_entangle(qubits, self._config)
             self._remaining = list(range(1, self._expected + 1))
             self._scheduled = set(self._config.measure_order)
+            self._outputs = sorted(self._config.outputs)
         qid = _int_field(body, "qubit_id")
         if qid not in self._scheduled:
             raise ProtocolError(
@@ -484,7 +489,7 @@ class ServerSession:
             bras = _PAULI_BRAS[body["pauli"]]  # an unknown axis is a KeyError
         else:
             bras = _GRID_BRAS[_int_field(body, "delta_eighths") % 8]
-        prob, branches = _project_pair(self._state, self._remaining.index(qid), bras)
+        prob, branches = project_qubit(self._state, self._remaining.index(qid), bras)
         bit = 0 if self._rng.random() < prob[0] else 1
         if prob[bit] < IMPOSSIBLE_BRANCH:
             raise ProtocolError("measured an impossible branch")
@@ -492,13 +497,12 @@ class ServerSession:
         self._remaining.remove(qid)
         self._scheduled.remove(qid)
         out = [self._msg("outcome_report", {"qubit_id": qid, "bit": bit})]
-        outputs = sorted(self._config.outputs)
-        if not self._scheduled and outputs:
+        if not self._scheduled and self._outputs:
             out.append(
                 self._msg(
                     "output_return",
                     {
-                        "qubit_ids": outputs,
+                        "qubit_ids": self._outputs,
                         "amplitudes": amplitudes_to_wire(self._state),
                     },
                 )
@@ -676,9 +680,7 @@ def conditional_transmitted_state(delta: Angle8, phi: Angle8) -> DensityMatrix:
     for n in range(8):
         for r in (0, 1):
             if (phi + Angle8(n)).add_pi(r) == delta:
-                rhos.append(
-                    DensityMatrix.from_pure(PureState.ket_theta(Angle8(n).radians))
-                )
+                rhos.append(DensityMatrix.from_pure(_GRID_KETS[n]))
     if not rhos:
         raise ValueError("no (theta, r) pair is consistent with this delta")
     return DensityMatrix.mixture(rhos)

@@ -5,7 +5,12 @@ basis label of a four-qubit amplitude reads |q1 q2 q3 q4>.  States are
 immutable; every operation returns a fresh value.  Amplitudes are validated
 where they enter (`PureState.from_amplitudes`); states that are normalized
 by construction (a renormalized projection, a blind cluster built by its
-product formula) skip the check.
+product formula, the outer product of a validated state, the eight grid
+kets |k pi/4> built once at import) skip the check.
+
+One kernel, `project_qubit`, measures a qubit: the state reshaped to
+(2^pos, 2, rest) and contracted with one row per outcome.  The server and
+`PureState.project_delta` both use it.
 
 The equatorial measurement basis is
     |b_delta> = (|0> + (-1)^b e^{i delta} |1>) / sqrt(2),   b in {0, 1},
@@ -84,7 +89,7 @@ class PureState:
         n = int(round(math.log2(vec.size)))
         if 2**n != vec.size:
             raise ValueError(f"amplitude vector length {vec.size} is not a power of 2")
-        norm = np.linalg.norm(vec)
+        norm = math.sqrt(np.vdot(vec, vec).real)
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise ValueError(f"state norm {norm} deviates from 1")
         return cls._trusted(vec / norm)
@@ -134,13 +139,11 @@ class PureState:
         A branch with probability below 1e-12 returns None for the state so
         the caller can prune it.
         """
-        tensor = self.amplitudes.reshape([2] * self.num_qubits)
-        tensor = np.moveaxis(tensor, self._axis(qubit), 0)
-        reduced = np.tensordot(equatorial_bra(delta, bit), tensor, axes=([0], [0])).reshape(-1)
-        prob = float(np.linalg.norm(reduced) ** 2)
+        probs, branches = project_qubit(self, self._axis(qubit), equatorial_bra(delta, bit)[None])
+        prob = float(probs[0])
         if prob < IMPOSSIBLE_BRANCH:
             return prob, None
-        return prob, PureState._trusted(reduced / math.sqrt(prob))
+        return prob, PureState._trusted(branches[0] / math.sqrt(prob))
 
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -151,6 +154,16 @@ class PureState:
 
     def to_density_matrix(self) -> "DensityMatrix":
         return DensityMatrix.from_pure(self)
+
+
+def project_qubit(state: PureState, pos: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the qubit at 0-based `pos` with each row of `bras`: the
+    probability and the unnormalized residual state of each outcome, row b
+    for row b, from one einsum on the state reshaped to (2^pos, 2, rest)."""
+    psi = state.amplitudes.reshape(2**pos, 2, -1)
+    branches = np.einsum("bc,lcr->blr", bras, psi).reshape(len(bras), -1)
+    flat = branches.view(np.float64)  # real and imaginary parts side by side
+    return np.einsum("bi,bi->b", flat, flat), branches
 
 
 def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
@@ -184,8 +197,11 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
+        """|psi><psi|, which is a density matrix by construction."""
         vec = psi.amplitudes
-        return cls.from_matrix(np.outer(vec, vec.conj()))
+        mat = np.outer(vec, vec.conj())
+        mat.setflags(write=False)
+        return cls(mat, psi.num_qubits)
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":

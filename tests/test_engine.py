@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blindsim.angles import Angle8
 from blindsim.clusters import BlindPhases, ClusterConfig, blind_cluster_batch
+from blindsim import mbqc
 from blindsim.mbqc import (
     MeasurementPattern,
     MeasurementStep,
@@ -17,6 +18,7 @@ from blindsim.mbqc import (
     adapt_angle,
     circuit_oracle,
     cluster_state_for,
+    correct_output,
     enumerate_adaptive,
     enumerate_branches,
     pattern_for,
@@ -318,6 +320,53 @@ class TestBatch:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError, match="qubit"):
             _measure_batch(pattern_for(ClusterConfig.HORSESHOE), np.ones((1, 8)) / np.sqrt(8), np.zeros((1, 4)))
+
+
+class TestCorrectOutput:
+    @pytest.mark.parametrize("config", [c for c in ClusterConfig if c.outputs], ids=lambda c: c.value)
+    def test_identity_skip_and_einsum_both_match_the_gate_by_gate_reference(self, config, monkeypatch):
+        einsum_calls = []
+
+        def counted(*args):
+            einsum_calls.append(args)
+            return correct(*args)
+
+        correct = mbqc._correct
+        monkeypatch.setattr(mbqc, "_correct", counted)
+        corrected = pattern_for(config, phi={q: A(q + 2) for q in config.measure_order})
+        # the same steps and outputs, with nothing to correct
+        identity = MeasurementPattern(corrected.steps, corrected.outputs, config)
+        assert corrected.corrects_outputs and not identity.corrects_outputs
+        rng = np.random.default_rng(len(config.value))
+        dim = 2 ** len(config.outputs)
+        for bits in itertools.product((0, 1), repeat=len(corrected.steps)):
+            interpreted = dict(zip((s.qubit for s in corrected.steps), bits))
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            raw = PureState.from_amplitudes(vec / np.linalg.norm(vec))
+            phases = BlindPhases.family(*map(int, rng.integers(0, 8, size=2)))
+
+            out = correct_output(identity, interpreted, raw, phases)
+            assert out is raw and not einsum_calls
+            ref = _ref_correct(identity, interpreted, raw, phases)
+            np.testing.assert_allclose(out.amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
+
+            out = correct_output(corrected, interpreted, raw, phases)
+            assert len(einsum_calls) == 1
+            einsum_calls.clear()
+            ref = _ref_correct(corrected, interpreted, raw, phases)
+            np.testing.assert_allclose(out.amplitudes, ref.amplitudes, rtol=0, atol=1e-12)
+
+    def test_the_quantumness_round_pattern_is_an_identity_correction(self):
+        steps = (MeasurementStep(1, pauli_override="Z"), MeasurementStep(2), MeasurementStep(3))
+        pattern = MeasurementPattern(steps, (4,), ClusterConfig.LINEAR_RIGHT)
+        assert not pattern.corrects_outputs
+        assert not MeasurementPattern(steps, (4,), output_x_deps={4: frozenset()}).corrects_outputs
+        for extra in ({"output_z_deps": {4: frozenset({2})}}, {"frame": {4: "H"}}, {"theta_unwind": frozenset({4})}):
+            assert MeasurementPattern(steps, (4,), **extra).corrects_outputs
+        raw = PureState.ket_theta(0.3)
+        assert correct_output(pattern, {1: 1, 2: 0, 3: 1}, raw) is raw
+        with pytest.raises(ValueError, match="outputs"):
+            correct_output(pattern, {1: 1, 2: 0, 3: 1}, PureState.from_amplitudes(np.full(4, 0.5)))
 
 
 class TestTrustBoundary:

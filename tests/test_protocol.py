@@ -1,5 +1,6 @@
 """Client/server protocol: sessions over both transports, transcript hygiene,
 instruction-distribution blindness, and the conditional I/2 property."""
+import hashlib
 import itertools
 import json
 import math
@@ -17,7 +18,14 @@ from blindsim import protocol
 from blindsim.angles import Angle8
 from blindsim.blindness import holevo_chi
 from blindsim.clusters import BlindPhases, ClusterConfig, linear_family_state
-from blindsim.mbqc import _GRID_BRAS, _PAULI_BRAS, circuit_oracle, pattern_for
+from blindsim.mbqc import (
+    _GRID_BRAS,
+    _PAULI_BRAS,
+    MeasurementPattern,
+    MeasurementStep,
+    circuit_oracle,
+    pattern_for,
+)
 from blindsim.protocol import (
     MAX_LINE_BYTES,
     ClientSecrets,
@@ -27,7 +35,7 @@ from blindsim.protocol import (
     ServerSession,
     TcpServer,
     Transcript,
-    _project_pair,
+    _GRID_KETS,
     conditional_transmitted_state,
     run_session,
     run_session_tcp,
@@ -38,6 +46,7 @@ from blindsim.protocol import (
 from blindsim.quantum import (
     DensityMatrix,
     PureState,
+    project_qubit,
     states_equal_up_to_phase,
 )
 
@@ -83,6 +92,21 @@ class TestClientPrepare:
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 5, 2)
         qubits = ClientSession(secrets).prepared_qubits()
         assert all(q.num_qubits == 1 for q in qubits)
+
+    def test_grid_ket_table_is_ket_theta_bit_for_bit_and_read_only(self):
+        assert len(_GRID_KETS) == 8
+        for e, ket in enumerate(_GRID_KETS):
+            reference = PureState.ket_theta(A(e).radians)
+            assert ket.amplitudes.tobytes() == reference.amplitudes.tobytes()
+            assert ket.num_qubits == 1
+            assert not ket.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                ket.amplitudes[0] = 0.0
+
+    def test_prepared_qubits_are_the_shared_table_entries(self):
+        secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 5, 2)
+        qubits = ClientSession(secrets).prepared_qubits()
+        assert [q is _GRID_KETS[e] for q, e in zip(qubits, (0, 5, 2, 0))] == [True] * 4
 
 
 class TestServerEntangle:
@@ -144,24 +168,15 @@ class TestServerKernels:
         state = server_entangle(qubits, config)
         np.testing.assert_allclose(state.amplitudes, dense.reshape(-1), rtol=0, atol=1e-15)
 
-        # every instruction, a Pauli axis or a delta, at qubit position pos + 1
-        for instruction, bras in [*_PAULI_BRAS.items(), *enumerate(_GRID_BRAS)]:
-            prob, branches = _project_pair(state, pos, bras)
+        # every instruction, a Pauli axis or a delta, at qubit position pos + 1,
+        # against the qubit's axis moved to the front and one tensordot
+        moved = np.moveaxis(state.amplitudes.reshape(2, 2, 2, 2), pos, 0)
+        for bras in [*_PAULI_BRAS.values(), *_GRID_BRAS]:
+            prob, branches = project_qubit(state, pos, bras)
             for bit in (0, 1):
-                if instruction == "Z":
-                    moved = np.moveaxis(state.amplitudes.reshape(2, 2, 2, 2), pos, 0)
-                    ref_branch = moved[bit].reshape(-1)
-                    ref_p = float(np.linalg.norm(ref_branch) ** 2)
-                else:
-                    eighths = {"X": 0, "Y": 2}.get(instruction, instruction)
-                    ref_p, ref_rest = state.project_delta(pos + 1, A(eighths).radians, bit)
-                    if ref_rest is not None:
-                        ref_branch = ref_rest.amplitudes * math.sqrt(ref_p)
-                    else:
-                        ref_branch = None
-                assert abs(prob[bit] - ref_p) <= 1e-15
-                if ref_branch is not None:
-                    np.testing.assert_allclose(branches[bit], ref_branch, rtol=0, atol=1e-15)
+                ref_branch = np.tensordot(bras[bit], moved, axes=([0], [0])).reshape(-1)
+                assert abs(prob[bit] - float(np.linalg.norm(ref_branch) ** 2)) <= 1e-15
+                np.testing.assert_allclose(branches[bit], ref_branch, rtol=0, atol=1e-15)
 
 
 class TestCliffordRule:
@@ -579,6 +594,30 @@ MALFORMED_REPLIES = {
 }
 
 
+def _quantumness_round_client() -> ClientSession:
+    """The quantumness round's client: Z on qubit 1, qubits 2 and 3 at fixed
+    angles, and qubit 4 returned with no output dependencies."""
+    steps = (MeasurementStep(1, pauli_override="Z"), MeasurementStep(2, A(2)), MeasurementStep(3, A(3)))
+    pattern = MeasurementPattern(steps, (4,), ClusterConfig.LINEAR_RIGHT)
+    secrets = ClientSecrets(ClusterConfig.LINEAR_RIGHT, BlindPhases.family(2, 3), {}, {})
+    return ClientSession(secrets, pattern=pattern)
+
+
+def _triangle_client() -> ClientSession:
+    phi = {2: A(6), 3: A(4), 1: A(2), 4: A(2)}
+    return ClientSession(secrets_for(ClusterConfig.TRIANGLE, phi, 3, 5))
+
+
+# output_return sent right after start(): (client, qubit_ids, reason); the
+# ids are checked first, then that every outcome has been reported
+EARLY_OUTPUT_RETURNS = {
+    "quantumness_ids_9_9": (_quantumness_round_client, [9, 9], "bad_message"),
+    "quantumness_right_ids": (_quantumness_round_client, [4], "out_of_order"),
+    "triangle_ids_9_9": (_triangle_client, [9, 9], "bad_message"),
+    "triangle_no_ids": (_triangle_client, [], "out_of_order"),
+}
+
+
 @pytest.fixture(scope="module")
 def tcp_server():
     server = TcpServer(("127.0.0.1", 0), seed=5)
@@ -687,6 +726,42 @@ class TestWire:
             client.on_message(Message(1, type_, body))
         assert info.value.reason == "bad_message"
 
+    @pytest.mark.parametrize("case", list(EARLY_OUTPUT_RETURNS))
+    def test_client_refuses_an_output_return_right_after_start(self, case):
+        make_client, ids, reason = EARLY_OUTPUT_RETURNS[case]
+        client = make_client()
+        client.start()
+        body = {"qubit_ids": ids, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(ProtocolError) as info:
+            client.on_message(Message(1, "output_return", body))
+        assert info.value.reason == reason
+        assert not client.done
+
+    def test_client_takes_one_output_return_with_the_sorted_outputs_after_every_outcome(self):
+        client = ClientSession(secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5))
+        server = ServerSession(seed=3)
+        batch, output_return = client.start(), None
+        while batch:
+            replies = [r for m in batch for r in server.handle(m)]
+            batch = []
+            for reply in replies:
+                if reply.type == "output_return":
+                    output_return = reply
+                else:
+                    batch += client.on_message(reply)
+        assert output_return is not None and output_return.body["qubit_ids"] == [1, 4]
+        amplitudes = output_return.body["amplitudes"]
+        for ids in ([4, 1], [1], [1, 4, 4], [1.0, 4], [True, 4], "1,4"):
+            with pytest.raises(ProtocolError) as info:
+                client.on_message(Message(9, "output_return", {"qubit_ids": ids, "amplitudes": amplitudes}))
+            assert info.value.reason == "bad_message"
+            assert not client.done
+        assert client.on_message(output_return)[0].type == "session_close"
+        assert client.done
+        with pytest.raises(ProtocolError) as info:
+            client.on_message(output_return)
+        assert info.value.reason == "out_of_order"
+
     def test_client_refuses_a_malformed_reply_over_tcp(self, tcp_server, monkeypatch, capfd):
         def malformed(self, message):
             return [Message(1, "outcome_report", {})]
@@ -776,3 +851,48 @@ def run_session_with_rng(secrets, rng):
     for msg in queue:
         server.handle(msg)
     return transcript, client.result()
+
+
+def _wire_secrets(config: ClusterConfig, rng: np.random.Generator) -> ClientSecrets:
+    """Grid rotations on every measured qubit, and a drawn input preparation
+    on the linear configurations; secrets the client refuses are drawn again."""
+    while True:
+        phi = {q: A(int(rng.integers(8))) for q in config.measure_order}
+        choice = int(rng.integers(9))
+        prep = "Z" if choice == 8 else A(choice)
+        if config not in (ClusterConfig.LINEAR_RIGHT, ClusterConfig.LINEAR_LEFT):
+            prep = "Z"
+        secrets = ClientSecrets.random(config, phi, rng, input_prep=prep)
+        try:
+            ClientSession(secrets)
+        except ProtocolError:
+            continue
+        return secrets
+
+
+class TestWirePin:
+    def test_sixty_sessions_send_what_they_sent_before(self):
+        # SHA-256 over 10 sessions per configuration of each message's seq,
+        # type and body without its amplitudes, then the session's outcomes
+        # and interpreted bits; computed before the grid-ket table, the
+        # identity skip and the single projection kernel went in
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(7)
+        for config in ClusterConfig:
+            for _ in range(10):
+                secrets = _wire_secrets(config, rng)
+                transcript, result = run_session(secrets, server_seed=int(rng.integers(2**32)))
+                for m in transcript.messages:
+                    body = {k: v for k, v in m.body.items() if k != "amplitudes"}
+                    digest.update(json.dumps([m.seq, m.type, body], sort_keys=True).encode())
+                digest.update(
+                    json.dumps([sorted(result.outcomes.items()), sorted(result.interpreted.items())]).encode()
+                )
+                if config.outputs:
+                    oracle = circuit_oracle(config, secrets.phi, secrets.input_prep)
+                    assert abs(abs(result.output_state.overlap(oracle)) - 1.0) <= 1e-12
+                else:
+                    assert result.output_state is None
+        assert digest.hexdigest() == (
+            "c1f5abd7c5a6d8222bd3535638b77459a29d8e8c8b7bc2a6aeb997ae146cb379"
+        )

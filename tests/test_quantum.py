@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blindsim.angles import Angle8
@@ -15,6 +15,7 @@ from blindsim.quantum import (
     SQRT_Z,
     DensityMatrix,
     PureState,
+    equatorial_bra,
     fidelity_pure,
     linear_entropy,
     is_unitary,
@@ -149,6 +150,45 @@ class TestProjectDelta:
         assert p_after == pytest.approx(p_before, abs=1e-10)
 
 
+@st.composite
+def projections(draw):
+    """A random 1-4 qubit state and an angle on or off the pi/4 grid."""
+    n = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 ** (n + 1), max_size=2 ** (n + 1)))
+    vec = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    norm = np.linalg.norm(vec)
+    assume(norm > 1e-3)
+    grid = st.integers(0, 7).map(lambda e: e * PI / 4)
+    delta = draw(st.one_of(grid, st.floats(-2 * PI, 2 * PI)))
+    return PureState.from_amplitudes(vec / norm), delta
+
+
+def _moveaxis_projection(psi, qubit, delta, bit):
+    """The projection project_delta used to make: the qubit's axis moved to
+    the front, then one tensordot with the bra; unnormalized."""
+    tensor = np.moveaxis(psi.amplitudes.reshape([2] * psi.num_qubits), qubit - 1, 0)
+    reduced = np.tensordot(equatorial_bra(delta, bit), tensor, axes=([0], [0])).reshape(-1)
+    return float(np.linalg.norm(reduced) ** 2), reduced
+
+
+class TestProjectionKernel:
+    @given(projections())
+    @settings(max_examples=200, deadline=None)
+    def test_project_delta_matches_the_moveaxis_tensordot_oracle(self, drawn):
+        psi, delta = drawn
+        for qubit in range(1, psi.num_qubits + 1):
+            for bit in (0, 1):
+                prob, rest = psi.project_delta(qubit, delta, bit)
+                ref_prob, ref_branch = _moveaxis_projection(psi, qubit, delta, bit)
+                assert abs(prob - ref_prob) <= 1e-15
+                if rest is None:
+                    assert ref_prob < 1e-12 + 1e-15
+                    continue
+                assert ref_prob >= 1e-12 - 1e-15
+                assert rest.num_qubits == psi.num_qubits - 1
+                np.testing.assert_allclose(rest.amplitudes * math.sqrt(prob), ref_branch, rtol=0, atol=1e-15)
+
+
 class TestFromAmplitudes:
     @pytest.mark.parametrize(
         "amplitudes",
@@ -168,6 +208,19 @@ class TestDensityMatrix:
         psi = PureState.ket_theta(PI / 4)
         rho = DensityMatrix.from_pure(psi)
         assert fidelity_pure(rho, psi) == pytest.approx(1.0)
+
+    def test_from_pure_is_the_checked_outer_product_without_the_check(self, monkeypatch):
+        psi = PureState.from_amplitudes(np.array([0.6, 0.0, 0.48j, 0.64]))
+        reference = DensityMatrix.from_matrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_pure re-validated its state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rho = DensityMatrix.from_pure(psi)
+        assert rho.matrix.tobytes() == reference.matrix.tobytes()
+        assert rho.num_qubits == 2
+        assert not rho.matrix.flags.writeable
 
     def test_maximally_mixed_fidelity(self):
         rho = DensityMatrix.maximally_mixed(2)
