@@ -18,9 +18,12 @@ measurement order and are validated by the determinism and oracle-equivalence
 test suites, not trusted.
 
 One batched engine (`_measure_batch`) runs every pattern: it holds a batch of
-input states times every branch so far as one array, issues each step's
-instruction per branch on the integer pi/4 grid, projects all branches with
-one einsum, prunes impossible ones and corrects every output at once.
+input states times every branch so far as one array, projects all branches
+with one einsum per step, prunes impossible ones and corrects every output
+at once.  Dependency sets are linear maps over GF(2): as 0/1 matrices over
+step columns, the X and Z parities of every branch of the whole tree are
+two integer matrix products, so every branch's instruction on the integer
+pi/4 grid is known before the first projection.
 `enumerate_branches`, `enumerate_adaptive` and `run_adaptive` are its
 batch-of-one front ends.
 """
@@ -277,11 +280,13 @@ class MbqcRun:
 _GRID_BRAS = np.array([[equatorial_bra(Angle8(e).radians, b) for b in (0, 1)] for e in range(8)])
 # the bras of each Pauli measurement; X and Y are the equatorial angles 0 and pi/2
 _PAULI_BRAS = {"X": _GRID_BRAS[0], "Y": _GRID_BRAS[2], "Z": np.eye(2, dtype=complex)}
-_ANGLES = tuple(Angle8(e) for e in range(8))
+# a branch's instruction by its eighths; -1, a Pauli step, is None
+_INSTRUCTIONS = (*(Angle8(e) for e in range(8)), None)
 _FRAME_GATES = {"H": HADAMARD}
+_NO_FRAME = np.eye(2)
 # byproduct Z^z X^x, indexed by 2x + z
 _BYPRODUCTS = np.array([np.eye(2), PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X], dtype=complex)
-for _table in (_GRID_BRAS, _BYPRODUCTS, *_PAULI_BRAS.values()):
+for _table in (_GRID_BRAS, _BYPRODUCTS, _NO_FRAME, *_PAULI_BRAS.values()):
     _table.setflags(write=False)
 
 
@@ -291,6 +296,50 @@ def _branch_bits(k: int) -> np.ndarray:
     bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     bits.setflags(write=False)
     return bits
+
+
+def _dependency_matrix(
+    steps: tuple[MeasurementStep, ...], sets: list[frozenset[int]]
+) -> np.ndarray:
+    """(k, len(sets)) 0/1 matrix over GF(2): entry [j, c] is 1 when step j's
+    qubit is in sets[c], so interpreted bits times it, mod 2, are parities."""
+    rows = [[step.qubit in deps for deps in sets] for step in steps]
+    return np.array(rows, dtype=np.int64).reshape(len(steps), len(sets))
+
+
+def _instruction_table(
+    steps: tuple[MeasurementStep, ...],
+    interp: np.ndarray,
+    rmask: np.ndarray,
+    theta: np.ndarray | None,
+    deltas: Mapping[int, Angle8 | None] | None,
+) -> np.ndarray:
+    """(B, 2^k, k) instructed eighths of every step on every branch, -1 on
+    Pauli steps.
+
+    `interp` is (B, 2^k, k) interpreted outcomes and `rmask` (B, k) masks.
+    With the X- and Z-dependency sets as 0/1 matrices over step columns,
+    every step's parities on every branch come from one integer product, and
+    the instruction is `adapt_angle`'s (-1)^{x parity} phi + theta +
+    pi (r xor z parity).  Fixed `deltas` give one row for every branch.
+    """
+    k = len(steps)
+    pauli = [s.pauli_override is not None for s in steps]
+    table = np.empty(interp.shape, dtype=np.int64)
+    if deltas is not None:
+        for i, step in enumerate(steps):
+            if not pauli[i] and deltas.get(step.qubit) is None:
+                raise ValueError(f"no instruction for qubit {step.qubit}")
+            table[..., i] = -1 if pauli[i] else deltas[step.qubit].eighths
+        return table
+    deps = _dependency_matrix(steps, [s.x_deps for s in steps] + [s.z_deps for s in steps])
+    parity = interp @ deps & 1
+    phi = np.array([s.phi.eighths for s in steps], dtype=np.int64)
+    hiding = np.asarray(theta)[:, None, [s.qubit - 1 for s in steps]]
+    flip = 1 - 2 * parity[..., :k]
+    np.remainder(phi * flip + hiding + 4 * (rmask[:, None, :] ^ parity[..., k:]), 8, out=table)
+    table[..., pauli] = -1
+    return table
 
 
 @dataclass(frozen=True)
@@ -348,46 +397,31 @@ def _measure_batch(
     if adaptive and theta is None:
         raise ValueError("adaptive instructions need the hiding phases")
     qubits = tuple(s.qubit for s in steps)
-    column = {q: i for i, q in enumerate(qubits)}
     # the mask each step's outcome is interpreted through
     rmask = np.zeros((batch, k), dtype=np.int64)
     if adaptive and r is not None:
         masked = [i for i, s in enumerate(steps) if s.pauli_override is None]
         rmask[:, masked] = np.asarray(r)[:, [qubits[i] - 1 for i in masked]]
-
-    def parity(deps: frozenset[int], depth: int) -> np.ndarray | int:
-        """Parity of the interpreted outcomes of `deps` on the current branches."""
-        if not deps:
-            return 0
-        cols = [column[d] for d in deps]
-        outcome = (_branch_bits(depth)[:, cols].sum(axis=1) & 1)[index]
-        return outcome ^ (rmask[:, cols].sum(axis=1, keepdims=True) & 1)
-
+    # (B, 2^k, k): every branch's interpreted outcomes and instructed eighths
+    interp = _branch_bits(k) ^ rmask[:, None, :]
+    table = _instruction_table(steps, interp, rmask, theta, deltas)
     psi = psi.reshape(batch, 1, -1)
     prob = np.ones((batch, 1))
-    index = np.zeros((1, 1), dtype=np.int64)  # branch numbers in the tree so far
-    mass = np.ones(batch)  # sampled runs: product of each step's total probability
+    sampled = rng is not None
+    if sampled:
+        rows = np.arange(batch)[:, None]
+        index = np.zeros((1, 1), dtype=np.int64)  # the sampled branch's number so far
+        mass = np.ones(batch)  # product of each step's total probability
     remaining = list(range(1, n + 1))
-    used = np.empty((batch, 2**k if rng is None else 1, k), dtype=np.int64)
     for i, step in enumerate(steps):
         q = step.qubit
         if step.pauli_override is not None:
-            delta, bras = -1, _PAULI_BRAS[step.pauli_override]
+            bras = _PAULI_BRAS[step.pauli_override]
+        elif sampled:
+            bras = _GRID_BRAS[table[rows, index << (k - i), i]]
         else:
-            if not adaptive:
-                if deltas.get(q) is None:
-                    raise ValueError(f"no instruction for qubit {q}")
-                delta = deltas[q].eighths
-            else:
-                phi = step.phi.eighths
-                if step.x_deps:
-                    phi = np.where(parity(step.x_deps, i) == 1, -phi, phi)
-                z_par = parity(step.z_deps, i)
-                delta = (phi + theta[:, q - 1, None] + 4 * (rmask[:, i, None] ^ z_par)) % 8
-            bras = _GRID_BRAS[delta]
-        # every branch below a current one carries its instruction
-        fan = 2 ** (k - i) if rng is None else 1
-        used.reshape(batch, -1, fan, k)[..., i] = np.reshape(delta, np.shape(delta) + (1,))
+            # the 2^(k-i) leaves below each current branch share its instruction
+            bras = _GRID_BRAS[table[:, :: 2 ** (k - i), i]]
         left = 2 ** remaining.index(q)
         branches = psi.shape[1]
         psi = np.einsum(
@@ -400,39 +434,34 @@ def _measure_batch(
         prob = np.repeat(prob, 2, axis=1) * p
         live = p >= IMPOSSIBLE_BRANCH
         psi = psi * (live / np.sqrt(np.maximum(p, IMPOSSIBLE_BRANCH)))[..., None]
-        if rng is None:
-            index = np.arange(2 * branches)[None]
-        else:
+        if sampled:
             mass *= p.sum(axis=1)
             pick = (rng.random(batch) >= p[:, 0]).astype(np.int64)
-            rows = np.arange(batch)
-            if not live[rows, pick].all():
+            picked = (rows[:, 0], pick)
+            if not live[picked].all():
                 raise RuntimeError("sampled an impossible branch")
-            psi, prob = psi[rows, pick][:, None], prob[rows, pick][:, None]
-            live = live[rows, pick][:, None]
+            psi, prob, live = psi[picked][:, None], prob[picked][:, None], live[picked][:, None]
             index = 2 * index + pick[:, None]
         remaining.remove(q)
-    total = mass if rng is not None else prob.sum(axis=1)
+    total = mass if sampled else prob.sum(axis=1)
     if not np.all(np.abs(total - 1.0) <= NORM_TOL):  # written so that NaN fails
         raise ValueError(f"branch probabilities sum to {total} instead of 1")
 
-    outcomes = _branch_bits(k)[index]
-    interpreted = outcomes ^ rmask[:, None, :]
-    outcomes = np.broadcast_to(outcomes, interpreted.shape)
+    if sampled:
+        interpreted, instructed = interp[rows, index], table[rows, index]
+    else:
+        interpreted, instructed = interp, table
+    outcomes = interpreted ^ rmask[:, None, :]
     corrected = None
     if pattern.outputs and (theta is not None or not pattern.theta_unwind):
         outputs = sorted(pattern.outputs)
-
-        def output_parity(deps: Mapping[int, frozenset[int]]) -> np.ndarray:
-            """(B, M, outputs) parities, as interpreted bits times a 0/1 matrix."""
-            matrix = [[int(s.qubit in deps.get(q, ())) for q in outputs] for s in steps]
-            return (interpreted @ np.array(matrix, dtype=np.int64).reshape(k, -1)) & 1
-
+        sets = [pattern.output_x_deps.get(q, frozenset()) for q in outputs]
+        sets += [pattern.output_z_deps.get(q, frozenset()) for q in outputs]
+        parity = interpreted @ _dependency_matrix(steps, sets) & 1  # (B, M, 2 outputs)
         unwind = None if theta is None else np.asarray(theta)[:, [q - 1 for q in outputs]]
-        corrected = _correct(
-            pattern, psi, output_parity(pattern.output_x_deps), output_parity(pattern.output_z_deps), unwind
-        )
-    result = _Branches(qubits, outcomes, interpreted, used, prob, live, psi, corrected)
+        width = len(outputs)
+        corrected = _correct(pattern, psi, parity[..., :width], parity[..., width:], unwind)
+    result = _Branches(qubits, outcomes, interpreted, instructed, prob, live, psi, corrected)
     for value in vars(result).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -457,7 +486,7 @@ def _correct(
     batch, branches = out.shape[:2]
     gates = _BYPRODUCTS[2 * x_par + z_par]  # (B, M, outputs, 2, 2)
     if pattern.frame:
-        frames = np.array([_FRAME_GATES.get(pattern.frame.get(q), np.eye(2)) for q in outputs])
+        frames = np.array([_FRAME_GATES.get(pattern.frame.get(q), _NO_FRAME) for q in outputs])
         gates = frames @ gates
     if pattern.theta_unwind:
         if theta is None:
@@ -538,7 +567,9 @@ def _records(branches: _Branches, pattern: MeasurementPattern) -> list[BranchRec
     probs = branches.probability[0].tolist()
     live = branches.live[0].tolist()
     has_output = bool(pattern.outputs)
-    corrected = branches.corrected
+    output = branches.output[0]
+    corrected = None if branches.corrected is None else branches.corrected[0]
+    width = len(pattern.outputs)
     records = []
     for m, p in enumerate(probs):
         alive = has_output and live[m]
@@ -546,12 +577,13 @@ def _records(branches: _Branches, pattern: MeasurementPattern) -> list[BranchRec
             BranchRecord(
                 outcomes=dict(zip(qubits, outcomes[m])),
                 interpreted=dict(zip(qubits, interpreted[m])),
-                deltas={q: (None if e < 0 else _ANGLES[e]) for q, e in zip(qubits, deltas[m])},
+                deltas=dict(zip(qubits, map(_INSTRUCTIONS.__getitem__, deltas[m]))),
                 probability=p,
                 impossible=p < IMPOSSIBLE_BRANCH,
-                output_state=PureState._trusted(branches.output[0, m]) if alive else None,
+                # rows of the engine's read-only arrays, unit vectors by construction
+                output_state=PureState(output[m], width) if alive else None,
                 corrected_state=(
-                    PureState._trusted(corrected[0, m]) if alive and corrected is not None else None
+                    PureState(corrected[m], width) if alive and corrected is not None else None
                 ),
             )
         )

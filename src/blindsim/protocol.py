@@ -307,9 +307,14 @@ class ClientSession:
     def _react(self, message: Message) -> list[Message]:
         if message.type == "outcome_report":
             qid = _int_field(message.body, "qubit_id")
+            if not 1 <= qid <= self.pattern.num_qubits:
+                raise ProtocolError(
+                    f"outcome for qubit {qid}, not in the pattern", reason="bad_qubit"
+                )
             if qid != self._pending_qubit:
                 raise ProtocolError(
-                    f"outcome for qubit {qid}, expected {self._pending_qubit}"
+                    f"outcome for qubit {qid}, expected {self._pending_qubit}",
+                    reason="out_of_order",
                 )
             bit = _int_field(message.body, "bit")
             if bit not in (0, 1):

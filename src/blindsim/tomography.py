@@ -15,8 +15,9 @@ projector sum is one Pauli sum.  The settings are informationally complete
 exactly when together they measure every one of the 4^n strings.  One
 read-only model per settings tuple (the string tables, the Walsh and phase
 tables and the permutation to the layout they act on) is built once and
-shared by the MLE, its linear-inversion seed and the Monte Carlo resamples;
-no dense projector or outcome-vector stack is built for them.
+shared by the MLE, its linear-inversion seed, the Monte Carlo resamples and
+`exact_counts`, which reads every setting's probabilities from it in one
+evaluation; no dense projector or outcome-vector stack is built for them.
 """
 from __future__ import annotations
 
@@ -133,11 +134,11 @@ def simulate_counts(
 def exact_counts(
     rho: DensityMatrix, settings: Sequence[tuple[str, ...]], exposure: float = 1.0
 ) -> CountsTable:
-    """Infinite-statistics limit: counts equal exposure * probabilities."""
-    counts = np.array(
-        [np.clip(born_probabilities(rho, s), 0.0, None) * exposure for s in settings]
-    )
-    return CountsTable(list(settings), counts, exposure)
+    """Infinite-statistics limit: counts equal exposure * probabilities, all
+    read from the settings' Pauli-basis model in one evaluation."""
+    model = _measurement_model(tuple(tuple(s) for s in settings))
+    probs = _model_probabilities(model, rho.matrix).reshape(len(settings), -1)
+    return CountsTable(list(settings), np.clip(probs, 0.0, None) * exposure, exposure)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ caught quickly.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -107,6 +108,23 @@ def classical_guess_risk(
     return float(risk_per_outcome.min())
 
 
+@functools.lru_cache(maxsize=64)
+def _round_client(
+    theta: tuple[int, int], setting: QuantumnessSetting
+) -> tuple[ClientSecrets, MeasurementPattern]:
+    """The secrets and the validated pattern of one (theta, setting) pair,
+    built once: a test cycles through a handful of pairs."""
+    config = ClusterConfig.LINEAR_RIGHT
+    phases = BlindPhases.family(*theta)
+    phi = {2: setting.delta2 - phases[2], 3: setting.delta3 - phases[3]}
+    steps = (
+        MeasurementStep(1, pauli_override="Z"),
+        MeasurementStep(2, phi[2]),
+        MeasurementStep(3, phi[3]),
+    )
+    return ClientSecrets(config, phases, {}, phi), MeasurementPattern(steps, (4,), config)
+
+
 def honest_protocol_round(
     theta: tuple[int, int],
     setting: QuantumnessSetting,
@@ -120,17 +138,8 @@ def honest_protocol_round(
     1-3 and returns qubit 4, the output; the client measures it at delta4,
     drawing from the same random stream.
     """
-    config = ClusterConfig.LINEAR_RIGHT
-    phases = BlindPhases.family(*theta)
-    phi = {2: setting.delta2 - phases[2], 3: setting.delta3 - phases[3]}
-    steps = (
-        MeasurementStep(1, pauli_override="Z"),
-        MeasurementStep(2, phi[2]),
-        MeasurementStep(3, phi[3]),
-    )
-    client = ClientSession(
-        ClientSecrets(config, phases, {}, phi), pattern=MeasurementPattern(steps, (4,), config)
-    )
+    secrets, pattern = _round_client(tuple(theta), setting)
+    client = ClientSession(secrets, pattern=pattern)
     _drive_in_process(client, ServerSession(seed=rng))
     result = client.result()
     p0, _ = result.output_state.project_delta(1, setting.delta4.radians, 0)

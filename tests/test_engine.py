@@ -1,6 +1,7 @@
 """The batched measurement engine against the recursive branch walk it
 replaced, batch consistency, read-only outputs, validation at the trust
 boundary, and an exhaustive determinism scan of every pattern."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -320,6 +321,71 @@ class TestBatch:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError, match="qubit"):
             _measure_batch(pattern_for(ClusterConfig.HORSESHOE), np.ones((1, 8)) / np.sqrt(8), np.zeros((1, 4)))
+
+
+class TestInstructionTable:
+    @given(
+        computations(),
+        st.lists(st.integers(0, 7), min_size=4, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_branch_follows_adapt_angle(self, drawn, theta_row, seed):
+        # random theta on all four qubits; each branch's row of instructions
+        # is adapt_angle along that branch's interpreted prefix, -1 on Pauli steps
+        config, phi, prep, _, r = drawn
+        pattern = pattern_for(config, phi=phi, input_prep=prep)
+        k = len(pattern.steps)
+        theta = np.array([theta_row])
+        r_row = np.array([[r.get(q, 0) for q in range(1, 5)]])
+        states = blind_cluster_batch(config.graph, theta)
+        every = _measure_batch(pattern, states, theta, r_row)
+        sampled = _measure_batch(pattern, states, theta, r_row, rng=np.random.default_rng(seed))
+        assert every.deltas.shape == (1, 2**k, k) and sampled.deltas.shape == (1, 1, k)
+        rows = [(m, every.deltas[0, m]) for m in range(2**k)]
+        picked = int("".join(map(str, sampled.outcomes[0, 0])) or "0", 2)
+        rows.append((picked, sampled.deltas[0, 0]))
+        for m, deltas in rows:
+            prefix = {}
+            for i, step in enumerate(pattern.steps):
+                bit = (m >> (k - 1 - i)) & 1
+                if step.pauli_override is None:
+                    theta_q, r_q = A(theta_row[step.qubit - 1]), r.get(step.qubit, 0)
+                    assert deltas[i] == adapt_angle(step, theta_q, r_q, prefix).eighths
+                    bit ^= r_q
+                else:
+                    assert deltas[i] == -1
+                prefix[step.qubit] = bit
+
+    def test_engine_arrays_are_pinned(self):
+        # SHA-256 of every array of every run below, as the engine that
+        # derived each step's instruction from per-step parities produced
+        # them: all configurations and preparations, 16 random theta and r
+        # rows each, in enumerate, sampled and fixed-instruction modes
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(1110_1381)
+        for config in ClusterConfig:
+            for prep in PREPS if _linear(config) else ("Z",):
+                phi = {q: A(int(e)) for q, e in zip(config.measure_order, rng.integers(0, 8, 4))}
+                pattern = pattern_for(config, phi=phi, input_prep=prep)
+                theta = rng.integers(0, 8, size=(16, 4))
+                r = rng.integers(0, 2, size=(16, 4))
+                states = blind_cluster_batch(config.graph, theta)
+                equatorial = [s.qubit for s in pattern.steps if s.pauli_override is None]
+                fixed = {q: A(int(rng.integers(8))) for q in equatorial}
+                seed = int(rng.integers(2**32))
+                for branches in (
+                    _measure_batch(pattern, states, theta, r),
+                    _measure_batch(pattern, states, theta, r, rng=np.random.default_rng(seed)),
+                    _measure_batch(pattern, states, theta, deltas=fixed),
+                ):
+                    for name, value in vars(branches).items():
+                        if isinstance(value, np.ndarray):
+                            digest.update(f"{name}{value.shape}{value.dtype.str}".encode())
+                            digest.update(np.ascontiguousarray(value).tobytes())
+        assert digest.hexdigest() == (
+            "9d2ceb5b752a9b2b39cdc7e05f09a0efb92a7eb09f0c08e1ed603aff9493b43b"
+        )
 
 
 class TestCorrectOutput:

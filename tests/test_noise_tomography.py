@@ -192,9 +192,10 @@ class TestMle:
             evaluations += 1
             return model_probabilities(*args)
 
-        monkeypatch.setattr(tomography, "_model_probabilities", counting)
         output = deutsch_output_state("constant", 2, 3)
-        result = mle_reconstruct(exact_counts(DensityMatrix.from_pure(output), pauli_settings(1)))
+        table = exact_counts(DensityMatrix.from_pure(output), pauli_settings(1))
+        monkeypatch.setattr(tomography, "_model_probabilities", counting)
+        result = mle_reconstruct(table)
         assert (result.iterations, result.line_search_halvings) == (3, 9)
         assert json.loads(result.to_json())["line_search_halvings"] == 9
         # one gradient per iteration; one likelihood for the seed, one per

@@ -617,6 +617,34 @@ EARLY_OUTPUT_RETURNS = {
     "triangle_no_ids": (_triangle_client, [], "out_of_order"),
 }
 
+# outcome reports for a qubit the horseshoe client (steps 2 then 3, outputs
+# 1 and 4) is not waiting on: the ids a server reports in reply to the
+# instruction for qubit q, and the client's reason.  An id outside the
+# pattern's qubits is `bad_qubit`; any other id out of turn, including
+# after the last outcome, is `out_of_order`
+STRAY_OUTCOMES = {
+    "later_step": (lambda q: [3], "out_of_order"),
+    "output_qubit": (lambda q: [1], "out_of_order"),
+    "repeated_step": (lambda q: [q, q], "out_of_order"),
+    "after_the_last": (lambda q: [q] if q == 2 else [3, 2], "out_of_order"),
+    "unknown_qubit": (lambda q: [9], "bad_qubit"),
+    "qubit_0": (lambda q: [0], "bad_qubit"),
+    "unknown_after_the_last": (lambda q: [q] if q == 2 else [3, 5], "bad_qubit"),
+}
+
+
+def _stray_outcome_server(case):
+    """A ServerSession.handle that answers each instruction with the case's reports."""
+    ids_for, _ = STRAY_OUTCOMES[case]
+
+    def handle(self, message):
+        if message.type != "measure_instruction":
+            return []
+        ids = ids_for(message.body["qubit_id"])
+        return [self._msg("outcome_report", {"qubit_id": q, "bit": 0}) for q in ids]
+
+    return handle
+
 
 @pytest.fixture(scope="module")
 def tcp_server():
@@ -736,6 +764,38 @@ class TestWire:
             client.on_message(Message(1, "output_return", body))
         assert info.value.reason == reason
         assert not client.done
+
+    @pytest.mark.parametrize(
+        "qid, reason", [(3, "out_of_order"), (1, "out_of_order"), (9, "bad_qubit"), (0, "bad_qubit")]
+    )
+    def test_client_names_the_fault_of_an_outcome_right_after_start(self, qid, reason):
+        client = ClientSession(secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5))
+        assert client.start()[-1].body["qubit_id"] == 2
+        with pytest.raises(ProtocolError) as info:
+            client.on_message(Message(1, "outcome_report", {"qubit_id": qid, "bit": 0}))
+        assert info.value.reason == reason
+        assert not client.done
+
+    @pytest.mark.parametrize("case", list(STRAY_OUTCOMES))
+    def test_client_names_the_fault_of_a_stray_outcome_in_process(self, case, monkeypatch):
+        monkeypatch.setattr(ServerSession, "handle", _stray_outcome_server(case))
+        secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5)
+        with pytest.raises(ProtocolError) as info:
+            run_session(secrets)
+        assert info.value.reason == STRAY_OUTCOMES[case][1]
+
+    @pytest.mark.parametrize("case", list(STRAY_OUTCOMES))
+    def test_client_names_the_fault_of_a_stray_outcome_over_tcp(
+        self, case, tcp_server, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(ServerSession, "handle", _stray_outcome_server(case))
+        secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5)
+        with pytest.raises(ProtocolError) as info:
+            run_session_tcp(secrets, tcp_server.server_address, timeout=10)
+        assert info.value.reason == STRAY_OUTCOMES[case][1]
+        monkeypatch.undo()
+        _check_next_session_succeeds(tcp_server)
+        assert capfd.readouterr().err == ""
 
     def test_client_takes_one_output_return_with_the_sorted_outputs_after_every_outcome(self):
         client = ClientSession(secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5))

@@ -28,6 +28,7 @@ from blindsim.tomography import (
     _weighted_projector_sum,
     measurement_rank,
     mle_reconstruct,
+    exact_counts,
     pauli_settings,
     setting_projectors,
     simulate_counts,
@@ -246,6 +247,37 @@ class TestTomographyKernels:
             rtol=0,
             atol=1e-12,
         )
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 1e4),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_counts_match_the_dense_born_rule(self, n, seed, exposure, data):
+        # settings complete or not, the incomplete [("Z",) * n] always among
+        # the draws; each outcome's probability as <v|rho|v> over the Kronecker
+        # product of the local eigenvectors
+        every = pauli_settings(n)
+        chosen = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=len(every)))
+        rng = np.random.default_rng(seed)
+        rho = random_density(2**n, int(rng.integers(1, 2**n + 1)), rng)
+        eigenvectors = {
+            "X": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+            "Y": np.array([[1, 1], [1j, -1j]]) / math.sqrt(2),
+            "Z": np.eye(2),
+        }
+        for settings_ in ([("Z",) * n], chosen):
+            table = exact_counts(rho, settings_, exposure)
+            assert table.settings == list(settings_) and table.exposure == exposure
+            for k, setting in enumerate(settings_):
+                vectors = np.ones((1, 1))
+                for axis in setting:
+                    vectors = np.kron(vectors, eigenvectors[axis])
+                born = np.einsum("io,ij,jo->o", vectors.conj(), rho.matrix, vectors).real
+                expected = np.clip(born, 0.0, None) * exposure
+                np.testing.assert_allclose(table.counts[k], expected, rtol=0, atol=1e-15 * exposure)
 
     def test_model_arrays_read_only(self):
         model = _measurement_model(tuple(pauli_settings(2)))

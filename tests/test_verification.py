@@ -130,6 +130,29 @@ class TestHarness:
             "dc5243cac2c324cc3ef3414dcd5d08bb80e1354b9f1619b51c00b703535af76b"
         )
 
+    def test_each_round_pattern_is_built_once(self, monkeypatch):
+        # 400 rounds over the eight states of the sweep build and validate
+        # one pattern per (theta, setting) pair
+        from blindsim import verification
+        from blindsim.mbqc import MeasurementPattern
+
+        built = []
+
+        class Counted(MeasurementPattern):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(verification, "MeasurementPattern", Counted)
+        verification._round_client.cache_clear()
+        try:
+            rng = np.random.default_rng(5)
+            run_quantumness_test(honest_protocol_round, 400, rng, states=SWEEP8)
+        finally:
+            verification._round_client.cache_clear()
+        # the theory side's four-step setting patterns have no outputs
+        assert len([p for p in built if p.outputs == (4,)]) == len(SWEEP8)
+
     def test_report_serialization(self):
         rng = np.random.default_rng(3)
         report = run_quantumness_test(honest_protocol_round, 200, rng)
