@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -161,10 +161,6 @@ class BlindPhases:
     def __getitem__(self, vertex: int) -> Angle8:
         return self.theta[vertex]
 
-    @property
-    def family_index(self) -> tuple[int, int]:
-        return (self.theta[2].eighths, self.theta[3].eighths)
-
 
 # e^{i e pi/4} for every e on the pi/4 grid
 _GRID_PHASES = np.exp(1j * np.arange(8) * (PI / 4.0))
@@ -200,6 +196,13 @@ def blind_cluster_batch(graph: GraphSpec, theta: np.ndarray) -> np.ndarray:
     out = _GRID_PHASES[eighths % 8] / math.sqrt(2**graph.vertex_count)
     out.setflags(write=False)
     return out
+
+
+def family_theta(states: Sequence[tuple[int, int]]) -> np.ndarray:
+    """(B, 4) hiding eighths of the four-qubit family states (n2, n3)."""
+    theta = np.zeros((len(states), 4), dtype=np.int64)
+    theta[:, 1:3] = states
+    return theta
 
 
 def build_blind_cluster(graph: GraphSpec, phases: BlindPhases) -> PureState:

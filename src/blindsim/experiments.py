@@ -5,6 +5,8 @@ returned table so results are auditable, and every randomized step is
 reproducible bit-for-bit from the seed.  Values measured on a real apparatus
 are annotated as references only; the exact simulator reproduces ideal
 values.
+Exact tables, the noisy Fig. 3c/3d outputs included, come from the one
+batched engine (`mbqc._measure_batch`).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .blindness import (
     mixedness_check,
     pair_fold,
 )
-from .clusters import BlindPhases, ClusterConfig, blind_cluster_batch, build_blind_cluster
+from .clusters import BlindPhases, ClusterConfig, blind_cluster_batch, build_blind_cluster, family_theta
 from .mbqc import (
     MeasurementPattern,
     _Branches,
@@ -32,7 +34,7 @@ from .mbqc import (
     enumerate_adaptive,
     pattern_for,
 )
-from .noise import NoiseParams, apply_noise
+from .noise import NoiseParams, apply_noise, dephasing_flips
 from .protocol import ClientSecrets, run_session
 from .quantum import (
     HADAMARD,
@@ -175,8 +177,7 @@ def _family_batch(
     config: ClusterConfig, pattern: MeasurementPattern, states: Sequence[tuple[int, int]]
 ) -> _Branches:
     """Every branch of `pattern` on the family states (n2, n3), in one call."""
-    theta = np.zeros((len(states), 4), dtype=np.int64)
-    theta[:, 1:3] = states
+    theta = family_theta(states)
     return _measure_batch(pattern, blind_cluster_batch(config.graph, theta), theta)
 
 
@@ -339,6 +340,11 @@ def run_fig3c(config: ExperimentConfig | None = None) -> dict:
     rows = []
     outputs: list[DensityMatrix] = []
     noisy_outputs: list[DensityMatrix] = []
+    if config.noise is not None:
+        # qubit 4 is measured at delta_4, not in Z
+        pattern = pattern_for(ClusterConfig.LINEAR_LEFT, input_prep=deltas[4])
+        states = [(2, n3) for n3 in range(8)]
+        noisy_outputs = _noisy_outputs(pattern, deltas, states, config.noise)
     for n3 in range(8):
         phases = BlindPhases.family(2, n3)
         # the client picks phi so the instructed deltas are the fixed ones
@@ -361,12 +367,8 @@ def run_fig3c(config: ExperimentConfig | None = None) -> dict:
             "fidelity_to_target": fidelity_pure(rho, target),
             "output_density": _matrix_json(rho),
         }
-        if config.noise is not None:
-            noisy = _noisy_config_output(
-                ClusterConfig.LINEAR_LEFT, phases, deltas, config.noise
-            )
-            noisy_outputs.append(noisy)
-            row["noisy_fidelity_to_target"] = fidelity_pure(noisy, target)
+        if noisy_outputs:
+            row["noisy_fidelity_to_target"] = fidelity_pure(noisy_outputs[n3], target)
         rows.append(row)
     average = DensityMatrix.mixture(outputs)
     table = {
@@ -393,6 +395,9 @@ def run_fig3d(config: ExperimentConfig | None = None) -> dict:
     rows = []
     outputs: list[DensityMatrix] = []
     noisy_outputs: list[DensityMatrix] = []
+    if config.noise is not None:
+        pattern = pattern_for(ClusterConfig.HORSESHOE)
+        noisy_outputs = _noisy_outputs(pattern, deltas, states, config.noise)
     for k, (n2, n3) in enumerate(states):
         phases = BlindPhases.family(n2, n3)
         phi = {q: deltas[q] - phases[q] for q in (2, 3)}
@@ -411,12 +416,8 @@ def run_fig3d(config: ExperimentConfig | None = None) -> dict:
             "hidden_rotation": f"Rz({n2}pi/4) x Rz({n3}pi/4 + pi/2)",
             "fidelity_to_target": fidelity_pure(rho, target),
         }
-        if config.noise is not None:
-            noisy = _noisy_config_output(
-                ClusterConfig.HORSESHOE, phases, deltas, config.noise
-            )
-            noisy_outputs.append(noisy)
-            row["noisy_fidelity_to_target"] = fidelity_pure(noisy, target)
+        if noisy_outputs:
+            row["noisy_fidelity_to_target"] = fidelity_pure(noisy_outputs[k], target)
         rows.append(row)
     average = DensityMatrix.mixture(outputs)
     table = {
@@ -440,53 +441,28 @@ def _matrix_json(rho: DensityMatrix) -> list:
     ]
 
 
-def _noisy_config_output(
-    config: ClusterConfig,
-    phases: BlindPhases,
+def _noisy_outputs(
+    pattern: MeasurementPattern,
     deltas: Mapping[int, Angle8],
+    states: Sequence[tuple[int, int]],
     noise: NoiseParams,
-) -> DensityMatrix:
-    """Representative noisy output: the all-zero branch of the fixed-delta
-    measurement applied to the dephased cluster, correction included."""
-    psi = build_blind_cluster(config.graph, phases)
-    rho = apply_noise(psi, noise).matrix
-    n = 4
-    order = config.measure_order
-    remaining = list(range(1, n + 1))
-    for qubit in order:
-        pos = remaining.index(qubit)
-        dim = len(remaining)
-        bra = np.array(
-            [1.0, np.exp(1j * deltas[qubit].radians)], dtype=complex
-        ).conj() / math.sqrt(2)
-        tensor = rho.reshape([2] * (2 * dim))
-        tensor = np.tensordot(bra, tensor, axes=([0], [pos]))
-        tensor = np.tensordot(bra.conj(), tensor, axes=([0], [dim - 1 + pos]))
-        rho = tensor.reshape(2 ** (dim - 1), 2 ** (dim - 1))
-        rho = rho / np.trace(rho).real
-        remaining.remove(qubit)
-    # all-zero branch: interpreted outcomes vanish, so the correction reduces
-    # to the pattern's fixed frame plus the theta unwind where present
-    pattern = pattern_for(config)
-    outputs = sorted(pattern.outputs)
-    for q in pattern.theta_unwind:
-        rho = _apply_unitary_density(
-            rho, outputs.index(q), len(outputs), rz(-phases[q].radians)
-        )
-    for q in pattern.frame:
-        rho = _apply_unitary_density(rho, outputs.index(q), len(outputs), HADAMARD)
-    return DensityMatrix.from_matrix(rho)
-
-
-def _apply_unitary_density(
-    rho: np.ndarray, axis: int, n: int, u: np.ndarray
-) -> np.ndarray:
-    tensor = rho.reshape([2] * (2 * n))
-    tensor = np.tensordot(u, tensor, axes=([1], [axis]))
-    tensor = np.moveaxis(tensor, 0, axis)
-    tensor = np.tensordot(u.conj(), tensor, axes=([1], [n + axis]))
-    tensor = np.moveaxis(tensor, 0, n + axis)
-    return tensor.reshape(rho.shape)
+) -> list[DensityMatrix]:
+    """Representative noisy outputs: the all-zero branch of the fixed-delta
+    run of `pattern` on the dephased cluster of each family state (n2, n3),
+    correction included.  One engine call measures every flipped grid state
+    of `dephasing_flips`, unwinding only the nominal phases, and each output
+    is sum_f w_f p_f |out_f><out_f| renormalized, p_f the branch's weight.
+    """
+    theta = family_theta(states)
+    offsets, weights = dephasing_flips(noise)
+    flips = len(weights)
+    flipped = (theta[:, None, :] + offsets).reshape(-1, 4)
+    psi = blind_cluster_batch(pattern.config.graph, flipped)
+    branches = _measure_batch(pattern, psi, np.repeat(theta, flips, axis=0), deltas=deltas)
+    out = branches.corrected[:, 0].reshape(len(theta), flips, -1)
+    mass = weights * branches.probability[:, 0].reshape(len(theta), flips)
+    rho = np.einsum("bf,bfi,bfj->bij", mass, out, out.conj())
+    return [DensityMatrix.from_matrix(r) for r in rho / mass.sum(axis=1)[:, None, None]]
 
 
 # the drift that makes the noisy ensemble of `run_blindness` leak

@@ -102,6 +102,11 @@ class MeasurementPattern:
             )
             if not deps <= seen:
                 raise ValueError(f"output {q} depends on an unmeasured qubit")
+        if not (set(self.frame) | self.theta_unwind) <= set(self.outputs):
+            raise ValueError("a frame or theta unwind on a qubit that is not an output")
+        for name in self.frame.values():
+            if not isinstance(name, str) or name not in _FRAME_GATES:
+                raise ValueError(f"unknown frame {name!r}")
 
     @property
     def num_qubits(self) -> int:
@@ -145,19 +150,16 @@ def input_prep_state(prep: str | Angle8) -> PureState:
     Pauli X, Y, Z measurements prepare |0>, |+_i>, |+>; an equatorial prep
     at angle phi prepares H Rz(-phi)|+>.
     """
-    if prep == "Z":
+    step = _prep_step(1, prep)
+    if step.pauli_override is not None:
         return PureState.plus()
-    if prep == "X":
-        prep = Angle8(0)
-    elif prep == "Y":
-        prep = Angle8(2)
-    if not isinstance(prep, Angle8):
-        raise ValueError(f"unknown input preparation {prep!r}")
-    vec = HADAMARD @ phase_gate(-prep.radians) @ PureState.plus().amplitudes
+    vec = HADAMARD @ phase_gate(-step.phi.radians) @ PureState.plus().amplitudes
     return PureState.from_amplitudes(vec)
 
 
 def _prep_step(qubit: int, prep: str | Angle8) -> MeasurementStep:
+    """The first measurement of a linear pattern, the one parser of an input
+    preparation: Z stays a Pauli step, X and Y are the angles 0 and pi/2."""
     if prep == "Z":
         return MeasurementStep(qubit, pauli_override="Z")
     if prep == "X":

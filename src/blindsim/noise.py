@@ -14,6 +14,10 @@ the realized offsets are sampled once per preparation, modeling a
 miscalibrated apparatus whose produced state depends on the setting; this is
 the mechanism that makes the leakage analysis report a nonzero chi.
 
+Every closed-form channel is Z-dephasing of qubits 1-3, and Z on a cluster
+qubit turns theta_q into theta_q + pi, so `dephasing_flips` writes the same
+channels as an exact mixture of at most 8 grid cluster states.
+
 Deliberately phenomenological: it reproduces qualitative fidelity degradation,
 not any particular apparatus.
 """
@@ -50,16 +54,17 @@ class NoiseParams:
         )
 
 
+def _bit(qubit: int, n: int) -> np.ndarray:
+    """Each basis state's bit of `qubit`, qubit 1 most significant."""
+    return (np.arange(2**n) >> (n - qubit)) & 1
+
+
 def _dephase(rho: np.ndarray, qubit: int, p: float, n: int) -> np.ndarray:
     """rho -> (1-p) rho + p Z_q rho Z_q."""
     if p == 0.0:
         return rho
-    signs = np.ones(2**n)
-    stride = 2 ** (n - qubit)
-    idx = (np.arange(2**n) // stride) % 2
-    signs[idx == 1] = -1.0
-    z_rho_z = rho * np.outer(signs, signs)
-    return (1.0 - p) * rho + p * z_rho_z
+    signs = 1.0 - 2.0 * _bit(qubit, n)
+    return (1.0 - p) * rho + p * (rho * np.outer(signs, signs))
 
 
 PAIR_QUBITS = (1, 3)  # one qubit per source pair (1,2) and (3,4)
@@ -68,11 +73,38 @@ INTERFERED_QUBITS = (2, 3)
 
 def _phase_kick(rho: np.ndarray, qubit: int, angle: float, n: int) -> np.ndarray:
     """Unitary Rz(angle) on one qubit of a density matrix."""
-    phases = np.ones(2**n, dtype=complex)
-    stride = 2 ** (n - qubit)
-    idx = (np.arange(2**n) // stride) % 2
-    phases[idx == 1] = np.exp(1j * angle)
+    phases = np.where(_bit(qubit, n) == 1, np.exp(1j * angle), 1.0 + 0j)
     return rho * np.outer(phases, phases.conj())
+
+
+def _dephasing_channels(params: NoiseParams, averaged: bool = True) -> list[tuple[int, float]]:
+    """The (qubit, p) Z-dephasing channels in the order `apply_noise` applies
+    them, the drift's closed-form damping included when `averaged`."""
+    p_bell = (1.0 - params.bell_visibility) / 2.0
+    p_int = (1.0 - params.interference_visibility) / 2.0
+    channels = [(q, p_bell) for q in PAIR_QUBITS] + [(q, p_int) for q in INTERFERED_QUBITS]
+    if params.phase_drift_sigma > 0.0 and averaged:
+        damping = math.exp(-params.phase_drift_sigma**2 / 2.0)
+        channels += [(q, (1.0 - damping) / 2.0) for q in INTERFERED_QUBITS]
+    return channels
+
+
+def dephasing_flips(params: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form channels as a mixture of Z-flip patterns: the dephased
+    cluster of phases theta is sum_f weights[f] |psi(theta + offsets[f])><.|.
+
+    `offsets` is (F, 4) eighths, 4 on a flipped qubit (column q-1).  Each
+    qubit's channels combine into one flip probability p_a + p_b - 2 p_a p_b,
+    and only qubits that can flip get patterns, so F is 1 when ideal.
+    """
+    flip = np.zeros(4)
+    for q, p in _dephasing_channels(params):
+        flip[q - 1] += p - 2.0 * flip[q - 1] * p
+    qubits = np.flatnonzero(flip)
+    bits = (np.arange(2 ** len(qubits))[:, None] >> np.arange(len(qubits))) & 1
+    offsets = np.zeros((len(bits), 4), dtype=np.int64)
+    offsets[:, qubits] = 4 * bits
+    return offsets, np.prod(np.where(bits, flip[qubits], 1.0 - flip[qubits]), axis=1)
 
 
 def apply_noise(
@@ -90,20 +122,10 @@ def apply_noise(
         raise ValueError("the noise model is defined on the four-qubit family")
     n = state.num_qubits
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    p_bell = (1.0 - params.bell_visibility) / 2.0
-    for q in PAIR_QUBITS:
-        rho = _dephase(rho, q, p_bell, n)
-    p_int = (1.0 - params.interference_visibility) / 2.0
-    for q in INTERFERED_QUBITS:
-        rho = _dephase(rho, q, p_int, n)
-    if params.phase_drift_sigma > 0.0:
-        if rng is None:
-            damping = math.exp(-params.phase_drift_sigma**2 / 2.0)
-            p_jit = (1.0 - damping) / 2.0
-            for q in INTERFERED_QUBITS:
-                rho = _dephase(rho, q, p_jit, n)
-        else:
-            for q in INTERFERED_QUBITS:
-                offset = float(rng.normal(0.0, params.phase_drift_sigma))
-                rho = _phase_kick(rho, q, offset, n)
+    for q, p in _dephasing_channels(params, averaged=rng is None):
+        rho = _dephase(rho, q, p, n)
+    if params.phase_drift_sigma > 0.0 and rng is not None:
+        for q in INTERFERED_QUBITS:
+            offset = float(rng.normal(0.0, params.phase_drift_sigma))
+            rho = _phase_kick(rho, q, offset, n)
     return DensityMatrix.from_matrix(rho)

@@ -152,9 +152,6 @@ class PureState:
         """|<self|other>|^2; equality up to global phase scores 1."""
         return abs(self.overlap(other)) ** 2
 
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix.from_pure(self)
-
 
 def project_qubit(state: PureState, pos: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure the qubit at 0-based `pos` with each row of `bras`: the

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .angles import Angle8
-from .clusters import BlindPhases, ClusterConfig
-from .mbqc import MeasurementPattern, MeasurementStep, enumerate_branches
+from .clusters import BlindPhases, ClusterConfig, blind_cluster_batch, family_theta
+from .mbqc import MeasurementPattern, MeasurementStep, _measure_batch
 from .protocol import ClientSecrets, ClientSession, ServerSession, _drive_in_process
 
 ZERO_TOL = 1e-12
@@ -71,22 +71,19 @@ def theoretical_distribution(
     n2: int, n3: int, setting: QuantumnessSetting | None = None
 ) -> np.ndarray:
     """Exact Born probabilities over the 16 outcomes for one blind state."""
-    setting = setting or standard_test_setting()
-    state = ClusterConfig.LINEAR_RIGHT.graph  # path graph
-    from .clusters import build_blind_cluster
-
-    psi = build_blind_cluster(state, BlindPhases.family(n2, n3))
-    probs = np.zeros(16)
-    for branch in enumerate_branches(psi, setting.pattern(), setting.deltas()):
-        probs[_outcome_index(branch.outcomes, setting)] = branch.probability
-    return probs
+    return distribution_table([(n2, n3)], setting)[0]
 
 
 def distribution_table(
     states: Sequence[tuple[int, int]] = SWEEP8,
     setting: QuantumnessSetting | None = None,
 ) -> np.ndarray:
-    return np.array([theoretical_distribution(a, b, setting) for a, b in states])
+    """(len(states), 16) exact outcome probabilities from one engine call:
+    branch m's bits are qubits 1-4, so m is the outcome up to qubit 1's label."""
+    setting = setting or standard_test_setting()
+    psi = blind_cluster_batch(ClusterConfig.LINEAR_RIGHT.graph, family_theta(states))
+    branches = _measure_batch(setting.pattern(), psi, deltas=setting.deltas())
+    return branches.probability[:, np.arange(16) ^ (8 * setting.minus_is_zero)]
 
 
 def classical_guess_risk(

@@ -1,5 +1,6 @@
 """Experiment runners: ideal values, algorithm hiding, reproducibility, CLI."""
 import json
+import math
 import os
 import select
 import subprocess
@@ -29,11 +30,16 @@ from blindsim.experiments import (
     run_grover_sessions,
     run_quantumness,
     run_tomography,
+    _noisy_outputs,
 )
+from blindsim.blindness import mixedness_check
 from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster
+from blindsim.mbqc import pattern_for
 from blindsim.noise import NoiseParams, apply_noise
+from blindsim.quantum import HADAMARD, DensityMatrix, PureState, fidelity_pure, rx, rz
 
 A = Angle8
+PI = math.pi
 
 
 def _noisy_divergences_bits(seed: int, prior: np.ndarray) -> np.ndarray:
@@ -171,6 +177,109 @@ class TestFigures:
         a = run_fig3c(ExperimentConfig("fig3c", seed=9))
         b = run_fig3c(ExperimentConfig("fig3c", seed=9))
         assert json.dumps(a, default=str) == json.dumps(b, default=str)
+
+
+NOISE_SETTINGS = (
+    NoiseParams(1.0, 1.0, 0.0),
+    NoiseParams(),
+    NoiseParams(0.7, 0.95, 0.3),
+    NoiseParams(0.8, 0.6, 0.05),
+)
+
+
+def _walker_output(config, phases, deltas, noise):
+    """Oracle: the density-matrix walk the noisy figure outputs were once
+    computed by.  Dephase the cluster, project each measured qubit in turn
+    onto outcome 0 of its instruction, then unwind theta and apply the frame
+    (the all-zero branch needs no Pauli correction)."""
+    psi = build_blind_cluster(config.graph, phases)
+    rho = apply_noise(psi, noise).matrix
+    remaining = [1, 2, 3, 4]
+    for qubit in config.measure_order:
+        pos, dim = remaining.index(qubit), len(remaining)
+        bra = np.array([1.0, np.exp(1j * deltas[qubit].radians)]).conj() / math.sqrt(2)
+        tensor = rho.reshape([2] * (2 * dim))
+        tensor = np.tensordot(bra, tensor, axes=([0], [pos]))
+        tensor = np.tensordot(bra.conj(), tensor, axes=([0], [dim - 1 + pos]))
+        rho = tensor.reshape(2 ** (dim - 1), 2 ** (dim - 1))
+        rho = rho / np.trace(rho).real
+        remaining.remove(qubit)
+    pattern = pattern_for(config)
+    outputs = sorted(pattern.outputs)
+    n = len(outputs)
+
+    def apply(rho, axis, u):
+        tensor = rho.reshape([2] * (2 * n))
+        tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [axis])), 0, axis)
+        tensor = np.tensordot(u.conj(), tensor, axes=([1], [n + axis]))
+        return np.moveaxis(tensor, 0, n + axis).reshape(rho.shape)
+
+    for q in pattern.theta_unwind:
+        rho = apply(rho, outputs.index(q), rz(-phases[q].radians))
+    for q in pattern.frame:
+        rho = apply(rho, outputs.index(q), HADAMARD)
+    return rho
+
+
+class TestNoisyOutputs:
+    @pytest.mark.parametrize(
+        "config", [c for c in ClusterConfig if c.outputs], ids=lambda c: c.value
+    )
+    def test_engine_mixture_matches_the_walker(self, config):
+        rng = np.random.default_rng(1403)
+        states = [(n2, n3) for n2 in range(8) for n3 in range(8)]
+        for _ in range(3):
+            deltas = {q: A(int(rng.integers(8))) for q in config.measure_order}
+            # a linear cluster's first measurement is at its delta, not in Z
+            pattern = pattern_for(config, input_prep=deltas[config.measure_order[0]])
+            for noise in NOISE_SETTINGS:
+                engine = _noisy_outputs(pattern, deltas, states, noise)
+                for (n2, n3), rho in zip(states, engine):
+                    oracle = _walker_output(config, BlindPhases.family(n2, n3), deltas, noise)
+                    np.testing.assert_allclose(rho.matrix, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("noise", NOISE_SETTINGS[1:])
+    def test_noisy_fig3c_matches_the_walker(self, noise):
+        table = run_fig3c(ExperimentConfig("fig3c", noise=noise))
+        deltas = {4: A(2), 3: A(6), 2: A(6)}
+        psi_in = np.array([1.0, 1j]) / math.sqrt(2)
+        walked = []
+        for row in table["rows"]:
+            n3 = row["n3"]
+            rho = DensityMatrix.from_matrix(
+                _walker_output(ClusterConfig.LINEAR_LEFT, BlindPhases.family(2, n3), deltas, noise)
+            )
+            walked.append(rho)
+            target = PureState.from_amplitudes(rx(PI) @ rz(n3 * PI / 4 + PI / 2) @ psi_in)
+            assert row["noisy_fidelity_to_target"] == pytest.approx(
+                fidelity_pure(rho, target), abs=1e-12
+            )
+        assert table["noisy_average_linear_entropy"] == pytest.approx(
+            mixedness_check(walked), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("noise", NOISE_SETTINGS[1:])
+    def test_noisy_fig3d_matches_the_walker(self, noise):
+        table = run_fig3d(ExperimentConfig("fig3d", noise=noise))
+        deltas = {2: A(0), 3: A(6)}
+        cz_plus_plus = np.array([1.0, 1.0, 1.0, -1.0]) / 2
+        walked = []
+        for row in table["rows"]:
+            n2, n3 = row["n2"], row["n3"]
+            rho = DensityMatrix.from_matrix(
+                _walker_output(ClusterConfig.HORSESHOE, BlindPhases.family(n2, n3), deltas, noise)
+            )
+            walked.append(rho)
+            target = PureState.from_amplitudes(
+                np.kron(rz(n2 * PI / 4), rz(n3 * PI / 4 + PI / 2)) @ cz_plus_plus
+            )
+            assert row["noisy_fidelity_to_target"] == pytest.approx(
+                fidelity_pure(rho, target), abs=1e-12
+            )
+        assert table["noisy_average_linear_entropy"] == pytest.approx(
+            mixedness_check(walked), abs=1e-12
+        )
+        assert all(row["noisy_fidelity_to_target"] < 1.0 for row in table["rows"])
 
 
 class TestBlindnessExperiment:

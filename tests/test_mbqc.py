@@ -1,6 +1,7 @@
 """Measurement-engine tests: adaptation rule, branch enumeration, feed-forward
 determinism, and circuit-oracle equivalence."""
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,8 +25,9 @@ from blindsim.mbqc import (
     pattern_for,
     pattern_to_json,
     run_adaptive,
+    _prep_step,
 )
-from blindsim.quantum import PureState, states_equal_up_to_phase
+from blindsim.quantum import HADAMARD, PureState, phase_gate, states_equal_up_to_phase
 
 PI = math.pi
 A = Angle8
@@ -96,6 +98,25 @@ class TestPatternFor:
             assert tuple(sorted(again.outputs)) == tuple(sorted(pattern.outputs))
             assert again.output_x_deps == dict(pattern.output_x_deps)
             assert again.output_z_deps == dict(pattern.output_z_deps)
+            assert again.frame == dict(pattern.frame)
+            assert again.theta_unwind == pattern.theta_unwind
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ({"frame": {"1": "S", "4": "bogus"}}, "unknown frame 'S'"),
+            ({"frame": {"1": "H", "4": "bogus"}}, "unknown frame 'bogus'"),
+            ({"frame": {"1": ["H"]}}, "unknown frame"),
+            ({"frame": {"2": "H"}}, "not an output"),
+            ({"theta_unwind": [2]}, "not an output"),
+            ({"theta_unwind": [1, 5]}, "not an output"),
+        ],
+    )
+    def test_frame_and_unwind_must_name_known_gates_on_outputs(self, edit, match):
+        # the horseshoe's outputs are 1 and 4, each in the H frame
+        doc = json.loads(pattern_to_json(pattern_for(ClusterConfig.HORSESHOE)))
+        with pytest.raises(ValueError, match=match):
+            pattern_from_json(json.dumps({**doc, **edit}))
 
 
 class TestEnumerateBranches:
@@ -385,3 +406,15 @@ class TestInputPrep:
             PureState.from_amplitudes(np.array([1, 1j]) / math.sqrt(2)),
         )
         assert states_equal_up_to_phase(input_prep_state("Z"), PureState.plus())
+
+    def test_state_and_step_share_one_parser(self):
+        for prep in ("X", "Y", *(A(e) for e in range(8))):
+            angle = A(0) if prep == "X" else A(2) if prep == "Y" else prep
+            assert _prep_step(1, prep) == MeasurementStep(1, phi=angle)
+            expected = HADAMARD @ phase_gate(-angle.radians) @ PureState.plus().amplitudes
+            np.testing.assert_array_equal(input_prep_state(prep).amplitudes, expected)
+        assert _prep_step(4, "Z") == MeasurementStep(4, pauli_override="Z")
+        for bad in ("W", "z", 2, None, 0.5):
+            for parse in (input_prep_state, lambda p: _prep_step(1, p)):
+                with pytest.raises(ValueError, match="unknown input preparation"):
+                    parse(bad)

@@ -1,13 +1,20 @@
 """Noise channel behavior, Poisson count simulation, MLE reconstruction,
 Monte Carlo error bars."""
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from blindsim.clusters import lab_family_state
-from blindsim.noise import NoiseParams, apply_noise
+from blindsim.clusters import (
+    BlindPhases,
+    ClusterConfig,
+    blind_cluster_batch,
+    build_blind_cluster,
+    lab_family_state,
+)
+from blindsim.noise import NoiseParams, apply_noise, dephasing_flips
 from blindsim.quantum import (
     DensityMatrix,
     PureState,
@@ -26,6 +33,29 @@ from blindsim.tomography import (
 )
 
 PI = math.pi
+
+PIN_NOISE = (
+    NoiseParams(),
+    NoiseParams(1.0, 1.0, 0.0),
+    NoiseParams(0.7, 0.95, 0.3),
+    NoiseParams(phase_drift_sigma=0.15),
+    NoiseParams(0.8, 0.6, 0.05),
+)
+
+
+def _apply_noise_digest(rng) -> str:
+    """SHA-256 of apply_noise's matrices over PIN_NOISE and family states of
+    every configuration, drawing the drift from `rng` when one is given."""
+    states = [lab_family_state(2, 3)] + [
+        build_blind_cluster(c.graph, BlindPhases.family(n2, n3))
+        for c in ClusterConfig
+        for n2, n3 in ((2, 0), (5, 7))
+    ]
+    digest = hashlib.sha256()
+    for params in PIN_NOISE:
+        for state in states:
+            digest.update(np.ascontiguousarray(apply_noise(state, params, rng).matrix).tobytes())
+    return digest.hexdigest()
 
 
 def random_pure(num_qubits: int, rng) -> PureState:
@@ -85,6 +115,48 @@ class TestApplyNoise:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             apply_noise(PureState.plus(), NoiseParams())
+
+    def test_matrices_pinned(self):
+        # SHA-256 of the matrices below, computed before the flip mixture
+        # read the same channel list: apply_noise must not move a bit
+        assert _apply_noise_digest(None) == (
+            "b394389eafe333003b5cc5ae48d3c6ff246db4e0e5a40129b42bd623cf923da2"
+        )
+        assert _apply_noise_digest(np.random.default_rng(14)) == (
+            "575290653a829f5f363e9f083653bf4dbd2d446950a56f616c2c679a55174960"
+        )
+
+
+class TestDephasingFlips:
+    @pytest.mark.parametrize("params", PIN_NOISE)
+    def test_mixture_of_flipped_clusters_is_apply_noise(self, params):
+        offsets, weights = dephasing_flips(params)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert set(offsets.ravel()) <= {0, 4} and not offsets[:, 3].any()
+        assert len(np.unique(offsets, axis=0)) == len(offsets) <= 8
+        for config in ClusterConfig:
+            for n2, n3 in ((0, 0), (2, 5), (7, 3)):
+                theta = np.array([0, n2, n3, 0])
+                psi = blind_cluster_batch(config.graph, theta + offsets)
+                mixture = np.einsum("f,fi,fj->ij", weights, psi, psi.conj())
+                phases = BlindPhases.family(n2, n3)
+                noisy = apply_noise(build_blind_cluster(config.graph, phases), params)
+                np.testing.assert_allclose(mixture, noisy.matrix, rtol=0, atol=1e-15)
+
+    def test_flip_probabilities_combine_per_qubit(self):
+        # default drift sigma 0: qubit 1 sees (1 - 0.9)/2, qubit 2
+        # (1 - 0.85)/2, qubit 3 both
+        offsets, weights = dephasing_flips(NoiseParams())
+        flip = weights @ (offsets // 4)
+        p_bell, p_int = 0.05, 0.075
+        np.testing.assert_allclose(
+            flip, [p_bell, p_int, p_bell + p_int - 2 * p_bell * p_int, 0], atol=1e-15
+        )
+
+    def test_ideal_params_are_one_unflipped_state(self):
+        offsets, weights = dephasing_flips(NoiseParams(1.0, 1.0, 0.0))
+        np.testing.assert_array_equal(offsets, np.zeros((1, 4)))
+        np.testing.assert_array_equal(weights, [1.0])
 
 
 class TestCounts:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from blindsim.angles import Angle8
+
 from blindsim.verification import (
     ALIGNED10,
     SWEEP8,
@@ -39,6 +41,21 @@ def _distribution_by_projectors(n2: int, n3: int) -> np.ndarray:
     return probs
 
 
+def _distribution_by_branches(n2: int, n3: int, setting: QuantumnessSetting) -> np.ndarray:
+    """Oracle: one enumerate_branches call per state, each branch's bits
+    relabeled into the outcome index, as the table was once built."""
+    from blindsim.clusters import BlindPhases, build_blind_cluster, path_graph
+    from blindsim.mbqc import enumerate_branches
+
+    psi = build_blind_cluster(path_graph(4), BlindPhases.family(n2, n3))
+    probs = np.zeros(16)
+    for branch in enumerate_branches(psi, setting.pattern(), setting.deltas()):
+        bits = branch.outcomes
+        b1 = bits[1] ^ (1 if setting.minus_is_zero else 0)
+        probs[b1 * 8 + bits[2] * 4 + bits[3] * 2 + bits[4]] = branch.probability
+    return probs
+
+
 class TestTheoreticalDistribution:
     def test_distributions_normalized(self):
         for n2, n3 in ALIGNED10:
@@ -59,6 +76,25 @@ class TestTheoreticalDistribution:
         table = distribution_table(ALIGNED10)
         assert table.shape == (10, 16)
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            QuantumnessSetting(),
+            QuantumnessSetting(minus_is_zero=False),
+            QuantumnessSetting(Angle8(1), Angle8(3), Angle8(5)),
+            QuantumnessSetting(Angle8(0), Angle8(0), Angle8(0), minus_is_zero=False),
+        ],
+    )
+    def test_table_is_the_per_state_branch_loop_bit_for_bit(self, setting):
+        every = [(n2, n3) for n2 in range(8) for n3 in range(8)]
+        for states in (SWEEP8, ALIGNED10, every):
+            oracle = np.array([_distribution_by_branches(a, b, setting) for a, b in states])
+            np.testing.assert_array_equal(distribution_table(states, setting), oracle)
+        for n2, n3 in ((2, 3), (5, 7)):
+            np.testing.assert_array_equal(
+                theoretical_distribution(n2, n3, setting), _distribution_by_branches(n2, n3, setting)
+            )
 
     def test_sign_convention_flag_relabels_qubit1(self):
         default = theoretical_distribution(2, 3, QuantumnessSetting())
