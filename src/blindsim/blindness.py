@@ -30,6 +30,8 @@ from .quantum import (
 LOG2 = math.log(2.0)
 # eigenvalues of a prior's mean at or below this lie outside its support
 SUPPORT_CUTOFF = 1e-12
+# ln of a null eigenvalue, charged per unit of weight outside the support
+OFF_SUPPORT_LOG = math.log(1e-300)
 # a Newton step may lower chi by this much (bits): float rounding, not a loss
 CHI_ROUNDING = 1e-14
 # halvings of a Newton step before one multiplicative step replaces it
@@ -125,15 +127,29 @@ def _evaluate(
     prior: np.ndarray, stack: np.ndarray, neg_entropy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mean's eigh, validated as a density matrix, and every D(rho_j ||
-    mean) in bits: Tr(rho_j ln rho_j) - Tr(rho_j ln mean), one mat-vec."""
+    mean) in bits: Tr(rho_j ln rho_j) - Tr(rho_j ln mean), one mat-vec.
+
+    ln(mean) is taken on the mean's support, as in _entropy_hessian.  The
+    states in the prior's support have only rounding-sized weight outside
+    it, which a null eigenvalue's logarithm (-690 for one rounded to -1e-17)
+    would turn into noise in chi above a tight tolerance.  D_j is infinite
+    for a state with more weight outside the support; that weight is
+    charged OFF_SUPPORT_LOG per unit, so the state joins the active set."""
     vals, vecs = np.linalg.eigh(np.tensordot(prior, stack, axes=1))
     if vals[0] < EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {vals[0]}")
     if not abs(vals.sum() - 1.0) <= HERMITIAN_TOL:
         raise ValueError(f"trace {vals.sum()} deviates from 1")
-    log_mean = (vecs * np.log(np.clip(vals, 1e-300, None))) @ vecs.conj().T
+    keep = vals > SUPPORT_CUTOFF
+    support = vecs[:, keep]
+    log_mean = (support * np.log(vals[keep])) @ support.conj().T
     # Tr(rho_j ln mean) = sum_ik rho_j[i, k] ln(mean)[k, i]
-    cross = np.real(stack.reshape(len(stack), -1) @ log_mean.T.reshape(-1))
+    flat = stack.reshape(len(stack), -1)
+    cross = np.real(flat @ log_mean.T.reshape(-1))
+    if not keep.all():
+        null = vecs[:, ~keep]
+        off = np.real(flat @ (null @ null.conj().T).T.reshape(-1))
+        cross += OFF_SUPPORT_LOG * np.where(off > SUPPORT_CUTOFF, off, 0.0)
     return vals, vecs, (neg_entropy - cross) / LOG2
 
 

@@ -5,6 +5,11 @@ Settings are all 3^n products of local X/Y/Z bases (over-complete for the
 sizes used here).  Counts are Poisson with mean exposure * Born probability.
 The estimate maximizes the Poisson log-likelihood over rho = T^dag T / Tr,
 T lower-triangular, by gradient ascent with backtracking line search.
+Before the ascent, the linear-inversion estimate with its negative
+eigenvalues clipped to 0 is checked against the likelihood's concavity
+certificate, which bounds how far below the maximum it lies; when that
+bound is within the stopping gain (noise-free counts), the estimate is
+returned at iteration 0.
 Error bars come from re-running an extractor on Poisson-resampled counts.
 
 The measurement model lives in the Pauli basis.  Each outcome projector of
@@ -256,12 +261,20 @@ def _weighted_projector_sum(model: _MeasurementModel, weights: np.ndarray) -> np
     return _pauli_sum(model, per_string)
 
 
-def _linear_inversion(table: CountsTable) -> tuple[np.ndarray, int]:
+class _Seed(NamedTuple):
+    """The linear-inversion estimate, projected to the PSD cone two ways
+    from one eigendecomposition."""
+
+    floored: np.ndarray  # eigenvalues raised to 1e-6: the ascent's start
+    projected: np.ndarray  # eigenvalues clipped at 0: the certified candidate
+    clipped: int  # eigenvalues the floor raised
+
+
+def _linear_inversion(table: CountsTable) -> _Seed:
     """Pauli-expectation inversion, projected to the PSD cone; MLE seed.
 
     Each Pauli string's expectation is the mean of its estimates over every
     setting that measures it, each estimate a parity of the outcome bits.
-    Returns the seed and how many of its eigenvalues were raised to 1e-6.
     """
     model = _model_of(table)
     totals = table.counts.sum(axis=1)
@@ -273,13 +286,14 @@ def _linear_inversion(table: CountsTable) -> tuple[np.ndarray, int]:
     )
     means = sums / np.maximum(model.string_counts, 1)
     means[0] = 1.0  # the identity string: Tr rho = 1
-    rho = _pauli_sum(model, means)
-    # clip to the PSD cone
-    vals, vecs = np.linalg.eigh(rho)
-    clipped = int(np.count_nonzero(vals < 1e-6))
-    vals = np.clip(vals, 1e-6, None)
-    rho = (vecs * vals) @ vecs.conj().T
-    return rho / np.trace(rho).real, clipped
+    vals, vecs = np.linalg.eigh(_pauli_sum(model, means))
+    projected = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    floored = (vecs * np.clip(vals, 1e-6, None)) @ vecs.conj().T
+    return _Seed(
+        floored / np.trace(floored).real,
+        projected / np.trace(projected).real,
+        int(np.count_nonzero(vals < 1e-6)),
+    )
 
 
 def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
@@ -309,8 +323,25 @@ class _PoissonLikelihood(NamedTuple):
         return np.maximum(_model_probabilities(self.model, rho), 1e-15)
 
     def value(self, rho: np.ndarray) -> float:
-        mu = self.exposure * self.probabilities(rho)
+        return self._value_at(self.probabilities(rho))
+
+    def _value_at(self, probabilities: np.ndarray) -> float:
+        mu = self.exposure * probabilities
         return float(np.sum(self.counts * np.log(mu) - mu))
+
+    def certificate(self, rho: np.ndarray) -> tuple[float, float]:
+        """log L(rho) and the bound lambda_max(R) - Tr(rho R) on log L* -
+        log L(rho), where R = sum_k (n_k / p_k - exposure) Pi_k is log L's
+        gradient in rho.  log L is concave in rho, so log L(sigma) <= log
+        L(rho) + Tr((sigma - rho) R) for every state sigma, and the right
+        side is largest at R's top eigenvector (Glancy, Knill and Girard,
+        New J. Phys. 14, 095017, 2012)."""
+        probabilities = self.probabilities(rho)
+        grad_rho = _weighted_projector_sum(
+            self.model, self.counts / probabilities - self.exposure
+        )
+        top = np.linalg.eigvalsh(grad_rho)[-1]
+        return self._value_at(probabilities), float(top - np.vdot(rho, grad_rho).real)
 
     def gradient(self, t_mat: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Ascent direction G in T's lower triangle, scaled so that the
@@ -322,26 +353,32 @@ class _PoissonLikelihood(NamedTuple):
         return np.tril((2.0 / trace_t) * (grad_rho @ t_mat - mean_shift * t_mat))
 
 
-def mle_reconstruct(
-    table: CountsTable,
-    target: PureState | None = None,
-    max_iterations: int = 2000,
-    improvement_tol: float = 1e-9,
-) -> MLEResult:
-    """Most likely physical density matrix under the Poisson count model."""
-    likelihood = _PoissonLikelihood.of(table)
-    if not likelihood.model.complete:
-        raise ValueError("settings are not informationally complete")
-    dim = len(likelihood.model.walsh)
+class _Ascent(NamedTuple):
+    rho: np.ndarray
+    log_likelihood: float
+    converged: bool
+    iterations: int
+    gradient_norm: float
+    halvings: int
 
-    seed, clipped = _linear_inversion(table)
+
+def _ascend(
+    likelihood: _PoissonLikelihood,
+    seed: np.ndarray,
+    max_iterations: int,
+    improvement_tol: float,
+) -> _Ascent:
+    """Gradient ascent in T from a full-rank seed: a Barzilai-Borwein step
+    guess, halved until the likelihood improves.
+
+    The stopping gain is relative: count-scale likelihoods sit at ~1e6,
+    where an absolute 1e-9 window is finer than float64 can resolve.
+    """
+    dim = len(seed)
     t_mat = np.linalg.cholesky(seed + 1e-9 * np.eye(dim))  # lower triangular
     rho = _state_of(t_mat)
     ll = likelihood.value(rho)
 
-    # Barzilai-Borwein step guess, halved until the likelihood improves.
-    # The stopping gain is relative: count-scale likelihoods sit at ~1e6,
-    # where an absolute 1e-9 window is finer than float64 can resolve.
     step: float | None = None
     prev_t: np.ndarray | None = None
     prev_grad: np.ndarray | None = None
@@ -387,19 +424,47 @@ def mle_reconstruct(
         if gain < improvement_tol * max(abs(ll), 1.0):
             converged = True
             break
+    return _Ascent(rho, ll, converged, iterations, norm, halvings)
 
-    rho_hat = DensityMatrix.from_matrix(rho)
+
+def mle_reconstruct(
+    table: CountsTable,
+    target: PureState | None = None,
+    max_iterations: int = 2000,
+    improvement_tol: float = 1e-9,
+) -> MLEResult:
+    """Most likely physical density matrix under the Poisson count model.
+
+    The linear-inversion estimate with its negative eigenvalues clipped to 0
+    is returned at once, converged at iteration 0, when the concavity
+    certificate (`_PoissonLikelihood.certificate`) proves it within the
+    stopping gain improvement_tol * max(|log L|, 1) of the maximum.  Noise-
+    free counts certify this way.  Otherwise, as for Poisson counts, the
+    ascent runs from the estimate with its eigenvalues floored at 1e-6.
+    """
+    likelihood = _PoissonLikelihood.of(table)
+    if not likelihood.model.complete:
+        raise ValueError("settings are not informationally complete")
+
+    seed = _linear_inversion(table)
+    ll, bound = likelihood.certificate(seed.projected)
+    if bound <= improvement_tol * max(abs(ll), 1.0):
+        run = _Ascent(seed.projected, ll, True, 0, math.nan, 0)
+    else:
+        run = _ascend(likelihood, seed.floored, max_iterations, improvement_tol)
+
+    rho_hat = DensityMatrix.from_matrix(run.rho)
     fid = fidelity_pure(rho_hat, target) if target is not None else None
     return MLEResult(
         rho_hat=rho_hat,
-        log_likelihood=ll,
+        log_likelihood=run.log_likelihood,
         fidelity_to_target=fid,
         error_bars={},
-        converged=converged,
-        iterations=iterations,
-        gradient_norm=norm,
-        line_search_halvings=halvings,
-        seed_clipped_eigenvalues=clipped,
+        converged=run.converged,
+        iterations=run.iterations,
+        gradient_norm=run.gradient_norm,
+        line_search_halvings=run.halvings,
+        seed_clipped_eigenvalues=seed.clipped,
     )
 
 

@@ -114,6 +114,19 @@ class TestDeutsch:
             assert table["success_min"] >= 1.0 - 1e-9
             assert table["verdicts_correct"]
 
+    def test_tables_pinned(self):
+        # the success probabilities are the engine's, bit for bit; the
+        # verdicts come from the tomography's certified estimate
+        nearer_one = {(2, 1), (2, 5)}
+        for oracle in ("constant", "balanced"):
+            for row in run_deutsch(oracle)["rows"]:
+                pinned = "0x1.ffffffffffffbp-1" if (row["n2"], row["n3"]) in nearer_one else (
+                    "0x1.ffffffffffffap-1"
+                )
+                assert row["success_probability"].hex() == pinned
+                assert row["tomography_verdict"] == oracle
+                assert abs(row["verdict_fidelity"] - 1.0) <= 1e-12
+
     def test_verdict_states_orthogonal(self):
         assert DEUTSCH_ORACLE_ANGLES["constant"] != DEUTSCH_ORACLE_ANGLES["balanced"]
 

@@ -250,9 +250,11 @@ class TestMle:
         )
 
     def test_line_search_halvings_reported(self, monkeypatch):
-        # Deutsch's verdict qubit from exact counts: 3 iterations, the last of
-        # which halves its step until the step's first-order gain is under
-        # the stopping gain, 9 halvings in all
+        # Deutsch's verdict qubit from exact counts.  The public call
+        # certifies the clipped linear-inversion estimate at iteration 0, with
+        # one model evaluation; the ascent from the floored seed runs 3
+        # iterations, the last of which halves its step until the step's
+        # first-order gain is under the stopping gain, 9 halvings in all
         import blindsim.tomography as tomography
         from blindsim.experiments import deutsch_output_state
 
@@ -268,12 +270,23 @@ class TestMle:
         table = exact_counts(DensityMatrix.from_pure(output), pauli_settings(1))
         monkeypatch.setattr(tomography, "_model_probabilities", counting)
         result = mle_reconstruct(table)
-        assert (result.iterations, result.line_search_halvings) == (3, 9)
-        assert json.loads(result.to_json())["line_search_halvings"] == 9
+        assert result.converged and result.iterations == 0
+        assert result.line_search_halvings == 0 and math.isnan(result.gradient_norm)
+        assert evaluations == 1
+        assert json.loads(result.to_json())["line_search_halvings"] == 0
+
+        evaluations = 0
+        run = tomography._ascend(
+            tomography._PoissonLikelihood.of(table),
+            tomography._linear_inversion(table).floored,
+            max_iterations=2000,
+            improvement_tol=1e-9,
+        )
+        assert run.converged and (run.iterations, run.halvings) == (3, 9)
         # one gradient per iteration; one likelihood for the seed, one per
         # halving and one per accepted step (the first two iterations)
-        likelihoods = evaluations - result.iterations
-        assert likelihoods == 1 + result.line_search_halvings + 2 == 12
+        likelihoods = evaluations - run.iterations
+        assert likelihoods == 1 + run.halvings + 2 == 12
 
     def test_gradient_is_the_slope_along_itself(self):
         # the line search's stop rests on |G|^2 being the slope of log L
@@ -305,13 +318,107 @@ class TestMle:
             DensityMatrix.from_pure(target), pauli_settings(2), 1000, rng
         )
         result = mle_reconstruct(table)
-        seed, _ = _linear_inversion(table)
+        seed = _linear_inversion(table).floored
         projectors = np.concatenate(
             [born_probabilities(DensityMatrix.from_matrix(seed), s) for s in table.settings]
         )
         mu = np.clip(table.exposure * projectors, 1e-15, None)
         ll_seed = float(np.sum(table.counts.reshape(-1) * np.log(mu) - mu))
         assert result.log_likelihood >= ll_seed - 1e-6
+
+
+def random_density(num_qubits: int, rank: int, rng) -> DensityMatrix:
+    dim = 2**num_qubits
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return DensityMatrix.from_matrix(rho / np.trace(rho).real)
+
+
+def _rho_digest(result) -> str:
+    return hashlib.sha256(np.ascontiguousarray(result.rho_hat.matrix).tobytes()).hexdigest()[:16]
+
+
+def _poisson_table(name: str) -> CountsTable:
+    """The noisy (2,3) four-qubit input of `run_tomography` at seeds 0-4,
+    and TestMle's Poisson tables."""
+    if name.startswith("four"):
+        rho = apply_noise(lab_family_state(2, 3), NoiseParams())
+        rng = np.random.default_rng(int(name[-1]))
+        return simulate_counts(rho, pauli_settings(4), 10_000, rng)
+    if name == "mixed1":
+        rng = np.random.default_rng(11)
+        return simulate_counts(DensityMatrix.maximally_mixed(1), pauli_settings(1), 20_000, rng)
+    seed, total = {"pure2_5": (5, 200), "pure2_7": (7, 1000), "pure2_13": (13, 1000)}[name]
+    rng = np.random.default_rng(seed)
+    rho = DensityMatrix.from_pure(random_pure(2, rng))
+    return simulate_counts(rho, pauli_settings(2), total, rng)
+
+
+# (iterations, line_search_halvings, log_likelihood, SHA-256 prefix of
+# rho_hat), computed before the certified return existed: the ascent's
+# iterates are unchanged bit for bit.  The one-qubit settings measure each
+# Pauli string once, so there the physical linear-inversion estimate matches
+# the observed frequencies, is the optimum, and certifies; its
+# log-likelihood is the one the ascent reached after its single iteration.
+POISSON_PINS = {
+    "four0": (16, 7, 4603507.744798769, "ed9533de018f7080"),
+    "four1": (19, 9, 4595548.398813337, "9436571238dfdd06"),
+    "four2": (18, 10, 4605223.713975541, "7933a00594d3251c"),
+    "four3": (19, 9, 4600253.365597522, "730f141ad5dd7216"),
+    "four4": (18, 8, 4608368.005278522, "775cb64a4f56abe1"),
+    "mixed1": (0, 0, 490587.3575571381, "007802b2f7948ece"),
+    "pure2_5": (34, 25, 6161.817188036035, "9b06785534d5e601"),
+    "pure2_7": (32, 32, 44416.216765526246, "370553ebfd912b22"),
+    "pure2_13": (60, 61, 43405.21771862587, "6cb3f32d8e142fb8"),
+}
+
+
+class TestCertifiedStop:
+    @staticmethod
+    def noise_free_states() -> list[DensityMatrix]:
+        from blindsim.experiments import deutsch_output_state
+        from blindsim.verification import ALIGNED10
+
+        rng = np.random.default_rng(17)
+        states = [
+            random_density(n, rank, rng)
+            for n in (1, 2, 3)
+            for rank in sorted({1, 2, 2**n})
+        ]
+        return states + [
+            DensityMatrix.from_pure(deutsch_output_state(oracle, n2, n3))
+            for oracle in ("constant", "balanced")
+            for n2, n3 in ALIGNED10
+        ]
+
+    def test_exact_counts_certify_the_true_state(self):
+        # the returned state is the true one, and no random state, nor one
+        # mixed slightly into the estimate, is more likely by over the
+        # stopping gain
+        from blindsim.tomography import _PoissonLikelihood
+
+        rng = np.random.default_rng(29)
+        for rho in self.noise_free_states():
+            num_qubits = int(rho.dim).bit_length() - 1
+            table = exact_counts(rho, pauli_settings(num_qubits))
+            result = mle_reconstruct(table)
+            assert result.converged and result.iterations == 0
+            assert result.line_search_halvings == 0 and math.isnan(result.gradient_norm)
+            assert np.abs(result.rho_hat.matrix - rho.matrix).max() <= 1e-9
+            likelihood = _PoissonLikelihood.of(table)
+            tolerance = 1e-9 * max(abs(result.log_likelihood), 1.0)
+            for _ in range(20):
+                sigma = random_density(num_qubits, int(rng.integers(1, rho.dim + 1)), rng)
+                nearby = 0.999 * result.rho_hat.matrix + 0.001 * sigma.matrix
+                for candidate in (sigma.matrix, nearby):
+                    assert likelihood.value(candidate) <= result.log_likelihood + tolerance
+
+    @pytest.mark.parametrize("name", sorted(POISSON_PINS))
+    def test_poisson_tables_pinned(self, name):
+        result = mle_reconstruct(_poisson_table(name))
+        assert result.converged
+        pinned = (result.iterations, result.line_search_halvings, result.log_likelihood)
+        assert pinned + (_rho_digest(result),) == POISSON_PINS[name]
 
 
 class TestMonteCarlo:

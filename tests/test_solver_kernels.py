@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindsim.blindness import Ensemble, maximize_chi_over_priors, pair_fold
@@ -139,7 +139,31 @@ class TestChiKernel:
         assert_matches_oracle(ensemble, report)
         assert_kkt(ensemble, report)
 
+    @pytest.mark.parametrize(
+        "ranks, seed",
+        [
+            # a rank-3 mean whose null eigenvalue rounds to about +-1e-17: its
+            # logarithm once held the gap at 8e-9 through every iteration
+            ([1, 2], 1722402953),
+            # three pure states span a 3-dim subspace; dropping the fourth
+            # state from the prior leaves its weight outside the mean's
+            # support, so D_4 is infinite and the prior must keep it
+            ([1, 1, 1, 4], 3722102450),
+        ],
+    )
+    def test_rank_deficient_means(self, ranks, seed):
+        rng = np.random.default_rng(seed)
+        states = [random_density(4, rank, rng) for rank in ranks]
+        ensemble = Ensemble(states, np.full(len(states), 1.0 / len(states)))
+        report = maximize_chi_over_priors(ensemble, rel_tol=1e-10)
+        assert report.converged and report.iterations <= 50
+        assert report.support == tuple(range(len(states)))
+        assert_kkt(ensemble, report)
+        assert_matches_oracle(ensemble, report, max_iterations=300)
+
     @settings(max_examples=40, deadline=None)
+    @example(dim=4, ranks=[0, 2], confined=False, seed=1722402953)
+    @example(dim=4, ranks=[0, 1, 1, 4], confined=False, seed=3722102450)
     @given(
         dim=st.sampled_from([2, 4]),
         # rank 0 repeats an earlier state
