@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -331,21 +332,24 @@ def mixedness_check(outputs: list[DensityMatrix]) -> float:
     return linear_entropy(DensityMatrix.mixture(outputs))
 
 
-def ensemble_to_json(ensemble: Ensemble) -> str:
-    doc = {
-        "prior": list(ensemble.prior),
-        "states": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in s.matrix]
-            for s in ensemble.states
-        ],
-    }
-    return json.dumps(doc)
+def server_view_ensemble(
+    states_by_index: Mapping[int, DensityMatrix],
+    r_uniform: bool = True,
+) -> Ensemble:
+    """Server-side ensemble over a hiding-phase sweep, uniform prior.
 
-
-def ensemble_from_json(text: str) -> Ensemble:
-    doc = json.loads(text)
-    states = []
-    for rows in doc["states"]:
-        mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-        states.append(DensityMatrix.from_matrix(mat))
-    return Ensemble(states, np.asarray(doc["prior"], dtype=float))
+    `states_by_index` maps the swept grid index n (theta = n pi/4) to the
+    state the server holds for that choice.  With uniform r the ensemble is
+    folded over pi-partners, which is how the outcome mask enters the
+    server's marginal view.
+    """
+    indices = sorted(states_by_index)
+    ensemble = Ensemble(
+        states=[states_by_index[n] for n in indices],
+        prior=np.full(len(indices), 1.0 / len(indices)),
+    )
+    if r_uniform:
+        if indices != list(range(8)):
+            raise ValueError("pair folding needs the full 8-point grid")
+        ensemble = pair_fold(ensemble)
+    return ensemble

@@ -84,17 +84,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="blindsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, noisy: bool = False) -> None:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="write the table to a file")
         p.add_argument("--csv", action="store_true")
-        p.add_argument("--noisy", action="store_true", help="add the noise model")
-        p.add_argument("--bell-visibility", type=float, default=0.9)
-        p.add_argument("--interference-visibility", type=float, default=0.85)
-        p.add_argument("--phase-drift-sigma", type=float, default=0.1)
+        if noisy:  # only the commands whose runners apply the noise model
+            p.add_argument("--noisy", action="store_true", help="add the noise model")
+            p.add_argument("--bell-visibility", type=float, default=0.9)
+            p.add_argument("--interference-visibility", type=float, default=0.85)
+            p.add_argument("--phase-drift-sigma", type=float, default=0.1)
 
-    for name in ("fig3c", "fig3d", "blindness", "bulk"):
-        common(sub.add_parser(name))
+    for name in ("fig3c", "fig3d", "blindness"):
+        common(sub.add_parser(name), noisy=True)
+    common(sub.add_parser("bulk"))
     p = sub.add_parser("grover")
     common(p)
     p.add_argument("--tag", choices=sorted(GROVER_TAG_ANGLES), default="01")
@@ -106,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--rounds", type=int, default=10_000)
     p.add_argument("--stub-trials", type=int, default=0)
     p = sub.add_parser("tomography")
-    common(p)
+    common(p, noisy=True)
     p.add_argument("--mean-total", type=float, default=10_000.0)
     p.add_argument("--mc-trials", type=int, default=25)
     p = sub.add_parser("serve")

@@ -9,7 +9,6 @@ by theta_hat = (n2, n3) with theta_j = n_j pi/4.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -291,22 +290,3 @@ def lc_unitary_check(n2: int, n3: int, unitary: np.ndarray | None = None) -> boo
     mapped = PureState.from_amplitudes(u @ tri.amplitudes)
     return states_equal_up_to_phase(mapped, linear_family_state(n2, n3))
 
-
-def graph_to_json(graph: GraphSpec, phases: BlindPhases) -> str:
-    doc = {
-        "vertices": graph.vertex_count,
-        "edges": sorted(list(e) for e in graph.edges),
-        "theta_eighths": [
-            phases[v].eighths for v in range(1, graph.vertex_count + 1)
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def graph_from_json(text: str) -> tuple[GraphSpec, BlindPhases]:
-    doc = json.loads(text)
-    graph = GraphSpec.from_edges(doc["vertices"], doc["edges"])
-    phases = BlindPhases(
-        {v + 1: Angle8(n) for v, n in enumerate(doc["theta_eighths"])}
-    )
-    return graph, phases

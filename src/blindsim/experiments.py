@@ -19,13 +19,12 @@ import numpy as np
 
 from .angles import Angle8
 from .blindness import (
-    Ensemble,
     holevo_chi,
     maximize_chi_over_priors,
     mixedness_check,
-    pair_fold,
+    server_view_ensemble,
 )
-from .clusters import BlindPhases, ClusterConfig, blind_cluster_batch, build_blind_cluster, family_theta
+from .clusters import BlindPhases, ClusterConfig, blind_cluster_batch, family_theta
 from .mbqc import (
     MeasurementPattern,
     _Branches,
@@ -37,12 +36,10 @@ from .mbqc import (
 from .noise import NoiseParams, apply_noise, dephasing_flips
 from .protocol import ClientSecrets, run_session
 from .quantum import (
-    HADAMARD,
     DensityMatrix,
     PureState,
     fidelity_pure,
     linear_entropy,
-    phase_gate,
     rx,
     rz,
 )
@@ -84,10 +81,17 @@ GROVER_TAG_ANGLES: dict[str, tuple[Angle8, Angle8]] = {
     "11": (A(6), A(0)),
 }
 GROVER_READOUT = A(2)
+GROVER_PHI: dict[str, dict[int, Angle8]] = {
+    tag: {1: GROVER_READOUT, 4: GROVER_READOUT, 2: phi2, 3: phi3}
+    for tag, (phi2, phi3) in GROVER_TAG_ANGLES.items()
+}
 
 # Deutsch oracle -> phi_3; phi_1 = pi/2 and phi_2 = 0 are fixed.  The verdict
 # qubit ends in |0> for the constant oracle and |1> for the balanced one.
 DEUTSCH_ORACLE_ANGLES: dict[str, Angle8] = {"constant": A(6), "balanced": A(2)}
+DEUTSCH_PHI: dict[str, dict[int, Angle8]] = {
+    oracle: {1: A(2), 2: A(0), 3: phi3} for oracle, phi3 in DEUTSCH_ORACLE_ANGLES.items()
+}
 DEUTSCH_VERDICT_STATE: dict[str, PureState] = {
     "constant": PureState.computational(1, 0),
     "balanced": PureState.computational(1, 1),
@@ -140,39 +144,6 @@ def grover_decode(interpreted: Mapping[int, int]) -> str:
     return f"{s1 ^ s4}{s1}"
 
 
-def grover_circuit_state(tag: str) -> PureState:
-    """Independent oracle: the two-qubit Grover circuit before readout.
-
-    Builds oracle-then-mapping gate algebra on |+>|+>: the tagging operation
-    (Rz(a pi) x Rz(b pi)) CPhase followed by
-    (I x H) CPhase (H Rz(-pi/2) x I).
-    """
-    a = 1 - int(tag[1])
-    b = 1 - int(tag[0])
-    plus = PureState.plus().amplitudes
-    cz = np.diag([1.0, 1, 1, -1]).astype(complex)
-    psi = cz @ np.kron(plus, plus)
-    psi = np.kron(phase_gate(a * PI), phase_gate(b * PI)) @ psi
-    psi = np.kron(HADAMARD @ phase_gate(-PI / 2), np.eye(2)) @ psi
-    psi = cz @ psi
-    psi = np.kron(np.eye(2), HADAMARD) @ psi
-    return PureState.from_amplitudes(psi)
-
-
-def grover_circuit_readout(tag: str) -> tuple[int, int]:
-    """Measure the circuit-model output in the |±_i> x |±_i> basis."""
-    psi = grover_circuit_state(tag)
-    for m1 in (0, 1):
-        for m4 in (0, 1):
-            p1, rest = psi.project_delta(1, PI / 2, m1)
-            if rest is None:
-                continue
-            p4, _ = rest.project_delta(1, PI / 2, m4)
-            if p1 * p4 > 1 - 1e-9:
-                return (m1, m4)
-    raise AssertionError("circuit readout is not deterministic")
-
-
 def _family_batch(
     config: ClusterConfig, pattern: MeasurementPattern, states: Sequence[tuple[int, int]]
 ) -> _Branches:
@@ -196,8 +167,7 @@ def run_grover(
     config = config or ExperimentConfig("grover")
     if states is None:
         states = [(n2, n3) for n2 in range(8) for n3 in range(8)]
-    phi2, phi3 = GROVER_TAG_ANGLES[tag]
-    phi = {1: GROVER_READOUT, 4: GROVER_READOUT, 2: phi2, 3: phi3}
+    phi = GROVER_PHI[tag]
     pattern = pattern_for(ClusterConfig.TRIANGLE, phi=phi)
     branches = _family_batch(ClusterConfig.TRIANGLE, pattern, states)
     # grover_decode, per branch: the tag reads (s1 xor s4, s1)
@@ -212,7 +182,7 @@ def run_grover(
     return {
         "config": config.echo(),
         "tag": tag,
-        "angles_eighths": [phi2.eighths, phi3.eighths],
+        "angles_eighths": [phi[2].eighths, phi[3].eighths],
         "rows": rows,
         "success_min": min(successes),
         "success_avg": sum(successes) / len(successes),
@@ -228,8 +198,7 @@ def run_grover_sessions(
     tag: str, seed: int = 0, n_sessions: int = 16
 ) -> list[str]:
     """Decode live protocol sessions; returns the decoded tags."""
-    phi2, phi3 = GROVER_TAG_ANGLES[tag]
-    phi = {1: GROVER_READOUT, 4: GROVER_READOUT, 2: phi2, 3: phi3}
+    phi = GROVER_PHI[tag]
     rng = np.random.default_rng(seed)
     decoded = []
     for k in range(n_sessions):
@@ -241,7 +210,7 @@ def run_grover_sessions(
 
 def deutsch_output_state(oracle: str, n2: int, n3: int) -> PureState:
     """Corrected qubit-4 state of one staircase session (exact, branch-free)."""
-    phi = {1: A(2), 2: A(0), 3: DEUTSCH_ORACLE_ANGLES[oracle]}
+    phi = DEUTSCH_PHI[oracle]
     pattern = pattern_for(ClusterConfig.STAIRCASE, phi=phi)
     phases = BlindPhases.family(n2, n3)
     state = cluster_state_for(ClusterConfig.STAIRCASE, phases)
@@ -269,7 +238,7 @@ def run_deutsch(
     from .verification import ALIGNED10
 
     states = list(states) if states is not None else list(ALIGNED10)
-    phi = {1: A(2), 2: A(0), 3: DEUTSCH_ORACLE_ANGLES[oracle]}
+    phi = DEUTSCH_PHI[oracle]
     pattern = pattern_for(ClusterConfig.STAIRCASE, phi=phi)
     verdict = DEUTSCH_VERDICT_STATE[oracle].amplitudes
     settings1 = pauli_settings(1)
@@ -299,7 +268,7 @@ def run_deutsch(
     return {
         "config": config.echo(),
         "oracle": oracle,
-        "phi_eighths": {"1": 2, "2": 0, "3": DEUTSCH_ORACLE_ANGLES[oracle].eighths},
+        "phi_eighths": {str(q): angle.eighths for q, angle in phi.items()},
         "rows": rows,
         "success_min": min(successes),
         "verdicts_correct": all(r["tomography_verdict"] == oracle for r in rows),
@@ -477,19 +446,15 @@ def run_blindness(config: ExperimentConfig | None = None) -> dict:
     channel and cannot leak, so all the reported chi comes from the drift.
     """
     config = config or ExperimentConfig("blindness", noise=BLINDNESS_NOISE)
-    states = {
-        n: DensityMatrix.from_pure(
-            build_blind_cluster(
-                ClusterConfig.LINEAR_LEFT.graph, BlindPhases.family(2, n)
-            )
+    pure = [
+        PureState._trusted(amplitudes)
+        for amplitudes in blind_cluster_batch(
+            ClusterConfig.LINEAR_LEFT.graph, family_theta([(2, n) for n in range(8)])
         )
-        for n in range(8)
-    }
-    uniform = np.full(8, 1.0 / 8.0)
-    ideal = pair_fold(Ensemble(list(states.values()), uniform))
-    ideal_report = maximize_chi_over_priors(ideal)
-    broken = Ensemble(list(states.values()), uniform)
-    broken_chi = holevo_chi(broken)
+    ]
+    states = {n: DensityMatrix.from_pure(psi) for n, psi in enumerate(pure)}
+    ideal_report = maximize_chi_over_priors(server_view_ensemble(states))
+    broken_chi = holevo_chi(server_view_ensemble(states, r_uniform=False))
     table = {
         "config": config.echo(),
         "ideal": json.loads(ideal_report.to_json()),
@@ -501,18 +466,8 @@ def run_blindness(config: ExperimentConfig | None = None) -> dict:
     }
     if config.noise is not None:
         rng = np.random.default_rng(config.seed)
-        noisy_states = {
-            n: apply_noise(
-                build_blind_cluster(
-                    ClusterConfig.LINEAR_LEFT.graph, BlindPhases.family(2, n)
-                ),
-                config.noise,
-                rng,
-            )
-            for n in range(8)
-        }
-        noisy = pair_fold(Ensemble(list(noisy_states.values()), uniform))
-        noisy_report = maximize_chi_over_priors(noisy)
+        noisy_states = {n: apply_noise(psi, config.noise, rng) for n, psi in enumerate(pure)}
+        noisy_report = maximize_chi_over_priors(server_view_ensemble(noisy_states))
         table["noisy"] = json.loads(noisy_report.to_json())
     return table
 

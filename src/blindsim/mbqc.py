@@ -30,7 +30,6 @@ batch-of-one front ends.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -692,74 +691,6 @@ def circuit_oracle(
         )
         return PureState.from_amplitudes(vec / np.linalg.norm(vec))
     raise ValueError(f"unknown configuration {config!r}")
-
-
-def lc_frame_instruction(qubit: int, delta: Angle8) -> Angle8:
-    """Map a triangle-frame instruction onto the linear cluster.
-
-    Absorbing the local-complementation unitary into the measurements shifts
-    qubits 1 and 3 by pi/2 and leaves qubit 4 alone.  Qubit 2 sits in the
-    sqrt(X) frame: its conjugated basis stays on the equator only for
-    delta in {0, pi}, so anything else is rejected: blindness cannot be
-    guaranteed for such a step.
-    """
-    if qubit in (1, 3):
-        return delta + Angle8(2)
-    if qubit == 4:
-        return delta
-    if qubit == 2:
-        if delta.eighths in (0, 4):
-            return delta
-        raise ValueError(
-            "triangle-frame measurement on qubit 2 at "
-            f"{delta!r} is not expressible as an equatorial basis"
-        )
-    raise ValueError(f"no qubit {qubit} in the four-qubit family")
-
-
-def pattern_to_json(pattern: MeasurementPattern) -> str:
-    doc = {
-        "config": pattern.config.value if pattern.config else None,
-        "steps": [
-            {
-                "qubit": s.qubit,
-                "phi_eighths": s.phi.eighths,
-                "x_deps": sorted(s.x_deps),
-                "z_deps": sorted(s.z_deps),
-                "pauli_override": s.pauli_override,
-            }
-            for s in pattern.steps
-        ],
-        "outputs": sorted(pattern.outputs),
-        "output_x_deps": {str(q): sorted(v) for q, v in pattern.output_x_deps.items()},
-        "output_z_deps": {str(q): sorted(v) for q, v in pattern.output_z_deps.items()},
-        "frame": dict(pattern.frame),
-        "theta_unwind": sorted(pattern.theta_unwind),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def pattern_from_json(text: str) -> MeasurementPattern:
-    doc = json.loads(text)
-    steps = tuple(
-        MeasurementStep(
-            s["qubit"],
-            Angle8(s["phi_eighths"]),
-            frozenset(s["x_deps"]),
-            frozenset(s["z_deps"]),
-            s.get("pauli_override"),
-        )
-        for s in doc["steps"]
-    )
-    return MeasurementPattern(
-        steps,
-        tuple(doc["outputs"]),
-        ClusterConfig(doc["config"]) if doc.get("config") else None,
-        {int(q): frozenset(v) for q, v in doc.get("output_x_deps", {}).items()},
-        {int(q): frozenset(v) for q, v in doc.get("output_z_deps", {}).items()},
-        {int(q): v for q, v in doc.get("frame", {}).items()},
-        frozenset(doc.get("theta_unwind", ())),
-    )
 
 
 def cluster_state_for(config: ClusterConfig, phases: BlindPhases) -> PureState:

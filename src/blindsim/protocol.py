@@ -38,7 +38,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .angles import Angle8
-from .blindness import Ensemble, pair_fold
 from .clusters import BlindPhases, ClusterConfig, _basis_tables
 from .mbqc import (
     _GRID_BRAS,
@@ -690,25 +689,3 @@ def conditional_transmitted_state(delta: Angle8, phi: Angle8) -> DensityMatrix:
         raise ValueError("no (theta, r) pair is consistent with this delta")
     return DensityMatrix.mixture(rhos)
 
-
-def server_view_ensemble(
-    states_by_index: Mapping[int, DensityMatrix],
-    r_uniform: bool = True,
-) -> Ensemble:
-    """Server-side ensemble over a hiding-phase sweep, uniform prior.
-
-    `states_by_index` maps the swept grid index n (theta = n pi/4) to the
-    state the server holds for that choice.  With uniform r the ensemble is
-    folded over pi-partners, which is how the outcome mask enters the
-    server's marginal view.
-    """
-    indices = sorted(states_by_index)
-    ensemble = Ensemble(
-        states=[states_by_index[n] for n in indices],
-        prior=np.full(len(indices), 1.0 / len(indices)),
-    )
-    if r_uniform:
-        if indices != list(range(8)):
-            raise ValueError("pair folding needs the full 8-point grid")
-        ensemble = pair_fold(ensemble)
-    return ensemble

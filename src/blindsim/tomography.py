@@ -20,9 +20,12 @@ projector sum is one Pauli sum.  The settings are informationally complete
 exactly when together they measure every one of the 4^n strings.  One
 read-only model per settings tuple (the string tables, the Walsh and phase
 tables and the permutation to the layout they act on) is built once and
-shared by the MLE, its linear-inversion seed, the Monte Carlo resamples and
-`exact_counts`, which reads every setting's probabilities from it in one
-evaluation; no dense projector or outcome-vector stack is built for them.
+shared by the MLE, its linear-inversion seed, the Monte Carlo resamples,
+`exact_counts` and `simulate_counts`, which read every setting's
+probabilities from it in one evaluation; no dense projector or
+outcome-vector stack is built for them.  The dense `setting_projectors` and
+`measurement_rank` remain only as names that the benchmark harness
+(bench/tracing.py) traces.
 """
 from __future__ import annotations
 
@@ -71,11 +74,6 @@ def setting_projectors(setting: Sequence[str]) -> np.ndarray:
     """(2^n, d, d) stack of outcome projectors; qubit 1 is the MSB."""
     vectors = _outcome_vectors([setting])[0]
     return vectors[:, :, None] * vectors[:, None, :].conj()
-
-
-def born_probabilities(rho: DensityMatrix, setting: Sequence[str]) -> np.ndarray:
-    projectors = setting_projectors(setting)
-    return np.real(np.einsum("kij,ji->k", projectors, rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -128,12 +126,16 @@ def simulate_counts(
     mean_total: float,
     rng: np.random.Generator,
 ) -> CountsTable:
-    """Poisson counts with mean = mean_total * Born probability."""
-    counts = np.empty((len(settings), rho.dim))
-    for k, setting in enumerate(settings):
-        probs = np.clip(born_probabilities(rho, setting), 0.0, None)
-        counts[k] = rng.poisson(mean_total * probs)
-    return CountsTable(list(settings), counts, mean_total)
+    """Poisson counts with mean = mean_total * Born probability, every
+    setting's probabilities read from the Pauli-basis model in one evaluation.
+
+    Probabilities under 1e-15 in magnitude are rounding of exact zeros, so
+    they are set to 0: a zero mean draws nothing from `rng`.
+    """
+    model = _measurement_model(tuple(tuple(s) for s in settings))
+    probs = _model_probabilities(model, rho.matrix).reshape(len(settings), -1)
+    probs = np.clip(np.where(np.abs(probs) < 1e-15, 0.0, probs), 0.0, None)
+    return CountsTable(list(settings), rng.poisson(mean_total * probs), mean_total)
 
 
 def exact_counts(
@@ -154,7 +156,7 @@ class MLEResult:
     error_bars: dict[str, float]
     converged: bool
     iterations: int
-    gradient_norm: float  # |grad_T log L| at the last iterate it was taken
+    gradient_norm: float  # |grad_T log L| at the last iterate it was taken, else NaN
     line_search_halvings: int  # step halvings over all iterations
     seed_clipped_eigenvalues: int  # seed eigenvalues raised to the 1e-6 floor
 
@@ -170,7 +172,10 @@ class MLEResult:
                 "error_bars": self.error_bars,
                 "converged": self.converged,
                 "iterations": self.iterations,
-                "gradient_norm": self.gradient_norm,
+                # strict JSON has no NaN
+                "gradient_norm": self.gradient_norm
+                if math.isfinite(self.gradient_norm)
+                else None,
                 "line_search_halvings": self.line_search_halvings,
                 "seed_clipped_eigenvalues": self.seed_clipped_eigenvalues,
             }

@@ -67,13 +67,6 @@ def _outcome_index(bits: dict[int, int], setting: QuantumnessSetting) -> int:
     return b1 * 8 + bits[2] * 4 + bits[3] * 2 + bits[4]
 
 
-def theoretical_distribution(
-    n2: int, n3: int, setting: QuantumnessSetting | None = None
-) -> np.ndarray:
-    """Exact Born probabilities over the 16 outcomes for one blind state."""
-    return distribution_table([(n2, n3)], setting)[0]
-
-
 def distribution_table(
     states: Sequence[tuple[int, int]] = SWEEP8,
     setting: QuantumnessSetting | None = None,

@@ -8,8 +8,6 @@ import pytest
 from blindsim.blindness import (
     ChiReport,
     Ensemble,
-    ensemble_from_json,
-    ensemble_to_json,
     grid_search_chi,
     holevo_chi,
     maximize_chi_over_priors,
@@ -56,13 +54,6 @@ class TestEnsemble:
                 [equatorial(0), DensityMatrix.maximally_mixed(2)],
                 np.array([0.5, 0.5]),
             )
-
-    def test_json_roundtrip(self):
-        ens = uniform([equatorial(n) for n in range(8)])
-        again = ensemble_from_json(ensemble_to_json(ens))
-        assert again.size == 8
-        for a, b in zip(again.states, ens.states):
-            np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
 
 
 class TestPairFold:

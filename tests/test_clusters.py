@@ -15,8 +15,6 @@ from blindsim.clusters import (
     build_blind_cluster,
     linear_family_state,
     lab_family_state,
-    graph_from_json,
-    graph_to_json,
     lc_unitary,
     lc_unitary_check,
     local_complement,
@@ -51,13 +49,6 @@ class TestGraphSpec:
         g = path_graph(4)
         assert g.neighbors(2) == frozenset({1, 3})
         assert g.neighbors(4) == frozenset({3})
-
-    def test_json_roundtrip(self):
-        g = triangle_cluster_graph()
-        phases = BlindPhases.family(2, 5)
-        g2, p2 = graph_from_json(graph_to_json(g, phases))
-        assert g2 == g
-        assert p2.theta == phases.theta
 
 
 class TestBuildBlindCluster:

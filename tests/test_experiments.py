@@ -18,7 +18,6 @@ from blindsim.experiments import (
     DEUTSCH_ORACLE_ANGLES,
     ExperimentConfig,
     GROVER_TAG_ANGLES,
-    grover_circuit_readout,
     grover_decode,
     instruction_pair_distribution,
     run_blindness,
@@ -36,10 +35,43 @@ from blindsim.blindness import mixedness_check
 from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster
 from blindsim.mbqc import pattern_for
 from blindsim.noise import NoiseParams, apply_noise
-from blindsim.quantum import HADAMARD, DensityMatrix, PureState, fidelity_pure, rx, rz
+from blindsim.quantum import HADAMARD, DensityMatrix, PureState, fidelity_pure, phase_gate, rx, rz
 
 A = Angle8
 PI = math.pi
+
+
+def grover_circuit_state(tag: str) -> PureState:
+    """Independent oracle: the two-qubit Grover circuit before readout.
+
+    Builds oracle-then-mapping gate algebra on |+>|+>: the tagging operation
+    (Rz(a pi) x Rz(b pi)) CPhase followed by
+    (I x H) CPhase (H Rz(-pi/2) x I).
+    """
+    a = 1 - int(tag[1])
+    b = 1 - int(tag[0])
+    plus = PureState.plus().amplitudes
+    cz = np.diag([1.0, 1, 1, -1]).astype(complex)
+    psi = cz @ np.kron(plus, plus)
+    psi = np.kron(phase_gate(a * PI), phase_gate(b * PI)) @ psi
+    psi = np.kron(HADAMARD @ phase_gate(-PI / 2), np.eye(2)) @ psi
+    psi = cz @ psi
+    psi = np.kron(np.eye(2), HADAMARD) @ psi
+    return PureState.from_amplitudes(psi)
+
+
+def grover_circuit_readout(tag: str) -> tuple[int, int]:
+    """Measure the circuit-model output in the |±_i> x |±_i> basis."""
+    psi = grover_circuit_state(tag)
+    for m1 in (0, 1):
+        for m4 in (0, 1):
+            p1, rest = psi.project_delta(1, PI / 2, m1)
+            if rest is None:
+                continue
+            p4, _ = rest.project_delta(1, PI / 2, m4)
+            if p1 * p4 > 1 - 1e-9:
+                return (m1, m4)
+    raise AssertionError("circuit readout is not deterministic")
 
 
 def _noisy_divergences_bits(seed: int, prior: np.ndarray) -> np.ndarray:
@@ -359,6 +391,14 @@ class TestCli:
         assert main(["grover", "--tag", "11", "--out", str(out)]) == 0
         table = json.loads(out.read_text())
         assert table["success_min"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("command", ["grover", "deutsch", "quantumness", "bulk"])
+    def test_ideal_commands_refuse_noise_flags(self, command, capsys):
+        # these runners compute ideal values, so a noise flag would be ignored
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--noisy"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --noisy" in capsys.readouterr().err
 
     def test_csv_output(self, capsys):
         assert main(["deutsch", "--oracle", "balanced", "--csv"]) == 0

@@ -23,16 +23,23 @@ from blindsim.quantum import (
 )
 from blindsim.tomography import (
     CountsTable,
-    born_probabilities,
     exact_counts,
     measurement_rank,
     mle_reconstruct,
     monte_carlo_errors,
     pauli_settings,
+    setting_projectors,
     simulate_counts,
 )
 
 PI = math.pi
+
+
+def born_probabilities(rho: DensityMatrix, setting) -> np.ndarray:
+    """Dense oracle: Tr(Pi_o rho) over the setting's outcome projectors."""
+    projectors = setting_projectors(setting)
+    return np.real(np.einsum("kij,ji->k", projectors, rho.matrix))
+
 
 PIN_NOISE = (
     NoiseParams(),
@@ -238,6 +245,16 @@ class TestMle:
         result = mle_reconstruct(table)
         assert math.isfinite(result.gradient_norm) and result.gradient_norm >= 0.0
         assert json.loads(result.to_json())["gradient_norm"] == result.gradient_norm
+
+    def test_certified_result_is_strict_json(self):
+        # a certified result takes no gradient, and JSON has no NaN
+        result = mle_reconstruct(exact_counts(DensityMatrix.maximally_mixed(1), pauli_settings(1)))
+        assert result.iterations == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert json.loads(result.to_json(), parse_constant=refuse)["gradient_norm"] is None
 
     def test_seed_clipped_eigenvalues_reported(self):
         mixed = mle_reconstruct(exact_counts(DensityMatrix.maximally_mixed(2), pauli_settings(2)))

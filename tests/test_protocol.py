@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from blindsim import protocol
 from blindsim.angles import Angle8
-from blindsim.blindness import holevo_chi
+from blindsim.blindness import holevo_chi, server_view_ensemble
 from blindsim.clusters import BlindPhases, ClusterConfig, linear_family_state
 from blindsim.mbqc import (
     _GRID_BRAS,
@@ -40,7 +40,6 @@ from blindsim.protocol import (
     run_session,
     run_session_tcp,
     server_entangle,
-    server_view_ensemble,
     validate_blind_structure,
 )
 from blindsim.quantum import (

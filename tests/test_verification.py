@@ -17,7 +17,6 @@ from blindsim.verification import (
     distribution_table,
     honest_protocol_round,
     run_quantumness_test,
-    theoretical_distribution,
 )
 
 
@@ -59,12 +58,12 @@ def _distribution_by_branches(n2: int, n3: int, setting: QuantumnessSetting) -> 
 class TestTheoreticalDistribution:
     def test_distributions_normalized(self):
         for n2, n3 in ALIGNED10:
-            probs = theoretical_distribution(n2, n3)
+            probs = distribution_table([(n2, n3)])[0]
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_independent_projector_oracle(self):
         for n2, n3 in [(2, 0), (2, 3), (6, 4), (5, 7)]:
-            engine = theoretical_distribution(n2, n3)
+            engine = distribution_table([(n2, n3)])[0]
             oracle = _distribution_by_projectors(n2, n3)
             np.testing.assert_allclose(engine, oracle, atol=1e-10)
 
@@ -93,14 +92,12 @@ class TestTheoreticalDistribution:
             np.testing.assert_array_equal(distribution_table(states, setting), oracle)
         for n2, n3 in ((2, 3), (5, 7)):
             np.testing.assert_array_equal(
-                theoretical_distribution(n2, n3, setting), _distribution_by_branches(n2, n3, setting)
+                distribution_table([(n2, n3)], setting)[0], _distribution_by_branches(n2, n3, setting)
             )
 
     def test_sign_convention_flag_relabels_qubit1(self):
-        default = theoretical_distribution(2, 3, QuantumnessSetting())
-        flipped = theoretical_distribution(
-            2, 3, QuantumnessSetting(minus_is_zero=False)
-        )
+        default = distribution_table([(2, 3)], QuantumnessSetting())[0]
+        flipped = distribution_table([(2, 3)], QuantumnessSetting(minus_is_zero=False))[0]
         np.testing.assert_allclose(
             default.reshape(2, 8), flipped.reshape(2, 8)[::-1], atol=1e-12
         )
