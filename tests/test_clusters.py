@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from blindsim.angles import Angle8
 from blindsim.clusters import (
     BlindPhases,
+    ClusterConfig,
     GraphSpec,
+    blind_cluster_batch,
     blind_triangle_lc_state,
     build_blind_cluster,
+    family_theta,
     linear_family_state,
     lab_family_state,
     lc_unitary,
@@ -98,6 +101,16 @@ class TestBuildBlindCluster:
             np.testing.assert_allclose(
                 stabilized.amplitudes, psi.amplitudes, atol=1e-10
             )
+
+    @pytest.mark.parametrize("config", list(ClusterConfig))
+    def test_batch_rows_are_single_builds(self, config):
+        # a batch of all 64 family states gives each row bit for bit as the
+        # one-state build, so callers may build a whole sweep in one call
+        states = list(itertools.product(range(8), repeat=2))
+        batch = blind_cluster_batch(config.graph, family_theta(states))
+        for row, (n2, n3) in zip(batch, states):
+            single = build_blind_cluster(config.graph, BlindPhases.family(n2, n3))
+            np.testing.assert_array_equal(row, single.amplitudes)
 
 
 class TestLinearFamily:

@@ -31,7 +31,13 @@ from blindsim.experiments import (
     run_tomography,
     _noisy_outputs,
 )
-from blindsim.blindness import mixedness_check
+from blindsim.blindness import (
+    Ensemble,
+    holevo_chi,
+    maximize_chi_over_priors,
+    mixedness_check,
+    pair_fold,
+)
 from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster
 from blindsim.mbqc import pattern_for
 from blindsim.noise import NoiseParams, apply_noise
@@ -341,6 +347,25 @@ class TestBlindnessExperiment:
             table["noisy"]["chi_maximized_bits"]
             >= table["noisy"]["chi_uniform_bits"] - 1e-9
         )
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_reports_match_per_state_ensembles(self, seed):
+        # oracle: each state built on its own and folded by hand
+        def report(states):
+            folded = pair_fold(Ensemble(states, np.full(8, 1.0 / 8.0)))
+            return json.loads(maximize_chi_over_priors(folded).to_json())
+
+        graph = ClusterConfig.LINEAR_LEFT.graph
+        pure = [build_blind_cluster(graph, BlindPhases.family(2, n)) for n in range(8)]
+        states = [DensityMatrix.from_pure(psi) for psi in pure]
+        rng = np.random.default_rng(seed)
+        noisy = [apply_noise(psi, BLINDNESS_NOISE, rng) for psi in pure]
+        table = run_blindness(ExperimentConfig("blindness", seed=seed, noise=BLINDNESS_NOISE))
+        assert table["ideal"] == report(states)
+        assert table["r_broken_chi_uniform_bits"] == holevo_chi(
+            Ensemble(states, np.full(8, 1.0 / 8.0))
+        )
+        assert table["noisy"] == report(noisy)
 
 
 class TestTomographyExperiment:

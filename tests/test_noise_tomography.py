@@ -181,6 +181,20 @@ class TestCounts:
                 table.counts[k], born_probabilities(rho, setting), atol=1e-12
             )
 
+    @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(0.8, 0.7, 0.1)])
+    def test_noisy_draws_match_the_dense_loop(self, noise):
+        # the one model evaluation draws the same counts as one dense Born
+        # evaluation and Poisson draw per setting, in setting order
+        rho = apply_noise(lab_family_state(2, 3), noise)
+        settings = pauli_settings(4)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            expected = np.array(
+                [rng.poisson(10_000 * np.clip(born_probabilities(rho, s), 0.0, None)) for s in settings]
+            )
+            table = simulate_counts(rho, settings, 10_000, np.random.default_rng(seed))
+            np.testing.assert_array_equal(table.counts, expected)
+
     def test_poisson_scale(self):
         rho = DensityMatrix.maximally_mixed(1)
         rng = np.random.default_rng(42)
