@@ -5,9 +5,9 @@
     blindsim serve  --listen ADDR [--seed N]
     blindsim client --connect ADDR [--config NAME] [--theta n2,n3] [--seed N]
 
-Every experiment prints a JSON table (or CSV with --csv where available) and
-exits 0 when its acceptance checks pass, 2 otherwise.  The seed falls back to
-the BLINDSIM_SEED environment variable.
+Every experiment prints a JSON table (grover, deutsch and bulk print CSV with
+--csv) and exits 0 when its acceptance checks pass, 2 otherwise.  The seed
+falls back to the BLINDSIM_SEED environment variable.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .angles import Angle8
-from .clusters import ClusterConfig
+from .clusters import BlindPhases, ClusterConfig
 from .experiments import (
     BLINDNESS_NOISE,
     ExperimentConfig,
@@ -46,6 +46,17 @@ NOISY_GAP_BITS = 1e-6
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     return (host or "127.0.0.1", int(port))
+
+
+def _theta_pair(text: str) -> tuple[int, int]:
+    """`n2,n3`: two hiding phases on the 0-7 grid of eighths of pi."""
+    try:
+        n2, n3 = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected n2,n3, got {text!r}") from None
+    if not (0 <= n2 <= 7 and 0 <= n3 <= 7):
+        raise argparse.ArgumentTypeError(f"n2 and n3 must lie in 0..7, got {text!r}")
+    return n2, n3
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -84,10 +95,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="blindsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, noisy: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, noisy: bool = False, csv: bool = False) -> None:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="write the table to a file")
-        p.add_argument("--csv", action="store_true")
+        if csv:  # only the commands that have a CSV form of their table
+            p.add_argument("--csv", action="store_true")
         if noisy:  # only the commands whose runners apply the noise model
             p.add_argument("--noisy", action="store_true", help="add the noise model")
             p.add_argument("--bell-visibility", type=float, default=0.9)
@@ -96,12 +108,12 @@ def main(argv: list[str] | None = None) -> int:
 
     for name in ("fig3c", "fig3d", "blindness"):
         common(sub.add_parser(name), noisy=True)
-    common(sub.add_parser("bulk"))
+    common(sub.add_parser("bulk"), csv=True)
     p = sub.add_parser("grover")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--tag", choices=sorted(GROVER_TAG_ANGLES), default="01")
     p = sub.add_parser("deutsch")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--oracle", choices=("constant", "balanced"), default="constant")
     p = sub.add_parser("quantumness")
     common(p)
@@ -118,10 +130,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--connect", required=True, metavar="ADDR")
     p.add_argument("--config", default="horseshoe",
                    choices=[c.value for c in ClusterConfig])
-    p.add_argument("--theta", default=None, metavar="n2,n3")
+    p.add_argument("--theta", type=_theta_pair, default=None, metavar="n2,n3")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--csv", action="store_true")
 
     args = parser.parse_args(argv)
     seed = _seed(args)
@@ -146,12 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         phi = {q: Angle8(0) for q in config.measure_order}
         secrets = ClientSecrets.random(config, phi, rng)
         if args.theta is not None:
-            n2, n3 = (int(x) for x in args.theta.split(","))
-            from .clusters import BlindPhases
-
-            secrets = ClientSecrets(
-                config, BlindPhases.family(n2, n3), secrets.r, phi
-            )
+            secrets = ClientSecrets(config, BlindPhases.family(*args.theta), secrets.r, phi)
         transcript, result = run_session_tcp(secrets, _parse_address(args.connect))
         table = {
             "config": config.value,

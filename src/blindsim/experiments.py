@@ -504,13 +504,11 @@ def run_tomography(
     """Reconstruct the (2,3) laboratory-basis state from noisy counts."""
     from .clusters import lab_family_state
 
-    config = config or ExperimentConfig(
-        "tomography", noise=NoiseParams()
-    )
-    noise = config.noise or NoiseParams()
+    config = config or ExperimentConfig("tomography")
+    config = replace(config, noise=config.noise or NoiseParams())  # echo the noise applied
     rng = np.random.default_rng(config.seed)
     target = lab_family_state(2, 3)
-    rho_true = apply_noise(target, noise)
+    rho_true = apply_noise(target, config.noise)
     settings = pauli_settings(4)
     table_counts = simulate_counts(rho_true, settings, mean_total, rng)
     result = mle_reconstruct(table_counts, target=target)

@@ -24,6 +24,10 @@ at once.  Dependency sets are linear maps over GF(2): as 0/1 matrices over
 step columns, the X and Z parities of every branch of the whole tree are
 two integer matrix products, so every branch's instruction on the integer
 pi/4 grid is known before the first projection.
+
+A pattern's plan holds what the engine derives from it alone: step qubits,
+r columns, dependency matrices, reshapes and output correction.  It is built
+on first use and assumes, as `__post_init__` does, unmutated mappings.
 `enumerate_branches`, `enumerate_adaptive` and `run_adaptive` are its
 batch-of-one front ends.
 """
@@ -32,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -123,6 +127,15 @@ class MeasurementPattern:
             if step.qubit == qubit:
                 return step
         raise KeyError(qubit)
+
+    # built on first use and kept; not fields, so ==, repr and `replace` ignore them
+    @functools.cached_property
+    def _plan(self) -> _Plan:
+        return _make_plan(self)
+
+    @functools.cached_property
+    def _correction(self) -> _Correction:
+        return _make_correction(self)
 
 
 def adapt_angle(
@@ -299,17 +312,76 @@ def _branch_bits(k: int) -> np.ndarray:
     return bits
 
 
-def _dependency_matrix(
-    steps: tuple[MeasurementStep, ...], sets: list[frozenset[int]]
-) -> np.ndarray:
-    """(k, len(sets)) 0/1 matrix over GF(2): entry [j, c] is 1 when step j's
-    qubit is in sets[c], so interpreted bits times it, mod 2, are parities."""
-    rows = [[step.qubit in deps for deps in sets] for step in steps]
-    return np.array(rows, dtype=np.int64).reshape(len(steps), len(sets))
+class _Plan(NamedTuple):
+    """Everything the engine derives from a pattern alone; arrays read-only."""
+
+    qubits: tuple[int, ...]  # measured qubit of each step
+    masked: np.ndarray       # the equatorial steps, whose outcomes r masks
+    r_cols: np.ndarray       # their qubits' columns in a (B, n) r array
+    pauli: np.ndarray        # (k,) True on Pauli steps
+    bras: tuple[np.ndarray | None, ...]  # each Pauli step's bras, None if equatorial
+    deps: np.ndarray         # (k, 2k) X | Z dependency sets of the steps
+    phi: np.ndarray          # (k,) target eighths
+    theta_cols: np.ndarray   # each step's column in a (B, n) theta array
+    left: tuple[int, ...]    # 2^(unmeasured qubits before each step's qubit)
+    out_deps: np.ndarray     # (k, 2 outputs) X | Z dependency sets of the outputs
+    out_cols: np.ndarray     # the outputs' columns in a (B, n) theta array
+    correction: _Correction
+
+
+class _Correction(NamedTuple):
+    """A plan's output correction, apart: a session corrects one output."""
+
+    outputs: tuple[int, ...]   # ascending
+    frames: np.ndarray | None  # (outputs, 2, 2) frame gates, None without a frame
+    unwind: np.ndarray | None  # (outputs,) True where theta is unwound, None without
+    spec: str                  # the einsum that applies one 2x2 gate to each output
+
+
+def _make_plan(pattern: MeasurementPattern) -> _Plan:
+    steps, correction = pattern.steps, pattern._correction
+    k, qubits, outputs = len(steps), tuple(s.qubit for s in steps), correction.outputs
+    masked = [i for i, s in enumerate(steps) if s.pauli_override is None]
+    sets = [s.x_deps for s in steps] + [s.z_deps for s in steps]
+    sets += [pattern.output_x_deps.get(q, frozenset()) for q in outputs]
+    sets += [pattern.output_z_deps.get(q, frozenset()) for q in outputs]
+    deps = np.array([q in d for q in qubits for d in sets], dtype=np.int64).reshape(k, len(sets))
+    plan = _Plan(
+        qubits=qubits,
+        masked=np.array(masked, dtype=np.intp),
+        r_cols=np.array([qubits[i] - 1 for i in masked], dtype=np.intp),
+        pauli=np.array([s.pauli_override is not None for s in steps], dtype=bool),
+        bras=tuple(_PAULI_BRAS.get(s.pauli_override) for s in steps),
+        deps=deps[:, : 2 * k],
+        phi=np.array([s.phi.eighths for s in steps], dtype=np.int64),
+        theta_cols=np.array([q - 1 for q in qubits], dtype=np.intp),
+        left=tuple(2 ** (q - 1 - sum(p < q for p in qubits[:i])) for i, q in enumerate(qubits)),
+        out_deps=deps[:, 2 * k :],
+        out_cols=np.array([q - 1 for q in outputs], dtype=np.intp),
+        correction=correction,
+    )
+    for value in plan:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return plan
+
+
+def _make_correction(pattern: MeasurementPattern) -> _Correction:
+    outputs = tuple(sorted(pattern.outputs))
+    frames = unwind = None
+    if pattern.frame:
+        frames = np.array([_FRAME_GATES.get(pattern.frame.get(q), _NO_FRAME) for q in outputs])
+        frames.setflags(write=False)
+    if pattern.theta_unwind:
+        unwind = np.array([q in pattern.theta_unwind for q in outputs])
+        unwind.setflags(write=False)
+    rows, cols = "acegikoqsuwy"[: len(outputs)], "dfhjlnprtvxz"[: len(outputs)]
+    spec = ",".join(f"...{a}{c}" for a, c in zip(rows, cols)) + f",...{cols}->...{rows}"
+    return _Correction(outputs, frames, unwind, spec)
 
 
 def _instruction_table(
-    steps: tuple[MeasurementStep, ...],
+    plan: _Plan,
     interp: np.ndarray,
     rmask: np.ndarray,
     theta: np.ndarray | None,
@@ -324,22 +396,19 @@ def _instruction_table(
     the instruction is `adapt_angle`'s (-1)^{x parity} phi + theta +
     pi (r xor z parity).  Fixed `deltas` give one row for every branch.
     """
-    k = len(steps)
-    pauli = [s.pauli_override is not None for s in steps]
+    k = len(plan.qubits)
     table = np.empty(interp.shape, dtype=np.int64)
     if deltas is not None:
-        for i, step in enumerate(steps):
-            if not pauli[i] and deltas.get(step.qubit) is None:
-                raise ValueError(f"no instruction for qubit {step.qubit}")
-            table[..., i] = -1 if pauli[i] else deltas[step.qubit].eighths
+        for i, q in enumerate(plan.qubits):
+            if not plan.pauli[i] and deltas.get(q) is None:
+                raise ValueError(f"no instruction for qubit {q}")
+            table[..., i] = -1 if plan.pauli[i] else deltas[q].eighths
         return table
-    deps = _dependency_matrix(steps, [s.x_deps for s in steps] + [s.z_deps for s in steps])
-    parity = interp @ deps & 1
-    phi = np.array([s.phi.eighths for s in steps], dtype=np.int64)
-    hiding = np.asarray(theta)[:, None, [s.qubit - 1 for s in steps]]
+    parity = interp @ plan.deps & 1
+    hiding = np.asarray(theta)[:, None, plan.theta_cols]
     flip = 1 - 2 * parity[..., :k]
-    np.remainder(phi * flip + hiding + 4 * (rmask[:, None, :] ^ parity[..., k:]), 8, out=table)
-    table[..., pauli] = -1
+    np.remainder(plan.phi * flip + hiding + 4 * (rmask[:, None, :] ^ parity[..., k:]), 8, out=table)
+    table[..., plan.pauli] = -1
     return table
 
 
@@ -388,8 +457,8 @@ def _measure_batch(
     outcomes are not reinterpreted.  With `rng`, each batch element follows
     one sampled branch instead of all of them.
     """
-    steps = pattern.steps
-    n, k = pattern.num_qubits, len(pattern.steps)
+    plan = pattern._plan
+    n, k = pattern.num_qubits, len(plan.qubits)
     psi = np.asarray(amplitudes, dtype=complex)
     batch = psi.shape[0]
     if psi.shape != (batch, 2**n):
@@ -397,15 +466,13 @@ def _measure_batch(
     adaptive = deltas is None
     if adaptive and theta is None:
         raise ValueError("adaptive instructions need the hiding phases")
-    qubits = tuple(s.qubit for s in steps)
     # the mask each step's outcome is interpreted through
     rmask = np.zeros((batch, k), dtype=np.int64)
     if adaptive and r is not None:
-        masked = [i for i, s in enumerate(steps) if s.pauli_override is None]
-        rmask[:, masked] = np.asarray(r)[:, [qubits[i] - 1 for i in masked]]
+        rmask[:, plan.masked] = np.asarray(r)[:, plan.r_cols]
     # (B, 2^k, k): every branch's interpreted outcomes and instructed eighths
     interp = _branch_bits(k) ^ rmask[:, None, :]
-    table = _instruction_table(steps, interp, rmask, theta, deltas)
+    table = _instruction_table(plan, interp, rmask, theta, deltas)
     psi = psi.reshape(batch, 1, -1)
     prob = np.ones((batch, 1))
     sampled = rng is not None
@@ -413,17 +480,12 @@ def _measure_batch(
         rows = np.arange(batch)[:, None]
         index = np.zeros((1, 1), dtype=np.int64)  # the sampled branch's number so far
         mass = np.ones(batch)  # product of each step's total probability
-    remaining = list(range(1, n + 1))
-    for i, step in enumerate(steps):
-        q = step.qubit
-        if step.pauli_override is not None:
-            bras = _PAULI_BRAS[step.pauli_override]
-        elif sampled:
+    for i, (left, bras) in enumerate(zip(plan.left, plan.bras)):
+        if bras is None and sampled:
             bras = _GRID_BRAS[table[rows, index << (k - i), i]]
-        else:
+        elif bras is None:
             # the 2^(k-i) leaves below each current branch share its instruction
             bras = _GRID_BRAS[table[:, :: 2 ** (k - i), i]]
-        left = 2 ** remaining.index(q)
         branches = psi.shape[1]
         psi = np.einsum(
             "...kc,...lcr->...klr", bras, psi.reshape(batch, branches, left, 2, -1), order="C"
@@ -432,7 +494,7 @@ def _measure_batch(
         flat = psi.view(np.float64)  # real and imaginary parts side by side
         p = np.einsum("...i,...i->...", flat, flat)
         # a pruned branch has a zero state, so its children get probability 0
-        prob = np.repeat(prob, 2, axis=1) * p
+        prob = (prob[:, :, None] * p.reshape(batch, -1, 2)).reshape(batch, -1)
         live = p >= IMPOSSIBLE_BRANCH
         psi = psi * (live / np.sqrt(np.maximum(p, IMPOSSIBLE_BRANCH)))[..., None]
         if sampled:
@@ -443,7 +505,6 @@ def _measure_batch(
                 raise RuntimeError("sampled an impossible branch")
             psi, prob, live = psi[picked][:, None], prob[picked][:, None], live[picked][:, None]
             index = 2 * index + pick[:, None]
-        remaining.remove(q)
     total = mass if sampled else prob.sum(axis=1)
     if not np.all(np.abs(total - 1.0) <= NORM_TOL):  # written so that NaN fails
         raise ValueError(f"branch probabilities sum to {total} instead of 1")
@@ -455,56 +516,42 @@ def _measure_batch(
     outcomes = interpreted ^ rmask[:, None, :]
     corrected = None
     if pattern.outputs and (theta is not None or not pattern.theta_unwind):
-        outputs = sorted(pattern.outputs)
-        sets = [pattern.output_x_deps.get(q, frozenset()) for q in outputs]
-        sets += [pattern.output_z_deps.get(q, frozenset()) for q in outputs]
-        parity = interpreted @ _dependency_matrix(steps, sets) & 1  # (B, M, 2 outputs)
-        unwind = None if theta is None else np.asarray(theta)[:, [q - 1 for q in outputs]]
-        width = len(outputs)
-        corrected = _correct(pattern, psi, parity[..., :width], parity[..., width:], unwind)
-    result = _Branches(qubits, outcomes, interpreted, instructed, prob, live, psi, corrected)
-    for value in vars(result).values():
-        if isinstance(value, np.ndarray):
+        parity = interpreted @ plan.out_deps & 1
+        unwind = None if theta is None else np.asarray(theta)[:, plan.out_cols]
+        corrected = _correct(plan.correction, psi, parity, unwind)
+    for value in (outcomes, interpreted, instructed, prob, live, psi, corrected):
+        if value is not None:
             value.setflags(write=False)
-    return result
+    return _Branches(plan.qubits, outcomes, interpreted, instructed, prob, live, psi, corrected)
 
 
 def _correct(
-    pattern: MeasurementPattern,
+    correction: _Correction,
     out: np.ndarray,
-    x_par: np.ndarray,
-    z_par: np.ndarray,
+    parity: np.ndarray,
     theta: np.ndarray | None,
 ) -> np.ndarray:
     """Theta unwind, Pauli byproducts and Clifford frame on a batch.
 
-    `out` is (B, M, 2^outputs); `x_par` and `z_par` are (B, M, outputs) and
-    `theta` (B, outputs) eighths, outputs in ascending order.  Each output
+    `out` is (B, M, 2^outputs), `parity` (B, M, 2 outputs) the X then the Z
+    parities and `theta` (B, outputs) eighths, outputs ascending.  Each output
     gets one 2x2 gate per branch, frame . Z^z X^x . Rz(-theta), and one
     einsum applies them all.
     """
-    outputs = sorted(pattern.outputs)
     batch, branches = out.shape[:2]
-    gates = _BYPRODUCTS[2 * x_par + z_par]  # (B, M, outputs, 2, 2)
-    if pattern.frame:
-        frames = np.array([_FRAME_GATES.get(pattern.frame.get(q), _NO_FRAME) for q in outputs])
-        gates = frames @ gates
-    if pattern.theta_unwind:
+    width = len(correction.outputs)
+    gates = _BYPRODUCTS[2 * parity[..., :width] + parity[..., width:]]  # (B, M, outputs, 2, 2)
+    if correction.frames is not None:
+        gates = correction.frames @ gates
+    if correction.unwind is not None:
         if theta is None:
             raise ValueError("theta unwind requires the hiding phases")
-        half = np.where([q in pattern.theta_unwind for q in outputs], theta, 0) * (math.pi / 8.0)
+        half = np.where(correction.unwind, theta, 0) * (math.pi / 8.0)
         unwind = np.stack([np.exp(1j * half), np.exp(-1j * half)], axis=-1)  # diagonal of Rz(-theta)
         gates = gates * unwind[:, None, :, None, :]
-    t = out.reshape((batch, branches) + (2,) * len(outputs))
-    operands = [gates[..., i, :, :] for i in range(len(outputs))]
-    return np.einsum(_correct_spec(len(outputs)), *operands, t).reshape(batch, branches, -1)
-
-
-@functools.lru_cache(maxsize=None)
-def _correct_spec(count: int) -> str:
-    """The einsum spec that applies one 2x2 gate to each of `count` outputs."""
-    rows, cols = "acegikoqsuwy"[:count], "dfhjlnprtvxz"[:count]
-    return ",".join(f"...{a}{c}" for a, c in zip(rows, cols)) + f",...{cols}->...{rows}"
+    t = out.reshape((batch, branches) + (2,) * width)
+    operands = [gates[..., i, :, :] for i in range(width)]
+    return np.einsum(correction.spec, *operands, t).reshape(batch, branches, -1)
 
 
 def correct_output(
@@ -522,20 +569,13 @@ def correct_output(
         )
     if not pattern.corrects_outputs:
         return raw_output
-
-    def parities(deps: Mapping[int, frozenset[int]]) -> np.ndarray:
-        return np.array([[[sum(interpreted[d] for d in deps.get(q, ())) % 2 for q in outputs]]])
-
+    sets = (pattern.output_x_deps, pattern.output_z_deps)
+    parity = [sum(interpreted[d] for d in deps.get(q, ())) % 2 for deps in sets for q in outputs]
     theta = None
     if phases is not None:
         theta = np.array([[phases[q].eighths if q in pattern.theta_unwind else 0 for q in outputs]])
-    out = _correct(
-        pattern,
-        raw_output.amplitudes.reshape(1, 1, -1),
-        parities(pattern.output_x_deps),
-        parities(pattern.output_z_deps),
-        theta,
-    )
+    amplitudes = raw_output.amplitudes.reshape(1, 1, -1)
+    out = _correct(pattern._correction, amplitudes, np.array([[parity]]), theta)
     return PureState._trusted(out.reshape(-1))
 
 

@@ -1,6 +1,7 @@
 """The batched measurement engine against the recursive branch walk it
 replaced, batch consistency, read-only outputs, validation at the trust
 boundary, and an exhaustive determinism scan of every pattern."""
+import dataclasses
 import hashlib
 import itertools
 
@@ -386,6 +387,66 @@ class TestInstructionTable:
         assert digest.hexdigest() == (
             "9d2ceb5b752a9b2b39cdc7e05f09a0efb92a7eb09f0c08e1ed603aff9493b43b"
         )
+
+
+class TestPlan:
+    """What the engine derives from a pattern alone is built once per pattern
+    and kept on it, outside the dataclass fields."""
+
+    def _run(self, pattern):
+        rng = np.random.default_rng(0)
+        theta = rng.integers(0, 8, size=(5, 4))
+        r = rng.integers(0, 2, size=(5, 4))
+        return _measure_batch(pattern, blind_cluster_batch(pattern.config.graph, theta), theta, r)
+
+    def test_built_once_per_pattern(self):
+        pattern = pattern_for(ClusterConfig.LINEAR_RIGHT, phi={2: A(1), 3: A(6)}, input_prep="X")
+        assert pattern._plan is pattern._plan
+        self._run(pattern)
+        assert pattern._plan is pattern._plan
+
+    def test_replace_gets_a_fresh_plan(self):
+        config, prep = ClusterConfig.LINEAR_LEFT, A(3)
+        pattern = pattern_for(config, phi={3: A(1), 2: A(6)}, input_prep=prep)
+        before = self._run(pattern)
+        steps = pattern_for(config, phi={3: A(5), 2: A(2)}, input_prep=prep).steps
+        swapped = dataclasses.replace(pattern, steps=steps)
+        assert swapped._plan is not pattern._plan
+        after = self._run(swapped)
+        fresh = self._run(pattern_for(config, phi={3: A(5), 2: A(2)}, input_prep=prep))
+        assert not np.array_equal(after.deltas, before.deltas)
+        for name, value in vars(fresh).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(after, name).tobytes() == value.tobytes(), name
+
+    def test_equality_and_repr_ignore_the_plan(self):
+        phi = {2: A(3), 3: A(7)}
+        built = pattern_for(ClusterConfig.HORSESHOE, phi=phi)
+        bare = pattern_for(ClusterConfig.HORSESHOE, phi=phi)
+        self._run(built)
+        assert "_plan" in vars(built) and "_plan" not in vars(bare)
+        assert built == bare and bare == built
+        assert repr(built) == repr(bare)
+        assert "_plan" not in {f.name for f in dataclasses.fields(built)}
+
+    def test_correct_output_builds_only_the_correction(self):
+        # a session corrects one output, so it builds no more of the plan
+        pattern = pattern_for(ClusterConfig.ROTATED_HORSESHOE, phi={1: A(3), 4: A(5)})
+        raw = PureState.from_amplitudes(np.full(4, 0.5))
+        correct_output(pattern, {1: 1, 4: 0}, raw, BlindPhases.family(2, 3))
+        assert "_correction" in vars(pattern) and "_plan" not in vars(pattern)
+        assert pattern._plan.correction is pattern._correction
+
+    @pytest.mark.parametrize("config", list(ClusterConfig), ids=lambda c: c.value)
+    def test_plan_arrays_are_read_only(self, config):
+        plan = pattern_for(config, input_prep="Y" if _linear(config) else "Z")._plan
+        arrays = [v for v in (*plan, *plan.correction) if isinstance(v, np.ndarray)]
+        arrays += [bras for bras in plan.bras if bras is not None]
+        assert len(arrays) >= 8
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
 
 
 class TestCorrectOutput:

@@ -425,6 +425,31 @@ class TestCli:
         assert refused.value.code == 2
         assert "unrecognized arguments: --noisy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig3c"], ["fig3d"], ["blindness"], ["quantumness"], ["tomography"],
+         ["client", "--connect", "127.0.0.1:9"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_without_a_csv_form_refuse_csv(self, argv, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main([*argv, "--csv"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["2", "a,b", "9,0"])
+    def test_client_refuses_a_theta_off_the_grid(self, theta, capsys):
+        # a usage error before any connection is tried
+        with pytest.raises(SystemExit) as refused:
+            main(["client", "--connect", "127.0.0.1:9", "--theta", theta])
+        assert refused.value.code == 2
+        assert "argument --theta" in capsys.readouterr().err
+
+    def test_tomography_echoes_the_noise_it_applies(self, capsys):
+        assert main(["tomography", "--seed", "0", "--mc-trials", "1"]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert table["config"]["noise"]["bell_visibility"] == 0.9
+
     def test_csv_output(self, capsys):
         assert main(["deutsch", "--oracle", "balanced", "--csv"]) == 0
         captured = capsys.readouterr().out
