@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-_TAU = 2.0 * math.pi
-
-
 @dataclass(frozen=True, order=True)
 class Angle8:
     """An angle n * pi/4 with n in {0, ..., 7}; arithmetic is mod 8."""
@@ -22,18 +19,6 @@ class Angle8:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eighths", self.eighths % 8)
-
-    @classmethod
-    def from_radians(cls, value: float, tol: float = 1e-9) -> "Angle8":
-        """Convert an exact grid multiple of pi/4 to its Angle8.
-
-        Raises ValueError if `value` is farther than `tol` from the grid.
-        """
-        n = value / (math.pi / 4.0)
-        rounded = round(n)
-        if abs(n - rounded) > tol:
-            raise ValueError(f"{value} is not a multiple of pi/4")
-        return cls(int(rounded))
 
     @property
     def radians(self) -> float:
@@ -63,8 +48,3 @@ class Angle8:
     def __repr__(self) -> str:
         return f"Angle8({self.eighths})"
 
-
-ZERO = Angle8(0)
-PI_HALF = Angle8(2)
-PI = Angle8(4)
-MINUS_PI_HALF = Angle8(6)

@@ -6,16 +6,19 @@
     blindsim client --connect ADDR [--config NAME] [--theta n2,n3] [--seed N]
 
 Every experiment prints a JSON table (grover, deutsch and bulk print CSV with
---csv) and exits 0 when its acceptance checks pass, 2 otherwise.  The seed
-falls back to the BLINDSIM_SEED environment variable.
+--csv), prints `check failed: KEY` on stderr for each acceptance check that
+fails (KEY is the table key it reads) and exits 2 if any failed, else 0.  Bad
+flag values are usage errors (exit 2).  BLINDSIM_SEED is the default seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -59,6 +62,26 @@ def _theta_pair(text: str) -> tuple[int, int]:
     return n2, n3
 
 
+def _flag(convert: Callable[[str], float], ok: Callable[[float], bool], wording: str):
+    """An argparse type: the text `convert`ed, refused unless `ok` holds."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wording}, got {text!r}")
+        return value
+
+    return parse
+
+
+_AT_LEAST_ONE = _flag(int, lambda n: n >= 1, "an integer >= 1")
+_NONNEGATIVE = _flag(int, lambda n: n >= 0, "an integer >= 0")
+_POSITIVE = _flag(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+
+
 def _seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
@@ -75,9 +98,9 @@ def _noise(args: argparse.Namespace) -> NoiseParams | None:
     )
 
 
-def _emit(args: argparse.Namespace, table: dict, csv_text: str | None = None) -> None:
-    if getattr(args, "csv", False) and csv_text is not None:
-        text = csv_text
+def _emit(args: argparse.Namespace, table: dict, csv_columns: list[str] | None = None) -> None:
+    if getattr(args, "csv", False) and csv_columns is not None:
+        text = rows_to_csv(table["rows"], csv_columns)
     else:
         text = json.dumps(table, indent=2, default=str)
     if args.out:
@@ -89,6 +112,17 @@ def _emit(args: argparse.Namespace, table: dict, csv_text: str | None = None) ->
 
 def _close(value: float, target: float, tol: float = 1e-9) -> bool:
     return abs(value - target) <= tol
+
+
+def _figure_checks(t: dict) -> dict[str, bool]:
+    return {
+        "average_linear_entropy": _close(t["average_linear_entropy"], 1.0),
+        "rows.fidelity_to_target": all(_close(r["fidelity_to_target"], 1.0) for r in t["rows"]),
+    }
+
+
+def _success_checks(t: dict) -> dict[str, bool]:
+    return {"success_min": t["success_min"] >= 1.0 - 1e-9}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,12 +151,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--oracle", choices=("constant", "balanced"), default="constant")
     p = sub.add_parser("quantumness")
     common(p)
-    p.add_argument("--rounds", type=int, default=10_000)
-    p.add_argument("--stub-trials", type=int, default=0)
+    p.add_argument("--rounds", type=_AT_LEAST_ONE, default=10_000)
+    p.add_argument("--stub-trials", type=_NONNEGATIVE, default=0)
     p = sub.add_parser("tomography")
     common(p, noisy=True)
-    p.add_argument("--mean-total", type=float, default=10_000.0)
-    p.add_argument("--mc-trials", type=int, default=25)
+    p.add_argument("--mean-total", type=_POSITIVE, default=10_000.0)
+    p.add_argument("--mc-trials", type=_AT_LEAST_ONE, default=25)
     p = sub.add_parser("serve")
     p.add_argument("--listen", required=True, metavar="ADDR")
     p.add_argument("--seed", type=int, default=None)
@@ -169,66 +203,60 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, table)
         return PASS
 
-    config = ExperimentConfig(args.command, seed=seed, noise=_noise(args))
-    if args.command == "fig3c":
-        table = run_fig3c(config)
-        ok = _close(table["average_linear_entropy"], 1.0) and all(
-            _close(r["fidelity_to_target"], 1.0) for r in table["rows"]
-        )
-        _emit(args, table)
-    elif args.command == "fig3d":
-        table = run_fig3d(config)
-        ok = _close(table["average_linear_entropy"], 1.0) and all(
-            _close(r["fidelity_to_target"], 1.0) for r in table["rows"]
-        )
-        _emit(args, table)
-    elif args.command == "grover":
-        table = run_grover(args.tag, config)
-        ok = table["success_min"] >= 1.0 - 1e-9
-        csv_text = rows_to_csv(table["rows"], ["n2", "n3", "success_probability"])
-        _emit(args, table, csv_text)
-    elif args.command == "deutsch":
-        table = run_deutsch(args.oracle, config)
-        ok = table["success_min"] >= 1.0 - 1e-9
-        csv_text = rows_to_csv(table["rows"], ["n2", "n3", "success_probability"])
-        _emit(args, table, csv_text)
-    elif args.command == "quantumness":
-        table = run_quantumness(config, rounds=args.rounds, stub_trials=args.stub_trials)
-        ok = table["honest"]["verdict"] == "quantum-consistent"
-        ok = ok and table["classical_guess_risk"] >= 0.125 - 1e-12
-        if args.stub_trials:
-            ok = ok and table["stub_rejection_rate"] >= 0.95
-        _emit(args, table)
-    elif args.command == "tomography":
-        table = run_tomography(config, mean_total=args.mean_total, mc_trials=args.mc_trials)
-        ok = (
-            table["converged"]
-            and abs(table["fidelity_to_ideal"] - table["true_fidelity"]) < 0.05
-        )
-        _emit(args, table)
-    elif args.command == "blindness":
-        if config.noise is None:
-            config = replace(config, noise=BLINDNESS_NOISE)
-        table = run_blindness(config)
-        ok = (
-            _close(table["ideal"]["chi_uniform_bits"], 0.0)
-            and _close(table["ideal"]["chi_maximized_bits"], 0.0)
-            and _close(table["r_broken_chi_uniform_bits"], 1.0, tol=1e-6)
-            and table["noisy"]["converged"]
-            and table["noisy"]["duality_gap_bits"] <= NOISY_GAP_BITS
-        )
-        _emit(args, table)
-    elif args.command == "bulk":
-        table = run_bulk_branches(config)
-        ok = table["row_count"] > 0
-        csv_text = rows_to_csv(
-            table["rows"], ["setting", "n2", "n3", "outcome", "probability"]
-        )
-        _emit(args, table, csv_text)
-    else:  # pragma: no cover
-        parser.error(f"unhandled command {args.command}")
-        return FAIL
-    return PASS if ok else FAIL
+    try:
+        noise = _noise(args)
+    except ValueError as exc:  # a noise flag out of its range
+        parser.error(str(exc))
+    config = ExperimentConfig(args.command, seed=seed, noise=noise)
+    branch_columns = ["n2", "n3", "success_probability"]
+    # command -> (runner call, CSV columns or None, checks: table -> {key read:
+    # passed}).  Built here, so a runner patched on this module is the one run.
+    commands = {
+        "fig3c": (lambda: run_fig3c(config), None, _figure_checks),
+        "fig3d": (lambda: run_fig3d(config), None, _figure_checks),
+        "grover": (lambda: run_grover(args.tag, config), branch_columns, _success_checks),
+        "deutsch": (lambda: run_deutsch(args.oracle, config), branch_columns, _success_checks),
+        "quantumness": (
+            lambda: run_quantumness(config, rounds=args.rounds, stub_trials=args.stub_trials),
+            None,
+            lambda t: {
+                "honest.verdict": t["honest"]["verdict"] == "quantum-consistent",
+                "classical_guess_risk": t["classical_guess_risk"] >= 0.125 - 1e-12,
+                "stub_rejection_rate": not args.stub_trials or t["stub_rejection_rate"] >= 0.95,
+            },
+        ),
+        "tomography": (
+            lambda: run_tomography(config, mean_total=args.mean_total, mc_trials=args.mc_trials),
+            None,
+            lambda t: {
+                "converged": t["converged"],
+                "fidelity_to_ideal": abs(t["fidelity_to_ideal"] - t["true_fidelity"]) < 0.05,
+            },
+        ),
+        "blindness": (
+            lambda: run_blindness(replace(config, noise=config.noise or BLINDNESS_NOISE)),
+            None,
+            lambda t: {
+                "ideal.chi_uniform_bits": _close(t["ideal"]["chi_uniform_bits"], 0.0),
+                "ideal.chi_maximized_bits": _close(t["ideal"]["chi_maximized_bits"], 0.0),
+                "r_broken_chi_uniform_bits": _close(t["r_broken_chi_uniform_bits"], 1.0, 1e-6),
+                "noisy.converged": t["noisy"]["converged"],
+                "noisy.duality_gap_bits": t["noisy"]["duality_gap_bits"] <= NOISY_GAP_BITS,
+            },
+        ),
+        "bulk": (
+            lambda: run_bulk_branches(config),
+            ["setting", "n2", "n3", "outcome", "probability"],
+            lambda t: {"row_count": t["row_count"] > 0},
+        ),
+    }
+    run, columns, checks = commands[args.command]
+    table = run()
+    _emit(args, table, columns)
+    failed = [name for name, passed in checks(table).items() if not passed]
+    for name in failed:
+        print(f"check failed: {name}", file=sys.stderr)
+    return FAIL if failed else PASS
 
 
 if __name__ == "__main__":

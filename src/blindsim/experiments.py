@@ -1,7 +1,7 @@
 """End-to-end demonstrations, each emitting a machine-readable table.
 
-Every runner echoes its configuration (seed, noise, theta selection) in the
-returned table so results are auditable, and every randomized step is
+Every runner echoes its configuration (seed, noise) in the returned table
+so results are auditable, and every randomized step is
 reproducible bit-for-bit from the seed.  Values measured on a real apparatus
 are annotated as references only; the exact simulator reproduces ideal
 values.
@@ -51,9 +51,11 @@ from .tomography import (
     simulate_counts,
 )
 from .verification import (
+    ALIGNED10,
     SWEEP8,
     classical_guess_risk,
     classical_stub_round,
+    distribution_table,
     honest_protocol_round,
     standard_test_setting,
     run_quantumness_test,
@@ -70,6 +72,7 @@ EXPERIMENT_NAMES = (
     "quantumness",
     "tomography",
     "blindness",
+    "bulk",
 )
 
 # Grover tag -> (phi_2, phi_3); readout angles on qubits 1 and 4 are pi/2.
@@ -115,19 +118,16 @@ REPORTED_VALUES = {
 class ExperimentConfig:
     name: str
     seed: int = 0
-    theta_selection: str = "sweep8"
     noise: NoiseParams | None = None
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in EXPERIMENT_NAMES + ("serve", "client", "bulk"):
+        if self.name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.name!r}")
 
     def echo(self) -> dict:
         return {
             "experiment": self.name,
             "seed": self.seed,
-            "theta_selection": self.theta_selection,
             "noise": None
             if self.noise is None
             else {
@@ -152,21 +152,16 @@ def _family_batch(
     return _measure_batch(pattern, blind_cluster_batch(config.graph, theta), theta)
 
 
-def run_grover(
-    tag: str,
-    config: ExperimentConfig | None = None,
-    states: Sequence[tuple[int, int]] | None = None,
-) -> dict:
+def run_grover(tag: str, config: ExperimentConfig | None = None) -> dict:
     """Blind Grover search on the triangle cluster for one tagged element.
 
-    Enumerates every branch of the adaptive pattern for every blind state
-    and scores the probability that the decoded element equals the tag.
+    Enumerates every branch of the adaptive pattern for each of the 64 blind
+    states and scores the probability that the decoded element equals the tag.
     """
     if tag not in GROVER_TAG_ANGLES:
         raise ValueError(f"tag must be one of {sorted(GROVER_TAG_ANGLES)}")
     config = config or ExperimentConfig("grover")
-    if states is None:
-        states = [(n2, n3) for n2 in range(8) for n3 in range(8)]
+    states = [(n2, n3) for n2 in range(8) for n3 in range(8)]
     phi = GROVER_PHI[tag]
     pattern = pattern_for(ClusterConfig.TRIANGLE, phi=phi)
     branches = _family_batch(ClusterConfig.TRIANGLE, pattern, states)
@@ -220,12 +215,8 @@ def deutsch_output_state(oracle: str, n2: int, n3: int) -> PureState:
     raise AssertionError("no live branch")
 
 
-def run_deutsch(
-    oracle: str,
-    config: ExperimentConfig | None = None,
-    states: Sequence[tuple[int, int]] = None,
-) -> dict:
-    """Blind Deutsch algorithm on the staircase cluster.
+def run_deutsch(oracle: str, config: ExperimentConfig | None = None) -> dict:
+    """Blind Deutsch algorithm on the staircase cluster, over `ALIGNED10`.
 
     The verdict is read from qubit 4 (|0> for a constant oracle, |1> for a
     balanced one) by single-qubit tomography of the corrected output.  The
@@ -235,21 +226,18 @@ def run_deutsch(
     if oracle not in DEUTSCH_ORACLE_ANGLES:
         raise ValueError("oracle must be 'constant' or 'balanced'")
     config = config or ExperimentConfig("deutsch")
-    from .verification import ALIGNED10
-
-    states = list(states) if states is not None else list(ALIGNED10)
     phi = DEUTSCH_PHI[oracle]
     pattern = pattern_for(ClusterConfig.STAIRCASE, phi=phi)
     verdict = DEUTSCH_VERDICT_STATE[oracle].amplitudes
     settings1 = pauli_settings(1)
-    branches = _family_batch(ClusterConfig.STAIRCASE, pattern, states)
+    branches = _family_batch(ClusterConfig.STAIRCASE, pattern, ALIGNED10)
     possible = ~branches.impossible
     fidelity = np.abs(branches.corrected @ verdict.conj()) ** 2
     success = np.where(possible, branches.probability * fidelity, 0.0).sum(axis=1)
     # the pattern is deterministic, so any possible branch's output will do
     first = np.argmax(possible, axis=1)
     rows = []
-    for b, (n2, n3) in enumerate(states):
+    for b, (n2, n3) in enumerate(ALIGNED10):
         output = PureState.from_amplitudes(branches.corrected[b, first[b]])
         counts = exact_counts(DensityMatrix.from_pure(output), settings1)
         rho_hat = mle_reconstruct(counts).rho_hat
@@ -356,7 +344,7 @@ def run_fig3c(config: ExperimentConfig | None = None) -> dict:
 def run_fig3d(config: ExperimentConfig | None = None) -> dict:
     """Blind two-qubit gate on the horseshoe cluster: delta_2 = 0,
     delta_3 = -pi/2 over the four states {(2,0), (2,4), (6,0), (6,4)}."""
-    config = config or ExperimentConfig("fig3d", theta_selection="four-state")
+    config = config or ExperimentConfig("fig3d")
     states = [(2, 0), (2, 4), (6, 0), (6, 4)]
     deltas = {2: A(0), 3: A(6)}
     cz = np.diag([1.0, 1, 1, -1]).astype(complex)
@@ -539,24 +527,20 @@ def run_bulk_branches(config: ExperimentConfig | None = None) -> dict:
     instead of feeding forward: each (state, setting) pair contributes all
     16 outcome probabilities.
     """
-    from .verification import ALIGNED10, distribution_table
-
     config = config or ExperimentConfig("bulk")
-    settings = {"quantumness": standard_test_setting()}
+    table = distribution_table(ALIGNED10, standard_test_setting())
     rows = []
-    for name, setting in settings.items():
-        table = distribution_table(ALIGNED10, setting)
-        for (n2, n3), probs in zip(ALIGNED10, table):
-            for outcome in range(16):
-                rows.append(
-                    {
-                        "setting": name,
-                        "n2": n2,
-                        "n3": n3,
-                        "outcome": f"{outcome:04b}",
-                        "probability": float(probs[outcome]),
-                    }
-                )
+    for (n2, n3), probs in zip(ALIGNED10, table):
+        for outcome in range(16):
+            rows.append(
+                {
+                    "setting": "quantumness",
+                    "n2": n2,
+                    "n3": n3,
+                    "outcome": f"{outcome:04b}",
+                    "probability": float(probs[outcome]),
+                }
+            )
     return {"config": config.echo(), "rows": rows, "row_count": len(rows)}
 
 

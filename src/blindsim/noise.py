@@ -42,8 +42,8 @@ class NoiseParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
-        if self.phase_drift_sigma < 0.0:
-            raise ValueError("phase_drift_sigma must be nonnegative")
+        if not (0.0 <= self.phase_drift_sigma < math.inf):  # NaN fails too
+            raise ValueError("phase_drift_sigma must be finite and nonnegative")
 
     @property
     def ideal(self) -> bool:

@@ -163,13 +163,6 @@ class Transcript:
     def to_ndjson(self) -> str:
         return "\n".join(m.canonical_json() for m in self.messages) + "\n"
 
-    @classmethod
-    def from_ndjson(cls, text: str) -> "Transcript":
-        t = cls()
-        for line in text.strip().splitlines():
-            t.record(Message.from_json(line))
-        return t
-
 
 @dataclass(frozen=True)
 class SessionResult:
@@ -550,10 +543,9 @@ def _drive_in_process(client: ClientSession, server: ServerSession) -> Transcrip
 def run_session(
     secrets: ClientSecrets,
     server_seed: int = 0,
-    enforce_blindness: bool = True,
 ) -> tuple[Transcript, SessionResult]:
     """Drive one full session over the in-process transport."""
-    client = ClientSession(secrets, enforce_blindness=enforce_blindness)
+    client = ClientSession(secrets)
     transcript = _drive_in_process(client, ServerSession(seed=server_seed))
     return transcript, client.result()
 
@@ -650,12 +642,11 @@ class TcpServer(socketserver.ThreadingTCPServer):
 def run_session_tcp(
     secrets: ClientSecrets,
     address: tuple[str, int],
-    enforce_blindness: bool = True,
     timeout: float = 30.0,
 ) -> tuple[Transcript, SessionResult]:
     """Drive one full session against a TCP server at `address`: each batch
     is one write, with Nagle off, and each reply one bounded line."""
-    client = ClientSession(secrets, enforce_blindness=enforce_blindness)
+    client = ClientSession(secrets)
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with sock.makefile("rb") as reader:

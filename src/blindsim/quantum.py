@@ -32,7 +32,6 @@ IMPOSSIBLE_BRANCH = 1e-12
 # single-qubit gate constants
 IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 SQRT_Z = np.diag([1.0, 1.0j]).astype(complex)
@@ -233,10 +232,10 @@ def linear_entropy(rho: DensityMatrix) -> float:
     return (d / (d - 1.0)) * (1.0 - purity)
 
 
-def von_neumann_entropy(rho: DensityMatrix, eigenvalue_cutoff: float = 1e-12) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho log2 rho) with 0 log 0 := 0."""
     eigenvalues = np.linalg.eigvalsh(rho.matrix)
-    eigenvalues = eigenvalues[eigenvalues > eigenvalue_cutoff]
+    eigenvalues = eigenvalues[eigenvalues > 1e-12]
     return float(-(eigenvalues * np.log2(eigenvalues)).sum())
 
 

@@ -30,7 +30,6 @@ outcome-vector stack is built for them.  The dense `setting_projectors` and
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import json
 import math
@@ -93,31 +92,6 @@ class CountsTable:
     @property
     def num_qubits(self) -> int:
         return len(self.settings[0])
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("setting_id,bases,outcome,count\n")
-        n = self.num_qubits
-        for k, setting in enumerate(self.settings):
-            for o in range(2**n):
-                out.write(f"{k},{''.join(setting)},{o:0{n}b},{self.counts[k, o]}\n")
-        return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, exposure: float) -> "CountsTable":
-        rows = text.strip().splitlines()[1:]
-        table: dict[int, tuple[tuple[str, ...], dict[int, float]]] = {}
-        for row in rows:
-            sid, bases, outcome, count = row.split(",")
-            entry = table.setdefault(int(sid), (tuple(bases), {}))
-            entry[1][int(outcome, 2)] = float(count)
-        settings = []
-        counts = []
-        for sid in sorted(table):
-            setting, by_outcome = table[sid]
-            settings.append(setting)
-            counts.append([by_outcome[o] for o in range(2 ** len(setting))])
-        return cls(settings, np.array(counts), exposure)
 
 
 def simulate_counts(

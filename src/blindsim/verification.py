@@ -24,6 +24,7 @@ from .mbqc import MeasurementPattern, MeasurementStep, _measure_batch
 from .protocol import ClientSecrets, ClientSession, ServerSession, _drive_in_process
 
 ZERO_TOL = 1e-12
+CHI_SQUARE_SIGMA = 5.0
 
 # theta sweeps used in the demonstrations: the full theta_3 sweep at n2 = 2,
 # and the two extra aligned states
@@ -181,32 +182,21 @@ class TestReport:
             }
         )
 
-    def to_csv(self) -> str:
-        lines = ["n2,n3,outcome,p_theory,p_observed"]
-        totals = self.observed.sum(axis=1)
-        for i, (n2, n3) in enumerate(self.states):
-            for o in range(16):
-                p_obs = self.observed[i, o] / totals[i] if totals[i] else 0.0
-                lines.append(f"{n2},{n3},{o:04b},{self.theory[i, o]:.10f},{p_obs:.10f}")
-        return "\n".join(lines) + "\n"
-
 
 def run_quantumness_test(
     round_fn: RoundFn,
     rounds: int,
     rng: np.random.Generator,
     states: Sequence[tuple[int, int]] = SWEEP8,
-    setting: QuantumnessSetting | None = None,
-    chi_square_sigma: float = 5.0,
 ) -> TestReport:
-    """Tally `rounds` protocol rounds and compare with theory.
+    """Tally `rounds` rounds of `standard_test_setting()` and compare with theory.
 
     The verdict is "classical-suspect" when any impossible outcome occurs or
-    when the pooled Pearson chi-square exceeds dof + sigma * sqrt(2 dof).
+    when the pooled Pearson chi-square exceeds dof + CHI_SQUARE_SIGMA * sqrt(2 dof).
     """
     if rounds <= 0:
         raise ValueError("rounds must be positive")
-    setting = setting or standard_test_setting()
+    setting = standard_test_setting()
     states = list(states)
     theory = distribution_table(states, setting)
     observed = np.zeros((len(states), 16))
@@ -227,7 +217,7 @@ def run_quantumness_test(
         expected = theory[i, live] * totals[i]
         chi_square += float(((observed[i, live] - expected) ** 2 / expected).sum())
         dof += int(live.sum()) - 1
-    threshold = dof + chi_square_sigma * math.sqrt(2.0 * dof) if dof else 0.0
+    threshold = dof + CHI_SQUARE_SIGMA * math.sqrt(2.0 * dof) if dof else 0.0
 
     marginal_theory = theory.mean(axis=0)
     marginal_observed = observed.sum(axis=0) / rounds

@@ -410,6 +410,61 @@ class TestQuantumnessExperiment:
         assert table["classical_guess_risk"] == pytest.approx(0.125, abs=1e-12)
 
 
+# a cheap passing invocation of every experiment command
+PASSING_ARGV = [
+    ["fig3c"],
+    ["fig3d"],
+    ["grover"],
+    ["deutsch"],
+    ["quantumness", "--rounds", "500"],
+    ["tomography", "--mc-trials", "1"],
+    ["blindness"],
+    ["bulk"],
+]
+
+
+# (argv, runner, flaw applied to the runner's passing table, the check it fails)
+FORCED_FAILURES = [
+    (["fig3c"], "run_fig3c", lambda t: {**t, "average_linear_entropy": 0.9},
+     "average_linear_entropy"),
+    (["fig3d"], "run_fig3d",
+     lambda t: {**t, "rows": [{**r, "fidelity_to_target": 0.9} for r in t["rows"]]},
+     "rows.fidelity_to_target"),
+    (["grover"], "run_grover", lambda t: {**t, "success_min": 0.5}, "success_min"),
+    (["deutsch", "--csv"], "run_deutsch", lambda t: {**t, "success_min": 0.5}, "success_min"),
+    (["quantumness", "--rounds", "500"], "run_quantumness",
+     lambda t: {**t, "honest": {**t["honest"], "verdict": "classical-suspect"}}, "honest.verdict"),
+    (["quantumness", "--rounds", "500"], "run_quantumness",
+     lambda t: {**t, "classical_guess_risk": 0.1}, "classical_guess_risk"),
+    (["quantumness", "--rounds", "500", "--stub-trials", "2"], "run_quantumness",
+     lambda t: {**t, "stub_rejection_rate": 0.5}, "stub_rejection_rate"),
+    (["tomography", "--mc-trials", "1"], "run_tomography",
+     lambda t: {**t, "fidelity_to_ideal": t["true_fidelity"] - 0.06}, "fidelity_to_ideal"),
+    (["blindness"], "run_blindness",
+     lambda t: {**t, "ideal": {**t["ideal"], "chi_uniform_bits": 1e-8}}, "ideal.chi_uniform_bits"),
+    (["blindness"], "run_blindness",
+     lambda t: {**t, "ideal": {**t["ideal"], "chi_maximized_bits": 1e-8}},
+     "ideal.chi_maximized_bits"),
+    (["blindness"], "run_blindness", lambda t: {**t, "r_broken_chi_uniform_bits": 0.99},
+     "r_broken_chi_uniform_bits"),
+    (["bulk", "--csv"], "run_bulk_branches", lambda t: {**t, "row_count": 0}, "row_count"),
+]
+
+
+# (argv, the usage error's message): flag values out of range
+BAD_FLAG_VALUES = [
+    (["quantumness", "--rounds", "0"], "argument --rounds: expected an integer >= 1"),
+    (["quantumness", "--stub-trials", "-1"], "argument --stub-trials: expected an integer >= 0"),
+    (["tomography", "--mc-trials", "0"], "argument --mc-trials: expected an integer >= 1"),
+    (["tomography", "--mean-total", "-5"], "argument --mean-total: expected a finite number > 0"),
+    (["tomography", "--mean-total", "nan"], "argument --mean-total: expected a finite number"),
+    (["tomography", "--mean-total", "inf"], "argument --mean-total: expected a finite number"),
+    (["fig3c", "--noisy", "--bell-visibility", "2"], "bell_visibility = 2.0 outside [0, 1]"),
+    (["blindness", "--noisy", "--phase-drift-sigma", "nan"], "phase_drift_sigma must be finite"),
+    (["fig3c", "--noisy", "--phase-drift-sigma", "inf"], "phase_drift_sigma must be finite"),
+]
+
+
 class TestCli:
     def test_exit_codes(self, tmp_path):
         out = tmp_path / "grover.json"
@@ -486,15 +541,18 @@ class TestCli:
     @pytest.mark.parametrize(
         "flaw", [{"converged": False}, {"duality_gap_bits": 2e-6}], ids=["unconverged", "wide_gap"]
     )
-    def test_blindness_fails_without_a_noisy_certificate(self, flaw, monkeypatch, tmp_path):
+    def test_blindness_fails_without_a_noisy_certificate(
+        self, flaw, monkeypatch, tmp_path, capsys
+    ):
         import blindsim.cli as cli
 
         table = run_blindness(ExperimentConfig("blindness", noise=BLINDNESS_NOISE))
         flawed = {**table, "noisy": {**table["noisy"], **flaw}}
         monkeypatch.setattr(cli, "run_blindness", lambda config: flawed)
         assert main(["blindness", "--out", str(tmp_path / "blindness.json")]) == 2
+        assert capsys.readouterr().err == f"check failed: noisy.{next(iter(flaw))}\n"
 
-    def test_tomography_fails_on_an_unconverged_mle(self, monkeypatch, tmp_path):
+    def test_tomography_fails_on_an_unconverged_mle(self, monkeypatch, tmp_path, capsys):
         import blindsim.cli as cli
 
         table = run_tomography(mc_trials=1)
@@ -502,6 +560,39 @@ class TestCli:
         flawed = {**table, "converged": False}
         monkeypatch.setattr(cli, "run_tomography", lambda config, **kwargs: flawed)
         assert main(["tomography", "--out", str(tmp_path / "tomography.json")]) == 2
+        assert capsys.readouterr().err == "check failed: converged\n"
+
+    @pytest.mark.parametrize("argv", PASSING_ARGV, ids=" ".join)
+    def test_passing_runs_are_silent_on_stderr(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert set(json.loads(captured.out)["config"]) == {"experiment", "seed", "noise"}
+
+    @pytest.mark.parametrize(
+        "argv, runner, flaw, check",
+        FORCED_FAILURES,
+        ids=[f"{argv[0]}-{check}" for argv, _, _, check in FORCED_FAILURES],
+    )
+    def test_a_failed_check_is_named_on_stderr(
+        self, argv, runner, flaw, check, monkeypatch, capsys
+    ):
+        import blindsim.cli as cli
+
+        real = getattr(cli, runner)
+        monkeypatch.setattr(cli, runner, lambda *args, **kwargs: flaw(real(*args, **kwargs)))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"check failed: {check}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message", BAD_FLAG_VALUES, ids=[" ".join(argv) for argv, _ in BAD_FLAG_VALUES]
+    )
+    def test_bad_flag_values_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: blindsim") and message in err
 
     def test_blindness_seed_draws_the_drift(self, tmp_path):
         chis = []

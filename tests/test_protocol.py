@@ -273,11 +273,9 @@ class TestSessionInProcess:
         assert t1.to_ndjson() == t2.to_ndjson()
         assert r1.outcomes == r2.outcomes
         # replay: parsing the transcript reproduces identical outcomes
-        replayed = Transcript.from_ndjson(t1.to_ndjson())
+        replayed = [Message.from_json(line) for line in t1.to_ndjson().splitlines()]
         outcomes = {
-            m.body["qubit_id"]: m.body["bit"]
-            for m in replayed.messages
-            if m.type == "outcome_report"
+            m.body["qubit_id"]: m.body["bit"] for m in replayed if m.type == "outcome_report"
         }
         assert outcomes == r1.outcomes
 

@@ -47,11 +47,6 @@ class TestAngle8:
 
     def test_radians_exact(self):
         assert Angle8(6).radians == pytest.approx(3 * PI / 2, abs=0)
-        assert Angle8.from_radians(-PI / 2).eighths == 6
-
-    def test_from_radians_off_grid(self):
-        with pytest.raises(ValueError):
-            Angle8.from_radians(0.3)
 
     def test_clifford(self):
         assert Angle8(2).is_clifford and Angle8(4).is_clifford
