@@ -113,15 +113,21 @@ def pair_fold(ensemble: Ensemble) -> Ensemble:
     return Ensemble(folded, ensemble.prior)
 
 
+def _state_entropies(spectra: np.ndarray) -> list[float]:
+    """Each S(rho_j) in bits from row j, as von_neumann_entropy takes it."""
+    kept = [row[row > 1e-12] for row in spectra]
+    return [float(-(k * np.log2(k)).sum()) for k in kept]
+
+
+def _chi(ensemble: Ensemble, entropies: list[float]) -> float:
+    avg_entropy = sum(p * s for p, s in zip(ensemble.prior, entropies) if p > 0.0)
+    return von_neumann_entropy(ensemble.mean_state()) - float(avg_entropy)
+
+
 def holevo_chi(ensemble: Ensemble) -> float:
     """chi = S(mean) - sum p_theta S(rho_theta), in bits."""
-    mean = ensemble.mean_state()
-    avg_entropy = sum(
-        p * von_neumann_entropy(s)
-        for p, s in zip(ensemble.prior, ensemble.states)
-        if p > 0.0
-    )
-    return von_neumann_entropy(mean) - float(avg_entropy)
+    stack = np.stack([s.matrix for s in ensemble.states])
+    return _chi(ensemble, _state_entropies(np.linalg.eigvalsh(stack)))
 
 
 def _evaluate(
@@ -222,8 +228,8 @@ def maximize_chi_over_priors(
     the multiplicative (Blahut-Arimoto) update only crawls toward a zero
     weight; Newton's method on the active face lands on it.
 
-    Each iteration decomposes the mean once.  With the states' Tr(rho_j ln
-    rho_j) computed once up front,
+    The states are decomposed once, for Tr(rho_j ln rho_j) and the S(rho_j)
+    of chi at the uniform and final priors, and the mean once per iteration.  Then
         D(rho_j || mean) = Tr(rho_j ln rho_j) - Tr(rho_j ln mean)
     for all j is one matrix-vector product, and chi(p) = sum_j p_j D_j.
     The iteration stops when the duality gap max_j D_j - chi(p), an upper
@@ -235,14 +241,13 @@ def maximize_chi_over_priors(
     instead, so chi rises monotonically either way.  `iterations` counts the
     gap tests, and `support` lists the j with p_j > 0.
     """
-    chi_uniform = holevo_chi(
-        ensemble.with_prior(np.full(ensemble.size, 1.0 / ensemble.size))
-    )
     stack = np.stack([s.matrix for s in ensemble.states])
-    kept = np.linalg.eigvalsh(stack)
-    kept = np.where(kept > 1e-15, kept, 1.0)  # 1 ln 1 = 0 drops the rest
-    neg_entropy = (kept * np.log(kept)).sum(axis=1)
+    spectra = np.linalg.eigvalsh(stack)
+    entropies = _state_entropies(spectra)
     prior = np.full(ensemble.size, 1.0 / ensemble.size)
+    chi_uniform = _chi(ensemble.with_prior(prior), entropies)
+    kept = np.where(spectra > 1e-15, spectra, 1.0)  # 1 ln 1 = 0 drops the rest
+    neg_entropy = (kept * np.log(kept)).sum(axis=1)
     vals, vecs, divergences = _evaluate(prior, stack, neg_entropy)
     iterations = 0
     converged = False
@@ -280,7 +285,7 @@ def maximize_chi_over_priors(
             weights = prior * np.exp((divergences - divergences.max()) * LOG2)
             prior = weights / weights.sum()
             vals, vecs, divergences = _evaluate(prior, stack, neg_entropy)
-    chi_final = holevo_chi(ensemble.with_prior(prior))
+    chi_final = _chi(ensemble.with_prior(prior), entropies)
     return ChiReport(
         chi_uniform=chi_uniform,
         chi_maximized=max(chi_final, chi_uniform),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -40,6 +39,7 @@ from .experiments import (
 )
 from .noise import NoiseParams
 from .protocol import ClientSecrets, TcpServer, run_session_tcp
+from .tomography import MAX_MEAN_TOTAL
 
 PASS, FAIL = 0, 2
 # largest certified duality gap `blindness` accepts for the noisy chi
@@ -79,7 +79,11 @@ def _flag(convert: Callable[[str], float], ok: Callable[[float], bool], wording:
 
 _AT_LEAST_ONE = _flag(int, lambda n: n >= 1, "an integer >= 1")
 _NONNEGATIVE = _flag(int, lambda n: n >= 0, "an integer >= 0")
-_POSITIVE = _flag(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_MEAN_TOTAL = _flag(
+    float, lambda x: 0.0 < x <= MAX_MEAN_TOTAL, f"a finite number > 0 and <= {MAX_MEAN_TOTAL:g}"
+)
+# each noise flag's value under --noisy when it is not given
+NOISE_DEFAULTS = {"bell_visibility": 0.9, "interference_visibility": 0.85, "phase_drift_sigma": 0.1}
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -89,13 +93,12 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def _noise(args: argparse.Namespace) -> NoiseParams | None:
+    given = {k: v for k in NOISE_DEFAULTS if (v := getattr(args, k, None)) is not None}
     if not getattr(args, "noisy", False):
+        if given:
+            raise ValueError(f"--{next(iter(given)).replace('_', '-')} needs --noisy")
         return None
-    return NoiseParams(
-        bell_visibility=args.bell_visibility,
-        interference_visibility=args.interference_visibility,
-        phase_drift_sigma=args.phase_drift_sigma,
-    )
+    return NoiseParams(**{**NOISE_DEFAULTS, **given})
 
 
 def _emit(args: argparse.Namespace, table: dict, csv_columns: list[str] | None = None) -> None:
@@ -136,9 +139,8 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--csv", action="store_true")
         if noisy:  # only the commands whose runners apply the noise model
             p.add_argument("--noisy", action="store_true", help="add the noise model")
-            p.add_argument("--bell-visibility", type=float, default=0.9)
-            p.add_argument("--interference-visibility", type=float, default=0.85)
-            p.add_argument("--phase-drift-sigma", type=float, default=0.1)
+            for key, value in NOISE_DEFAULTS.items():
+                p.add_argument("--" + key.replace("_", "-"), type=float, help=f"default {value}")
 
     for name in ("fig3c", "fig3d", "blindness"):
         common(sub.add_parser(name), noisy=True)
@@ -155,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--stub-trials", type=_NONNEGATIVE, default=0)
     p = sub.add_parser("tomography")
     common(p, noisy=True)
-    p.add_argument("--mean-total", type=_POSITIVE, default=10_000.0)
+    p.add_argument("--mean-total", type=_MEAN_TOTAL, default=10_000.0)
     p.add_argument("--mc-trials", type=_AT_LEAST_ONE, default=25)
     p = sub.add_parser("serve")
     p.add_argument("--listen", required=True, metavar="ADDR")
@@ -205,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         noise = _noise(args)
-    except ValueError as exc:  # a noise flag out of its range
+    except ValueError as exc:  # a noise flag out of its range or without --noisy
         parser.error(str(exc))
     config = ExperimentConfig(args.command, seed=seed, noise=noise)
     branch_columns = ["n2", "n3", "success_probability"]

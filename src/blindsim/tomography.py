@@ -47,6 +47,9 @@ _EIGENBASES = {
 }
 # column b of _EIGENBASES[axis] is the outcome-b eigenvector (b=0 <-> +1)
 
+# below numpy's Poisson limit (~9.22e18) by more than a probability rounded past 1
+MAX_MEAN_TOTAL = 9e18
+
 
 def pauli_settings(num_qubits: int) -> list[tuple[str, ...]]:
     return list(itertools.product("XYZ", repeat=num_qubits))
@@ -106,6 +109,8 @@ def simulate_counts(
     Probabilities under 1e-15 in magnitude are rounding of exact zeros, so
     they are set to 0: a zero mean draws nothing from `rng`.
     """
+    if not 0.0 <= mean_total <= MAX_MEAN_TOTAL:  # NaN fails too
+        raise ValueError(f"mean_total = {mean_total} outside [0, {MAX_MEAN_TOTAL:g}]")
     model = _measurement_model(tuple(tuple(s) for s in settings))
     probs = _model_probabilities(model, rho.matrix).reshape(len(settings), -1)
     probs = np.clip(np.where(np.abs(probs) < 1e-15, 0.0, probs), 0.0, None)
@@ -281,10 +286,20 @@ def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
     return int(np.linalg.matrix_rank(rows, tol=1e-9))
 
 
-def _state_of(t_mat: np.ndarray) -> np.ndarray:
-    """rho = T T^dagger / Tr(T T^dagger), physical for every T."""
-    rho = t_mat @ t_mat.conj().T
-    return rho / np.trace(rho).real
+@functools.lru_cache(maxsize=8)
+def _lower_triangle(dim: int) -> np.ndarray:
+    """The read-only mask that np.tril applies to a dim x dim matrix."""
+    mask = np.tri(dim, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+class _Point(NamedTuple):  # one likelihood evaluation at a Cholesky factor T
+    t_mat: np.ndarray
+    rho: np.ndarray  # T T^dagger / Tr(T T^dagger), physical for every T
+    trace: float  # Tr(T T^dagger)
+    probabilities: np.ndarray  # clipped at 1e-15
+    log_likelihood: float
 
 
 class _PoissonLikelihood(NamedTuple):
@@ -308,6 +323,14 @@ class _PoissonLikelihood(NamedTuple):
         mu = self.exposure * probabilities
         return float(np.sum(self.counts * np.log(mu) - mu))
 
+    def at(self, t_mat: np.ndarray) -> _Point:
+        """The one evaluation at T: a line-search trial's, then the next gradient's."""
+        product = t_mat @ t_mat.conj().T
+        trace = np.trace(product).real
+        rho = product / trace
+        probabilities = self.probabilities(rho)
+        return _Point(t_mat, rho, trace, probabilities, self._value_at(probabilities))
+
     def certificate(self, rho: np.ndarray) -> tuple[float, float]:
         """log L(rho) and the bound lambda_max(R) - Tr(rho R) on log L* -
         log L(rho), where R = sum_k (n_k / p_k - exposure) Pi_k is log L's
@@ -322,14 +345,14 @@ class _PoissonLikelihood(NamedTuple):
         top = np.linalg.eigvalsh(grad_rho)[-1]
         return self._value_at(probabilities), float(top - np.vdot(rho, grad_rho).real)
 
-    def gradient(self, t_mat: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    def gradient(self, point: _Point) -> np.ndarray:
         """Ascent direction G in T's lower triangle, scaled so that the
         slope of log L along G is |G|^2."""
-        weights = self.counts / self.probabilities(rho) - self.exposure
+        weights = self.counts / point.probabilities - self.exposure
         grad_rho = _weighted_projector_sum(self.model, weights)
-        trace_t = np.trace(t_mat @ t_mat.conj().T).real
-        mean_shift = np.real(np.trace(grad_rho @ rho))
-        return np.tril((2.0 / trace_t) * (grad_rho @ t_mat - mean_shift * t_mat))
+        mean_shift = np.real(np.trace(grad_rho @ point.rho))
+        grad_t = (2.0 / point.trace) * (grad_rho @ point.t_mat - mean_shift * point.t_mat)
+        return np.where(_lower_triangle(len(grad_t)), grad_t, 0.0)
 
 
 class _Ascent(NamedTuple):
@@ -353,10 +376,7 @@ def _ascend(
     The stopping gain is relative: count-scale likelihoods sit at ~1e6,
     where an absolute 1e-9 window is finer than float64 can resolve.
     """
-    dim = len(seed)
-    t_mat = np.linalg.cholesky(seed + 1e-9 * np.eye(dim))  # lower triangular
-    rho = _state_of(t_mat)
-    ll = likelihood.value(rho)
+    point = likelihood.at(np.linalg.cholesky(seed + 1e-9 * np.eye(len(seed))))  # T lower triangular
 
     step: float | None = None
     prev_t: np.ndarray | None = None
@@ -366,31 +386,29 @@ def _ascend(
     halvings = 0
     norm = math.nan
     for iterations in range(1, max_iterations + 1):
-        grad_t = likelihood.gradient(t_mat, rho)
+        grad_t = likelihood.gradient(point)
         norm = float(np.linalg.norm(grad_t))
         if norm < 1e-14:
             converged = True
             break
         if prev_t is not None:
-            dt = (t_mat - prev_t).reshape(-1)
+            dt = (point.t_mat - prev_t).reshape(-1)
             dg = (grad_t - prev_grad).reshape(-1)
             curvature = -np.real(np.vdot(dt, dg))
             if curvature > 1e-30:
                 step = float(np.real(np.vdot(dt, dt)) / curvature)
         if step is None:
             step = 1.0 / norm
-        prev_t, prev_grad = t_mat, grad_t
+        prev_t, prev_grad = point.t_mat, grad_t
         trial = abs(step)
         improved = False
         for _ in range(60):
             # norm**2 is the slope of the likelihood along grad_t: a step
             # whose first-order gain is under the stopping gain ends the run
-            if trial * norm**2 < improvement_tol * max(abs(ll), 1.0):
+            if trial * norm**2 < improvement_tol * max(abs(point.log_likelihood), 1.0):
                 break
-            candidate = t_mat + trial * grad_t
-            cand_rho = _state_of(candidate)
-            cand_ll = likelihood.value(cand_rho)
-            if cand_ll > ll:
+            candidate = likelihood.at(point.t_mat + trial * grad_t)
+            if candidate.log_likelihood > point.log_likelihood:
                 improved = True
                 break
             trial /= 2.0
@@ -398,12 +416,12 @@ def _ascend(
         if not improved:
             converged = True
             break
-        gain = cand_ll - ll
-        t_mat, rho, ll = candidate, cand_rho, cand_ll
-        if gain < improvement_tol * max(abs(ll), 1.0):
+        gain = candidate.log_likelihood - point.log_likelihood
+        point = candidate
+        if gain < improvement_tol * max(abs(point.log_likelihood), 1.0):
             converged = True
             break
-    return _Ascent(rho, ll, converged, iterations, norm, halvings)
+    return _Ascent(point.rho, point.log_likelihood, converged, iterations, norm, halvings)
 
 
 def mle_reconstruct(

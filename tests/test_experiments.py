@@ -459,6 +459,10 @@ BAD_FLAG_VALUES = [
     (["tomography", "--mean-total", "-5"], "argument --mean-total: expected a finite number > 0"),
     (["tomography", "--mean-total", "nan"], "argument --mean-total: expected a finite number"),
     (["tomography", "--mean-total", "inf"], "argument --mean-total: expected a finite number"),
+    (
+        ["tomography", "--mean-total", "1e20"],
+        "argument --mean-total: expected a finite number > 0 and <= 9e+18",
+    ),
     (["fig3c", "--noisy", "--bell-visibility", "2"], "bell_visibility = 2.0 outside [0, 1]"),
     (["blindness", "--noisy", "--phase-drift-sigma", "nan"], "phase_drift_sigma must be finite"),
     (["fig3c", "--noisy", "--phase-drift-sigma", "inf"], "phase_drift_sigma must be finite"),
@@ -499,6 +503,27 @@ class TestCli:
             main(["client", "--connect", "127.0.0.1:9", "--theta", theta])
         assert refused.value.code == 2
         assert "argument --theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("fig3c", "--bell-visibility"),
+            ("fig3d", "--interference-visibility"),
+            ("blindness", "--phase-drift-sigma"),
+            ("tomography", "--bell-visibility"),
+        ],
+    )
+    def test_noise_flags_need_noisy(self, command, flag, capsys):
+        # without --noisy the runner would ignore the value and echo another
+        with pytest.raises(SystemExit) as refused:
+            main([command, flag, "0.5"])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag} needs --noisy" in captured.err
+
+    def test_tomography_runs_at_a_large_mean_total(self, capsys):
+        assert main(["tomography", "--mean-total", "1e12", "--mc-trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["mean_total"] == 1e12
 
     def test_tomography_echoes_the_noise_it_applies(self, capsys):
         assert main(["tomography", "--seed", "0", "--mc-trials", "1"]) == 0

@@ -201,6 +201,13 @@ class TestCounts:
             table = simulate_counts(rho, settings, 10_000, np.random.default_rng(seed))
             np.testing.assert_array_equal(table.counts, expected)
 
+    @pytest.mark.parametrize("mean_total", [-5.0, 1e20, math.nan])
+    def test_mean_total_beyond_the_poisson_sampler_refused(self, mean_total):
+        # numpy's sampler refuses means above ~9.22e18 with "lam value too large"
+        rho = DensityMatrix.maximally_mixed(1)
+        with pytest.raises(ValueError, match="mean_total"):
+            simulate_counts(rho, [("Z",)], mean_total, np.random.default_rng(0))
+
     def test_poisson_scale(self):
         rho = DensityMatrix.maximally_mixed(1)
         rng = np.random.default_rng(42)
@@ -312,28 +319,28 @@ class TestMle:
             improvement_tol=1e-9,
         )
         assert run.converged and (run.iterations, run.halvings) == (3, 9)
-        # one gradient per iteration; one likelihood for the seed, one per
-        # halving and one per accepted step (the first two iterations)
-        likelihoods = evaluations - run.iterations
-        assert likelihoods == 1 + run.halvings + 2 == 12
+        # one likelihood for the seed, one per halving and one per accepted
+        # step (the first two iterations); each gradient reuses the
+        # evaluation at its point
+        assert evaluations == 1 + run.halvings + 2 == 12
 
     def test_gradient_is_the_slope_along_itself(self):
         # the line search's stop rests on |G|^2 being the slope of log L
         # along G; checked by finite differences on a four-qubit input
-        from blindsim.tomography import _PoissonLikelihood, _linear_inversion, _state_of
+        from blindsim.tomography import _PoissonLikelihood, _linear_inversion
 
         rho_true = apply_noise(lab_family_state(2, 3), NoiseParams())
         table = simulate_counts(rho_true, pauli_settings(4), 10_000, np.random.default_rng(3))
         likelihood = _PoissonLikelihood.of(table)
         t_mat = np.linalg.cholesky(_linear_inversion(table)[0] + 1e-9 * np.eye(16))
-        rho = _state_of(t_mat)
-        grad = likelihood.gradient(t_mat, rho)
+        point = likelihood.at(t_mat)
+        grad = likelihood.gradient(point)
         assert np.array_equal(grad, np.tril(grad))
         slope = float(np.vdot(grad, grad).real)
         eps = 1e-8
-        up = likelihood.value(_state_of(t_mat + eps * grad))
-        down = likelihood.value(_state_of(t_mat - eps * grad))
-        forward = (up - likelihood.value(rho)) / (eps * slope)
+        up = likelihood.at(t_mat + eps * grad).log_likelihood
+        down = likelihood.at(t_mat - eps * grad).log_likelihood
+        forward = (up - likelihood.value(point.rho)) / (eps * slope)
         central = (up - down) / (2.0 * eps * slope)
         assert abs(forward - 1.0) <= 0.01
         assert abs(central - 1.0) <= 1e-5

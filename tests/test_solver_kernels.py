@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blindsim.blindness import Ensemble, maximize_chi_over_priors, pair_fold
+from blindsim import experiments
+from blindsim.blindness import Ensemble, holevo_chi, maximize_chi_over_priors, pair_fold
 from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster, lab_family_state
-from blindsim.experiments import BLINDNESS_NOISE
+from blindsim.experiments import BLINDNESS_NOISE, ExperimentConfig, run_blindness
 from blindsim.noise import NoiseParams, apply_noise
 from blindsim import tomography
-from blindsim.quantum import DensityMatrix
+from blindsim.quantum import DensityMatrix, von_neumann_entropy
 from blindsim.tomography import (
     CountsTable,
     _linear_inversion,
@@ -91,6 +92,25 @@ def noisy_sweep_ensemble(seed: int = 0) -> Ensemble:
     return pair_fold(Ensemble(states, np.full(8, 1.0 / 8.0)))
 
 
+def ideal_sweep_ensemble() -> Ensemble:
+    """The pure pair-folded theta_3 sweep."""
+    graph = ClusterConfig.LINEAR_LEFT.graph
+    states = [
+        DensityMatrix.from_pure(build_blind_cluster(graph, BlindPhases.family(2, n)))
+        for n in range(8)
+    ]
+    return pair_fold(Ensemble(states, np.full(8, 1.0 / 8.0)))
+
+
+def per_state_chi(ensemble: Ensemble) -> float:
+    """chi with each state's entropy from its own eigendecomposition."""
+    mean = ensemble.mean_state()
+    avg_entropy = sum(
+        p * von_neumann_entropy(s) for p, s in zip(ensemble.prior, ensemble.states) if p > 0.0
+    )
+    return von_neumann_entropy(mean) - float(avg_entropy)
+
+
 def assert_kkt(ensemble: Ensemble, report) -> None:
     """The optimality conditions at the returned prior, evaluated directly:
     D_j <= chi + gap for every j, and D_j = chi on the support."""
@@ -127,6 +147,50 @@ class TestChiKernel:
         report = maximize_chi_over_priors(ensemble)
         assert report.converged and report.iterations <= 10
         assert_kkt(ensemble, report)
+
+    @pytest.mark.parametrize("seed", range(7))
+    def test_chi_equals_the_per_state_formula(self, seed, monkeypatch):
+        # the ideal, mask-broken and noisy ensembles that run_blindness builds
+        ensembles = []
+
+        def recording(solver):
+            def run(ensemble):
+                ensembles.append(ensemble)
+                return solver(ensemble)
+
+            return run
+
+        monkeypatch.setattr(
+            experiments, "maximize_chi_over_priors", recording(maximize_chi_over_priors)
+        )
+        monkeypatch.setattr(experiments, "holevo_chi", recording(holevo_chi))
+        run_blindness(ExperimentConfig("blindness", seed=seed, noise=BLINDNESS_NOISE))
+        assert len(ensembles) == 3
+        for ensemble in ensembles:
+            assert holevo_chi(ensemble) == per_state_chi(ensemble)
+            report = maximize_chi_over_priors(ensemble)
+            uniform = np.full(ensemble.size, 1.0 / ensemble.size)
+            chi_uniform = per_state_chi(ensemble.with_prior(uniform))
+            assert report.chi_uniform == chi_uniform
+            chi_final = per_state_chi(ensemble.with_prior(report.argmax_prior))
+            assert report.chi_maximized == max(chi_final, chi_uniform)
+
+    @pytest.mark.parametrize("ensemble", [ideal_sweep_ensemble, noisy_sweep_ensemble])
+    def test_each_state_decomposed_once(self, ensemble, monkeypatch):
+        # one batched call for the states, and for the mean at the uniform
+        # and at the final prior one to validate it and one for its entropy
+        ensemble = ensemble()
+        calls = 0
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return eigvalsh(*args)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        maximize_chi_over_priors(ensemble)
+        assert calls == 5
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
