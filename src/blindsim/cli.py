@@ -78,6 +78,7 @@ def _flag(convert: Callable[[str], float], ok: Callable[[float], bool], wording:
 
 
 _AT_LEAST_ONE = _flag(int, lambda n: n >= 1, "an integer >= 1")
+_AT_LEAST_TWO = _flag(int, lambda n: n >= 2, "an integer >= 2")
 _NONNEGATIVE = _flag(int, lambda n: n >= 0, "an integer >= 0")
 _MEAN_TOTAL = _flag(
     float, lambda x: 0.0 < x <= MAX_MEAN_TOTAL, f"a finite number > 0 and <= {MAX_MEAN_TOTAL:g}"
@@ -158,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("tomography")
     common(p, noisy=True)
     p.add_argument("--mean-total", type=_MEAN_TOTAL, default=10_000.0)
-    p.add_argument("--mc-trials", type=_AT_LEAST_ONE, default=25)
+    p.add_argument("--mc-trials", type=_AT_LEAST_TWO, default=25)
     p = sub.add_parser("serve")
     p.add_argument("--listen", required=True, metavar="ADDR")
     p.add_argument("--seed", type=int, default=None)

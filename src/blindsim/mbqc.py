@@ -13,9 +13,10 @@ dependency sets for the final Pauli correction and, for some configurations,
 a fixed local Clifford frame and a client-side unwind of never-measured
 hiding phases.
 
-Dependency sets here were fixed by byproduct flow along each configuration's
-measurement order and are validated by the determinism and oracle-equivalence
-test suites, not trusted.
+`pattern_for` derives the dependency sets by causal flow from each
+configuration's graph, measurement order and outputs.  Three entries stay
+data: the horseshoe's H frame, the staircase's X sets (its order has no
+causal flow) and the two linear configurations' input step.
 
 One batched engine (`_measure_batch`) runs every pattern: it holds a batch of
 input states times every branch so far as one array, projects all branches
@@ -41,7 +42,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .angles import Angle8
-from .clusters import BlindPhases, ClusterConfig, build_blind_cluster
+from .clusters import BlindPhases, ClusterConfig, GraphSpec, build_blind_cluster
 from .quantum import (
     HADAMARD,
     IMPOSSIBLE_BRANCH,
@@ -183,6 +184,65 @@ def _prep_step(qubit: int, prep: str | Angle8) -> MeasurementStep:
     return MeasurementStep(qubit, phi=prep)
 
 
+# the configurations whose first measurement prepares the logical input
+_INPUT_STEP = (ClusterConfig.LINEAR_RIGHT, ClusterConfig.LINEAR_LEFT)
+# the horseshoe's outputs are read in the H frame, the target convention of its oracle
+_FRAMES = {ClusterConfig.HORSESHOE: {1: "H", 4: "H"}}
+# the staircase's order (2, 3, 1) has no causal flow, so its X sets stay data
+_HAND_X_DEPS = {ClusterConfig.STAIRCASE: {1: {2}, 4: {1, 3}}}
+
+
+def _causal_flow(graph: GraphSpec, order: tuple, outputs: tuple) -> dict[int, int] | None:
+    """Causal flow (Danos-Kashefi) of measuring `order` with `outputs` last.
+
+    f(i) is i's latest-measured neighbour after i whose other neighbours all
+    come after i.  Flows are not unique; this tie-break fixes every
+    instruction.  None if some i has no such neighbour, unless there are no
+    outputs: then the qubits from i on, the shortest suffix of `order` that
+    leaves a flow, act as the outputs and f stops before them.
+    """
+    rank = {q: t for t, q in enumerate(order + outputs)}
+    flow = {}
+    for i in order:
+        after = [j for j in graph.neighbors(i) if rank[j] > rank[i]
+                 and all(rank[k] > rank[i] for k in graph.neighbors(j) - {i})]
+        if not after:
+            return None if outputs else flow
+        flow[i] = max(after, key=rank.__getitem__)
+    return flow
+
+
+@functools.cache
+def _dependencies(config: ClusterConfig, z_input: bool) -> tuple[tuple, dict]:
+    """Each step's (qubit, X set, Z set) after any input step, and the output
+    fields, shared by every pattern.  s_i sends X to f(i) and Z to N(f(i))
+    minus i; a Z-measured input sends Z to its neighbours, then leaves the graph."""
+    graph, order, outputs = config.graph, config.measure_order, config.outputs
+    x = {q: set() for q in order + outputs}
+    z = {q: set() for q in x}
+    flow_order = order
+    if z_input and config in _INPUT_STEP:
+        for j in graph.neighbors(order[0]):
+            z[j].add(order[0])
+        graph = GraphSpec(graph.vertex_count, frozenset(e for e in graph.edges if order[0] not in e))
+        flow_order = order[1:]
+    flow = _causal_flow(graph, flow_order, outputs)
+    for i, j in (flow or {}).items():
+        x[j].add(i)
+        for k in graph.neighbors(j) - {i}:
+            z[k].add(i)
+    if flow is None:
+        x.update(_HAND_X_DEPS[config])
+    fields = dict(
+        output_x_deps={q: frozenset(x[q]) for q in outputs if x[q]},
+        output_z_deps={q: frozenset(z[q]) for q in outputs if z[q]},
+        frame=_FRAMES.get(config, {}),
+        theta_unwind=frozenset(outputs) & frozenset(config.blind_qubits),
+    )
+    steps = order[config in _INPUT_STEP :]  # an input step depends on nothing
+    return tuple((q, frozenset(x[q]), frozenset(z[q])) for q in steps), fields
+
+
 def pattern_for(
     config: ClusterConfig,
     phi: Mapping[int, Angle8] | None = None,
@@ -190,83 +250,19 @@ def pattern_for(
 ) -> MeasurementPattern:
     """Measurement order, outputs, and dependency sets for a configuration.
 
-    `phi` assigns target rotations to measured qubits (default 0).  For the
-    two linear configurations `input_prep` selects the first measurement:
+    `phi` assigns target rotations to measured qubits (default 0).  Only the
+    two linear configurations take an `input_prep`, their first measurement:
     a Pauli axis or an equatorial Angle8.
     """
-    phi = dict(phi or {})
-
-    def ang(q: int) -> Angle8:
-        return phi.get(q, Angle8(0))
-
-    fs = frozenset
-    if config is ClusterConfig.LINEAR_RIGHT:
-        prep = _prep_step(1, input_prep)
-        z_prep = prep.pauli_override == "Z"
-        steps = (
-            prep,
-            MeasurementStep(
-                2, ang(2), x_deps=fs() if z_prep else fs({1}),
-                z_deps=fs({1}) if z_prep else fs(),
-            ),
-            MeasurementStep(
-                3, ang(3), x_deps=fs({2}), z_deps=fs() if z_prep else fs({1})
-            ),
-        )
-        return MeasurementPattern(
-            steps, (4,), config,
-            output_x_deps={4: fs({3})}, output_z_deps={4: fs({2})},
-        )
-    if config is ClusterConfig.LINEAR_LEFT:
-        prep = _prep_step(4, input_prep)
-        z_prep = prep.pauli_override == "Z"
-        steps = (
-            prep,
-            MeasurementStep(
-                3, ang(3), x_deps=fs() if z_prep else fs({4}),
-                z_deps=fs({4}) if z_prep else fs(),
-            ),
-            MeasurementStep(
-                2, ang(2), x_deps=fs({3}), z_deps=fs() if z_prep else fs({4})
-            ),
-        )
-        return MeasurementPattern(
-            steps, (1,), config,
-            output_x_deps={1: fs({2})}, output_z_deps={1: fs({3})},
-        )
-    if config is ClusterConfig.HORSESHOE:
-        steps = (MeasurementStep(2, ang(2)), MeasurementStep(3, ang(3)))
-        return MeasurementPattern(
-            steps, (1, 4), config,
-            output_x_deps={1: fs({2}), 4: fs({3})},
-            frame={1: "H", 4: "H"},
-        )
-    if config is ClusterConfig.ROTATED_HORSESHOE:
-        steps = (MeasurementStep(1, ang(1)), MeasurementStep(4, ang(4)))
-        return MeasurementPattern(
-            steps, (2, 3), config,
-            output_x_deps={2: fs({1}), 3: fs({4})},
-            output_z_deps={2: fs({4}), 3: fs({1})},
-            theta_unwind=fs({2, 3}),
-        )
-    if config is ClusterConfig.STAIRCASE:
-        steps = (
-            MeasurementStep(2, ang(2)),
-            MeasurementStep(3, ang(3)),
-            MeasurementStep(1, ang(1), x_deps=fs({2})),
-        )
-        return MeasurementPattern(
-            steps, (4,), config, output_x_deps={4: fs({1, 3})}
-        )
-    if config is ClusterConfig.TRIANGLE:
-        steps = (
-            MeasurementStep(2, ang(2)),
-            MeasurementStep(3, ang(3), z_deps=fs({2})),
-            MeasurementStep(1, ang(1), x_deps=fs({2})),
-            MeasurementStep(4, ang(4), x_deps=fs({3})),
-        )
-        return MeasurementPattern(steps, (), config)
-    raise ValueError(f"unknown configuration {config!r}")
+    phi = phi or {}
+    steps = []
+    if config in _INPUT_STEP:
+        steps.append(_prep_step(config.measure_order[0], input_prep))
+    elif input_prep != "Z":
+        raise ValueError(f"{config.value} takes no input preparation, got {input_prep!r}")
+    sets, fields = _dependencies(config, input_prep == "Z")
+    steps += [MeasurementStep(q, phi.get(q, Angle8(0)), x, z) for q, x, z in sets]
+    return MeasurementPattern(tuple(steps), config.outputs, config, **fields)
 
 
 @dataclass(frozen=True)

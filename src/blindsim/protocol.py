@@ -194,10 +194,10 @@ def validate_blind_structure(pattern: MeasurementPattern, blind: Iterable[int]) 
 def validate_deterministic(pattern: MeasurementPattern) -> None:
     """Reject the one family of patterns whose corrected output is not unique.
 
-    On the staircase, with phi_1 and phi_2 both off {0, pi}, live branches
-    end in different corrected outputs, so a session would return a wrong
-    output silently.  Every other pattern of the six configurations is
-    deterministic (an exhaustive engine test checks both statements).
+    Every pattern whose sets come from a causal flow is deterministic.  The
+    staircase's order has none: with phi_1 and phi_2 both off {0, pi}, its
+    live branches end in different corrected outputs, and a session would
+    return a wrong one silently (an exhaustive engine test checks both).
     """
     if pattern.config is not ClusterConfig.STAIRCASE:
         return

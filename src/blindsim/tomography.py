@@ -471,7 +471,9 @@ def monte_carlo_errors(
     extract: Callable[[CountsTable], float],
     rng: np.random.Generator,
 ) -> float:
-    """Std-dev of `extract` over Poisson resamplings of the counts."""
+    """Std-dev of `extract` over at least two Poisson resamplings of the counts."""
+    if n_trials < 2:
+        raise ValueError(f"n_trials = {n_trials}: an error bar needs at least 2 resamplings")
     values = []
     for _ in range(n_trials):
         resampled = CountsTable(

@@ -282,7 +282,9 @@ class TestNoisyOutputs:
         for _ in range(3):
             deltas = {q: A(int(rng.integers(8))) for q in config.measure_order}
             # a linear cluster's first measurement is at its delta, not in Z
-            pattern = pattern_for(config, input_prep=deltas[config.measure_order[0]])
+            linear = config in (ClusterConfig.LINEAR_RIGHT, ClusterConfig.LINEAR_LEFT)
+            prep = deltas[config.measure_order[0]] if linear else "Z"
+            pattern = pattern_for(config, input_prep=prep)
             for noise in NOISE_SETTINGS:
                 engine = _noisy_outputs(pattern, deltas, states, noise)
                 for (n2, n3), rho in zip(states, engine):
@@ -417,7 +419,7 @@ PASSING_ARGV = [
     ["grover"],
     ["deutsch"],
     ["quantumness", "--rounds", "500"],
-    ["tomography", "--mc-trials", "1"],
+    ["tomography", "--mc-trials", "2"],
     ["blindness"],
     ["bulk"],
 ]
@@ -438,7 +440,7 @@ FORCED_FAILURES = [
      lambda t: {**t, "classical_guess_risk": 0.1}, "classical_guess_risk"),
     (["quantumness", "--rounds", "500", "--stub-trials", "2"], "run_quantumness",
      lambda t: {**t, "stub_rejection_rate": 0.5}, "stub_rejection_rate"),
-    (["tomography", "--mc-trials", "1"], "run_tomography",
+    (["tomography", "--mc-trials", "2"], "run_tomography",
      lambda t: {**t, "fidelity_to_ideal": t["true_fidelity"] - 0.06}, "fidelity_to_ideal"),
     (["blindness"], "run_blindness",
      lambda t: {**t, "ideal": {**t["ideal"], "chi_uniform_bits": 1e-8}}, "ideal.chi_uniform_bits"),
@@ -455,7 +457,8 @@ FORCED_FAILURES = [
 BAD_FLAG_VALUES = [
     (["quantumness", "--rounds", "0"], "argument --rounds: expected an integer >= 1"),
     (["quantumness", "--stub-trials", "-1"], "argument --stub-trials: expected an integer >= 0"),
-    (["tomography", "--mc-trials", "0"], "argument --mc-trials: expected an integer >= 1"),
+    (["tomography", "--mc-trials", "0"], "argument --mc-trials: expected an integer >= 2"),
+    (["tomography", "--mc-trials", "1"], "argument --mc-trials: expected an integer >= 2"),
     (["tomography", "--mean-total", "-5"], "argument --mean-total: expected a finite number > 0"),
     (["tomography", "--mean-total", "nan"], "argument --mean-total: expected a finite number"),
     (["tomography", "--mean-total", "inf"], "argument --mean-total: expected a finite number"),
@@ -522,11 +525,11 @@ class TestCli:
         assert captured.out == "" and f"{flag} needs --noisy" in captured.err
 
     def test_tomography_runs_at_a_large_mean_total(self, capsys):
-        assert main(["tomography", "--mean-total", "1e12", "--mc-trials", "1"]) == 0
+        assert main(["tomography", "--mean-total", "1e12", "--mc-trials", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["mean_total"] == 1e12
 
     def test_tomography_echoes_the_noise_it_applies(self, capsys):
-        assert main(["tomography", "--seed", "0", "--mc-trials", "1"]) == 0
+        assert main(["tomography", "--seed", "0", "--mc-trials", "2"]) == 0
         table = json.loads(capsys.readouterr().out)
         assert table["config"]["noise"]["bell_visibility"] == 0.9
 
@@ -580,7 +583,7 @@ class TestCli:
     def test_tomography_fails_on_an_unconverged_mle(self, monkeypatch, tmp_path, capsys):
         import blindsim.cli as cli
 
-        table = run_tomography(mc_trials=1)
+        table = run_tomography(mc_trials=2)
         assert table["converged"]
         flawed = {**table, "converged": False}
         monkeypatch.setattr(cli, "run_tomography", lambda config, **kwargs: flawed)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindsim.angles import Angle8
-from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster
+from blindsim.clusters import BlindPhases, ClusterConfig, GraphSpec, build_blind_cluster
 from blindsim.mbqc import (
     MeasurementPattern,
     MeasurementStep,
@@ -22,6 +22,7 @@ from blindsim.mbqc import (
     input_prep_state,
     pattern_for,
     run_adaptive,
+    _causal_flow,
     _prep_step,
 )
 from blindsim.quantum import HADAMARD, PureState, phase_gate, states_equal_up_to_phase
@@ -102,6 +103,151 @@ class TestPatternFor:
         # the horseshoe's outputs are 1 and 4, each in the H frame
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(pattern_for(ClusterConfig.HORSESHOE), **edit)
+
+
+LINEAR = (ClusterConfig.LINEAR_RIGHT, ClusterConfig.LINEAR_LEFT)
+PREPS = ("X", "Y", "Z", *(A(e) for e in range(8)))
+
+
+def hand_table_pattern(config, phi=None, input_prep="Z"):
+    """The dependency sets, frames and unwinds typed in per configuration:
+    the oracle of the causal-flow derivation in `pattern_for`."""
+    phi = dict(phi or {})
+
+    def ang(q):
+        return phi.get(q, A(0))
+
+    fs = frozenset
+    if config is ClusterConfig.LINEAR_RIGHT:
+        prep = _prep_step(1, input_prep)
+        z_prep = prep.pauli_override == "Z"
+        steps = (
+            prep,
+            MeasurementStep(
+                2, ang(2), x_deps=fs() if z_prep else fs({1}),
+                z_deps=fs({1}) if z_prep else fs(),
+            ),
+            MeasurementStep(
+                3, ang(3), x_deps=fs({2}), z_deps=fs() if z_prep else fs({1})
+            ),
+        )
+        return MeasurementPattern(
+            steps, (4,), config,
+            output_x_deps={4: fs({3})}, output_z_deps={4: fs({2})},
+        )
+    if config is ClusterConfig.LINEAR_LEFT:
+        prep = _prep_step(4, input_prep)
+        z_prep = prep.pauli_override == "Z"
+        steps = (
+            prep,
+            MeasurementStep(
+                3, ang(3), x_deps=fs() if z_prep else fs({4}),
+                z_deps=fs({4}) if z_prep else fs(),
+            ),
+            MeasurementStep(
+                2, ang(2), x_deps=fs({3}), z_deps=fs() if z_prep else fs({4})
+            ),
+        )
+        return MeasurementPattern(
+            steps, (1,), config,
+            output_x_deps={1: fs({2})}, output_z_deps={1: fs({3})},
+        )
+    if config is ClusterConfig.HORSESHOE:
+        steps = (MeasurementStep(2, ang(2)), MeasurementStep(3, ang(3)))
+        return MeasurementPattern(
+            steps, (1, 4), config,
+            output_x_deps={1: fs({2}), 4: fs({3})},
+            frame={1: "H", 4: "H"},
+        )
+    if config is ClusterConfig.ROTATED_HORSESHOE:
+        steps = (MeasurementStep(1, ang(1)), MeasurementStep(4, ang(4)))
+        return MeasurementPattern(
+            steps, (2, 3), config,
+            output_x_deps={2: fs({1}), 3: fs({4})},
+            output_z_deps={2: fs({4}), 3: fs({1})},
+            theta_unwind=fs({2, 3}),
+        )
+    if config is ClusterConfig.STAIRCASE:
+        steps = (
+            MeasurementStep(2, ang(2)),
+            MeasurementStep(3, ang(3)),
+            MeasurementStep(1, ang(1), x_deps=fs({2})),
+        )
+        return MeasurementPattern(
+            steps, (4,), config, output_x_deps={4: fs({1, 3})}
+        )
+    if config is ClusterConfig.TRIANGLE:
+        steps = (
+            MeasurementStep(2, ang(2)),
+            MeasurementStep(3, ang(3), z_deps=fs({2})),
+            MeasurementStep(1, ang(1), x_deps=fs({2})),
+            MeasurementStep(4, ang(4), x_deps=fs({3})),
+        )
+        return MeasurementPattern(steps, (), config)
+    raise ValueError(f"unknown configuration {config!r}")
+
+
+class TestCausalFlow:
+    def test_derived_patterns_equal_the_hand_table(self):
+        checked = 0
+        for config in ClusterConfig:
+            preps = PREPS if config in LINEAR else ("Z",)
+            for eighths in itertools.product(range(8), repeat=len(config.measure_order)):
+                phi = {q: A(e) for q, e in zip(config.measure_order, eighths)}
+                for prep in preps:
+                    derived = pattern_for(config, phi, prep)
+                    oracle = hand_table_pattern(config, phi, prep)
+                    assert derived == oracle, (config, phi, prep)
+                    assert repr(derived) == repr(oracle), (config, phi, prep)
+                    checked += 1
+        assert checked == 16_000
+
+    @staticmethod
+    def flow_of(config, z_input):
+        """(graph, order, outputs, f): the flow `pattern_for` derives from,
+        with a Z-measured input out of the graph."""
+        graph, order, outputs = config.graph, config.measure_order, config.outputs
+        if z_input and config in LINEAR:
+            graph = GraphSpec(4, frozenset(e for e in graph.edges if order[0] not in e))
+            order = order[1:]
+        f = _causal_flow(graph, order, outputs)
+        return graph, tuple(f), tuple(q for q in order if q not in f) + outputs, f
+
+    @pytest.mark.parametrize("z_input", [False, True])
+    @pytest.mark.parametrize(
+        "config",
+        [c for c in ClusterConfig if c is not ClusterConfig.STAIRCASE],
+        ids=lambda c: c.value,
+    )
+    def test_flow_meets_the_causal_flow_conditions(self, config, z_input):
+        graph, order, outputs, f = self.flow_of(config, z_input)
+        rank = {q: t for t, q in enumerate(order + outputs)}
+        z_measured = {config.measure_order[0]} if z_input and config in LINEAR else set()
+        assert set(rank) == {1, 2, 3, 4} - z_measured
+        for i, j in f.items():
+            assert j in graph.neighbors(i)
+            assert rank[i] < rank[j]
+            assert all(rank[i] < rank[k] for k in graph.neighbors(j) - {i})
+
+    def test_staircase_order_has_no_causal_flow(self):
+        staircase = ClusterConfig.STAIRCASE
+        assert _causal_flow(staircase.graph, staircase.measure_order, staircase.outputs) is None
+
+    def test_triangle_flow_ends_in_its_last_two_readouts(self):
+        _, order, outputs, f = self.flow_of(ClusterConfig.TRIANGLE, False)
+        assert (order, outputs, f) == ((2, 3), (1, 4), {2: 1, 3: 4})
+
+    def test_latest_neighbour_breaks_the_tie(self):
+        # 2's neighbours 1 and 3 both qualify on the horseshoe; 1 is read last
+        assert self.flow_of(ClusterConfig.HORSESHOE, False)[3] == {2: 1, 3: 4}
+
+    @pytest.mark.parametrize(
+        "config", [c for c in ClusterConfig if c not in LINEAR], ids=lambda c: c.value
+    )
+    def test_configurations_without_an_input_step_refuse_a_preparation(self, config):
+        for prep in ("X", "Y", "W", A(0), A(5)):
+            with pytest.raises(ValueError, match="takes no input preparation"):
+                pattern_for(config, input_prep=prep)
 
 
 class TestEnumerateBranches:

@@ -464,6 +464,13 @@ class TestMonteCarlo:
         rng = np.random.default_rng(0)
         assert monte_carlo_errors(table, 20, lambda t: 1.23, rng) == 0.0
 
+    def test_fewer_than_two_trials_refused(self):
+        # the spread of one resampling is 0 whatever the counts
+        table = exact_counts(DensityMatrix.maximally_mixed(1), pauli_settings(1), exposure=100)
+        for n_trials in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least 2"):
+                monte_carlo_errors(table, n_trials, lambda t: 1.23, np.random.default_rng(0))
+
     def test_error_bars_shrink_with_counts(self):
         target = PureState.ket_theta(PI / 4)
         rho = DensityMatrix.from_pure(target)

@@ -288,6 +288,13 @@ class TestSessionInProcess:
         with pytest.raises(ProtocolError, match="before all qubits"):
             server2.handle(Message(2, "measure_instruction", {"qubit_id": 2, "delta_eighths": 0}))
 
+    def test_ignored_input_preparation_refused(self):
+        # only the linear configurations measure an input; the others would drop it
+        for prep in ("W", "X", A(3)):
+            secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 0, 0, input_prep=prep)
+            with pytest.raises(ValueError, match="takes no input preparation"):
+                ClientSession(secrets)
+
     def test_unknown_qubit_rejected(self):
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 0, 0)
         client = ClientSession(secrets)
