@@ -26,11 +26,13 @@ step columns, the X and Z parities of every branch of the whole tree are
 two integer matrix products, so every branch's instruction on the integer
 pi/4 grid is known before the first projection.
 
-A pattern's plan holds what the engine derives from it alone: step qubits,
-r columns, dependency matrices, reshapes and output correction.  It is built
-on first use and assumes, as `__post_init__` does, unmutated mappings.
-`enumerate_branches`, `enumerate_adaptive` and `run_adaptive` are its
-batch-of-one front ends.
+A pattern's plan holds what the engine derives from it alone, built on first
+use (it assumes, as `__post_init__` does, unmutated mappings).  For each of
+the 2^m values of r on the m equatorial steps it tabulates every branch's
+interpreted outcomes, instructions less theta and output gates, so a call
+packs r into a row number and adds theta.  `pattern_for` shares one pattern per
+configuration, rotations and input.  `enumerate_branches`,
+`enumerate_adaptive` and `run_adaptive` are the engine's batch-of-one front ends.
 """
 from __future__ import annotations
 
@@ -252,17 +254,30 @@ def pattern_for(
 
     `phi` assigns target rotations to measured qubits (default 0).  Only the
     two linear configurations take an `input_prep`, their first measurement:
-    a Pauli axis or an equatorial Angle8.
+    a Pauli axis or an equatorial Angle8.  Equal steps give one shared pattern.
     """
+    first = _input_steps(config, input_prep)
     phi = phi or {}
-    steps = []
+    return _shared_pattern(
+        config, first, tuple(phi.get(q, Angle8(0)) for q in config.measure_order[len(first) :])
+    )
+
+
+def _input_steps(config: ClusterConfig, input_prep: str | Angle8) -> tuple[MeasurementStep, ...]:
+    """The input step of a linear configuration; the others refuse a preparation."""
     if config in _INPUT_STEP:
-        steps.append(_prep_step(config.measure_order[0], input_prep))
-    elif input_prep != "Z":
+        return (_prep_step(config.measure_order[0], input_prep),)
+    if input_prep != "Z":
         raise ValueError(f"{config.value} takes no input preparation, got {input_prep!r}")
-    sets, fields = _dependencies(config, input_prep == "Z")
-    steps += [MeasurementStep(q, phi.get(q, Angle8(0)), x, z) for q, x, z in sets]
-    return MeasurementPattern(tuple(steps), config.outputs, config, **fields)
+    return ()
+
+
+# bounded: a pattern with its plan holds 6-20 kB
+@functools.lru_cache(maxsize=256)
+def _shared_pattern(config: ClusterConfig, first: tuple, phis: tuple) -> MeasurementPattern:
+    sets, fields = _dependencies(config, not first or first[0].pauli_override == "Z")
+    steps = first + tuple(MeasurementStep(q, a, x, z) for (q, x, z), a in zip(sets, phis))
+    return MeasurementPattern(steps, config.outputs, config, **fields)
 
 
 @dataclass(frozen=True)
@@ -296,7 +311,9 @@ _FRAME_GATES = {"H": HADAMARD}
 _NO_FRAME = np.eye(2)
 # byproduct Z^z X^x, indexed by 2x + z
 _BYPRODUCTS = np.array([np.eye(2), PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X], dtype=complex)
-for _table in (_GRID_BRAS, _BYPRODUCTS, _NO_FRAME, *_PAULI_BRAS.values()):
+# diagonal of Rz(-theta) for theta = e pi/4, the client's unwind of a hiding phase
+_UNWIND = np.stack([np.exp(s * (np.arange(8) * (math.pi / 8.0))) for s in (1j, -1j)], axis=-1)
+for _table in (_GRID_BRAS, _BYPRODUCTS, _NO_FRAME, _UNWIND, *_PAULI_BRAS.values()):
     _table.setflags(write=False)
 
 
@@ -312,15 +329,15 @@ class _Plan(NamedTuple):
     """Everything the engine derives from a pattern alone; arrays read-only."""
 
     qubits: tuple[int, ...]  # measured qubit of each step
-    masked: np.ndarray       # the equatorial steps, whose outcomes r masks
-    r_cols: np.ndarray       # their qubits' columns in a (B, n) r array
+    r_cols: np.ndarray       # the equatorial steps' columns in a (B, n) r array
+    r_weights: np.ndarray    # (m,) the bit each sets in a row of the tables below, first highest
     pauli: np.ndarray        # (k,) True on Pauli steps
     bras: tuple[np.ndarray | None, ...]  # each Pauli step's bras, None if equatorial
-    deps: np.ndarray         # (k, 2k) X | Z dependency sets of the steps
-    phi: np.ndarray          # (k,) target eighths
+    interpreted: np.ndarray  # (2^m, 2^k, k) every branch's outcomes xor r
+    eighths: np.ndarray      # (2^m, 2^k, k) its instructed eighths less theta, mod 8
+    gates: np.ndarray        # (2^m, 2^k, outputs, 2, 2) its output gates, byproduct then frame
     theta_cols: np.ndarray   # each step's column in a (B, n) theta array
     left: tuple[int, ...]    # 2^(unmeasured qubits before each step's qubit)
-    out_deps: np.ndarray     # (k, 2 outputs) X | Z dependency sets of the outputs
     out_cols: np.ndarray     # the outputs' columns in a (B, n) theta array
     correction: _Correction
 
@@ -329,7 +346,7 @@ class _Correction(NamedTuple):
     """A plan's output correction, apart: a session corrects one output."""
 
     outputs: tuple[int, ...]   # ascending
-    frames: np.ndarray | None  # (outputs, 2, 2) frame gates, None without a frame
+    gates: np.ndarray          # (outputs, 4, 2, 2) frame . Z^z X^x, indexed by 2x + z
     unwind: np.ndarray | None  # (outputs,) True where theta is unwound, None without
     spec: str                  # the einsum that applies one 2x2 gate to each output
 
@@ -342,17 +359,26 @@ def _make_plan(pattern: MeasurementPattern) -> _Plan:
     sets += [pattern.output_x_deps.get(q, frozenset()) for q in outputs]
     sets += [pattern.output_z_deps.get(q, frozenset()) for q in outputs]
     deps = np.array([q in d for q in qubits for d in sets], dtype=np.int64).reshape(k, len(sets))
+    # with the dependency sets as 0/1 matrices over step columns, one integer
+    # product gives every parity of every branch under every r row
+    rmask = np.zeros((2 ** len(masked), 1, k), dtype=np.int64)
+    rmask[..., masked] = _branch_bits(len(masked))[:, None]
+    interpreted = _branch_bits(k) ^ rmask
+    parity = interpreted @ deps & 1
+    phi = np.array([s.phi.eighths for s in steps], dtype=np.int64)
+    x, z = np.split(parity[..., 2 * k :], 2, axis=-1)
     plan = _Plan(
         qubits=qubits,
-        masked=np.array(masked, dtype=np.intp),
         r_cols=np.array([qubits[i] - 1 for i in masked], dtype=np.intp),
+        r_weights=2 ** np.arange(len(masked) - 1, -1, -1),
         pauli=np.array([s.pauli_override is not None for s in steps], dtype=bool),
         bras=tuple(_PAULI_BRAS.get(s.pauli_override) for s in steps),
-        deps=deps[:, : 2 * k],
-        phi=np.array([s.phi.eighths for s in steps], dtype=np.int64),
+        interpreted=interpreted,
+        # adapt_angle's (-1)^{x parity} phi + pi (r xor z parity); a call adds theta
+        eighths=(phi * (1 - 2 * parity[..., :k]) + 4 * (rmask ^ parity[..., k : 2 * k])) % 8,
+        gates=correction.gates[np.arange(len(outputs)), 2 * x + z],
         theta_cols=np.array([q - 1 for q in qubits], dtype=np.intp),
         left=tuple(2 ** (q - 1 - sum(p < q for p in qubits[:i])) for i, q in enumerate(qubits)),
-        out_deps=deps[:, 2 * k :],
         out_cols=np.array([q - 1 for q in outputs], dtype=np.intp),
         correction=correction,
     )
@@ -364,48 +390,29 @@ def _make_plan(pattern: MeasurementPattern) -> _Plan:
 
 def _make_correction(pattern: MeasurementPattern) -> _Correction:
     outputs = tuple(sorted(pattern.outputs))
-    frames = unwind = None
+    gates = np.tile(_BYPRODUCTS, (len(outputs), 1, 1, 1))
     if pattern.frame:
         frames = np.array([_FRAME_GATES.get(pattern.frame.get(q), _NO_FRAME) for q in outputs])
-        frames.setflags(write=False)
+        gates = frames[:, None] @ gates
+    gates.setflags(write=False)
+    unwind = None
     if pattern.theta_unwind:
         unwind = np.array([q in pattern.theta_unwind for q in outputs])
         unwind.setflags(write=False)
     rows, cols = "acegikoqsuwy"[: len(outputs)], "dfhjlnprtvxz"[: len(outputs)]
     spec = ",".join(f"...{a}{c}" for a, c in zip(rows, cols)) + f",...{cols}->...{rows}"
-    return _Correction(outputs, frames, unwind, spec)
+    return _Correction(outputs, gates, unwind, spec)
 
 
-def _instruction_table(
-    plan: _Plan,
-    interp: np.ndarray,
-    rmask: np.ndarray,
-    theta: np.ndarray | None,
-    deltas: Mapping[int, Angle8 | None] | None,
-) -> np.ndarray:
-    """(B, 2^k, k) instructed eighths of every step on every branch, -1 on
-    Pauli steps.
-
-    `interp` is (B, 2^k, k) interpreted outcomes and `rmask` (B, k) masks.
-    With the X- and Z-dependency sets as 0/1 matrices over step columns,
-    every step's parities on every branch come from one integer product, and
-    the instruction is `adapt_angle`'s (-1)^{x parity} phi + theta +
-    pi (r xor z parity).  Fixed `deltas` give one row for every branch.
-    """
-    k = len(plan.qubits)
-    table = np.empty(interp.shape, dtype=np.int64)
-    if deltas is not None:
-        for i, q in enumerate(plan.qubits):
-            if not plan.pauli[i] and deltas.get(q) is None:
-                raise ValueError(f"no instruction for qubit {q}")
-            table[..., i] = -1 if plan.pauli[i] else deltas[q].eighths
-        return table
-    parity = interp @ plan.deps & 1
-    hiding = np.asarray(theta)[:, None, plan.theta_cols]
-    flip = 1 - 2 * parity[..., :k]
-    np.remainder(plan.phi * flip + hiding + 4 * (rmask[:, None, :] ^ parity[..., k:]), 8, out=table)
-    table[..., plan.pauli] = -1
-    return table
+def _instruction_table(plan: _Plan, deltas: Mapping[int, Angle8 | None], shape: tuple) -> np.ndarray:
+    """`shape` (B, 2^k, k) table of fixed instructed eighths, one row for
+    every branch, -1 on Pauli steps."""
+    row = []
+    for q, pauli in zip(plan.qubits, plan.pauli):
+        if not pauli and deltas.get(q) is None:
+            raise ValueError(f"no instruction for qubit {q}")
+        row.append(-1 if pauli else deltas[q].eighths)
+    return np.broadcast_to(np.array(row, dtype=np.int64), shape)
 
 
 @dataclass(frozen=True)
@@ -462,13 +469,27 @@ def _measure_batch(
     adaptive = deltas is None
     if adaptive and theta is None:
         raise ValueError("adaptive instructions need the hiding phases")
-    # the mask each step's outcome is interpreted through
-    rmask = np.zeros((batch, k), dtype=np.int64)
-    if adaptive and r is not None:
-        rmask[:, plan.masked] = np.asarray(r)[:, plan.r_cols]
+    if theta is not None:
+        theta = np.asarray(theta)
+        if (theta & ~7).any():
+            raise ValueError("hiding phases must be eighths in 0..7")
+    # each batch element's row of the plan's mask tables
+    row = np.zeros(batch, dtype=np.intp)
+    if r is not None:
+        r = np.asarray(r)
+        if (r & ~1).any():
+            raise ValueError("mask bits must be 0 or 1")
+        if adaptive:
+            row = r[:, plan.r_cols] @ plan.r_weights
     # (B, 2^k, k): every branch's interpreted outcomes and instructed eighths
-    interp = _branch_bits(k) ^ rmask[:, None, :]
-    table = _instruction_table(plan, interp, rmask, theta, deltas)
+    interp = plan.interpreted[row]
+    if adaptive:
+        table = plan.eighths[row] + theta[:, None, plan.theta_cols]
+        table %= 8
+        table[..., plan.pauli] = -1
+    else:
+        table = _instruction_table(plan, deltas, interp.shape)
+    grid = _GRID_BRAS[table]  # every instruction's bras
     psi = psi.reshape(batch, 1, -1)
     prob = np.ones((batch, 1))
     sampled = rng is not None
@@ -478,10 +499,10 @@ def _measure_batch(
         mass = np.ones(batch)  # product of each step's total probability
     for i, (left, bras) in enumerate(zip(plan.left, plan.bras)):
         if bras is None and sampled:
-            bras = _GRID_BRAS[table[rows, index << (k - i), i]]
+            bras = grid[rows, index << (k - i), i]
         elif bras is None:
             # the 2^(k-i) leaves below each current branch share its instruction
-            bras = _GRID_BRAS[table[:, :: 2 ** (k - i), i]]
+            bras = grid[:, :: 2 ** (k - i), i]
         branches = psi.shape[1]
         psi = np.einsum(
             "...kc,...lcr->...klr", bras, psi.reshape(batch, branches, left, 2, -1), order="C"
@@ -507,14 +528,14 @@ def _measure_batch(
 
     if sampled:
         interpreted, instructed = interp[rows, index], table[rows, index]
+        outcomes, gates = _branch_bits(k)[index], plan.gates[row[:, None], index]
     else:
         interpreted, instructed = interp, table
-    outcomes = interpreted ^ rmask[:, None, :]
+        outcomes, gates = _branch_bits(k)[None].repeat(batch, axis=0), plan.gates[row]
     corrected = None
     if pattern.outputs and (theta is not None or not pattern.theta_unwind):
-        parity = interpreted @ plan.out_deps & 1
-        unwind = None if theta is None else np.asarray(theta)[:, plan.out_cols]
-        corrected = _correct(plan.correction, psi, parity, unwind)
+        unwind = None if theta is None else theta[:, plan.out_cols]
+        corrected = _correct(plan.correction, psi, gates, unwind)
     for value in (outcomes, interpreted, instructed, prob, live, psi, corrected):
         if value is not None:
             value.setflags(write=False)
@@ -524,26 +545,22 @@ def _measure_batch(
 def _correct(
     correction: _Correction,
     out: np.ndarray,
-    parity: np.ndarray,
+    gates: np.ndarray,
     theta: np.ndarray | None,
 ) -> np.ndarray:
     """Theta unwind, Pauli byproducts and Clifford frame on a batch.
 
-    `out` is (B, M, 2^outputs), `parity` (B, M, 2 outputs) the X then the Z
-    parities and `theta` (B, outputs) eighths, outputs ascending.  Each output
-    gets one 2x2 gate per branch, frame . Z^z X^x . Rz(-theta), and one
-    einsum applies them all.
+    `out` is (B, M, 2^outputs), `gates` (B, M, outputs, 2, 2) rows of
+    `correction.gates` and `theta` (B, outputs) eighths, outputs ascending.
+    Each output gets one 2x2 gate per branch, frame . Z^z X^x . Rz(-theta),
+    and one einsum applies them all.
     """
     batch, branches = out.shape[:2]
     width = len(correction.outputs)
-    gates = _BYPRODUCTS[2 * parity[..., :width] + parity[..., width:]]  # (B, M, outputs, 2, 2)
-    if correction.frames is not None:
-        gates = correction.frames @ gates
     if correction.unwind is not None:
         if theta is None:
             raise ValueError("theta unwind requires the hiding phases")
-        half = np.where(correction.unwind, theta, 0) * (math.pi / 8.0)
-        unwind = np.stack([np.exp(1j * half), np.exp(-1j * half)], axis=-1)  # diagonal of Rz(-theta)
+        unwind = _UNWIND[np.where(correction.unwind, theta, 0)]
         gates = gates * unwind[:, None, :, None, :]
     t = out.reshape((batch, branches) + (2,) * width)
     operands = [gates[..., i, :, :] for i in range(width)]
@@ -565,13 +582,14 @@ def correct_output(
         )
     if not pattern.corrects_outputs:
         return raw_output
-    sets = (pattern.output_x_deps, pattern.output_z_deps)
-    parity = [sum(interpreted[d] for d in deps.get(q, ())) % 2 for deps in sets for q in outputs]
+    x, z = (np.array([sum(interpreted[d] for d in deps.get(q, ())) % 2 for q in outputs])
+            for deps in (pattern.output_x_deps, pattern.output_z_deps))
     theta = None
     if phases is not None:
         theta = np.array([[phases[q].eighths if q in pattern.theta_unwind else 0 for q in outputs]])
-    amplitudes = raw_output.amplitudes.reshape(1, 1, -1)
-    out = _correct(pattern._correction, amplitudes, np.array([[parity]]), theta)
+    correction = pattern._correction
+    gates = correction.gates[np.arange(len(outputs)), 2 * x + z]
+    out = _correct(correction, raw_output.amplitudes.reshape(1, 1, -1), gates[None, None], theta)
     return PureState._trusted(out.reshape(-1))
 
 
@@ -582,6 +600,8 @@ def _secrets_rows(
     adaptive: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """(1, n) arrays of the theta eighths and mask bits one run reads."""
+    if any(bit not in (0, 1) for bit in r.values()):
+        raise ValueError(f"mask bits must be 0 or 1, got {dict(r)}")
     n = pattern.num_qubits
     equatorial = [s.qubit for s in pattern.steps if s.pauli_override is None]
     r_row = np.zeros((1, n), dtype=np.int64)
@@ -683,8 +703,10 @@ def circuit_oracle(
     """Brute-force circuit-model reference for each configuration's output.
 
     Every expression below is built from plain gate algebra, independent of
-    the measurement engine, so the two can cross-check each other.
+    the measurement engine, so the two can cross-check each other.  Like
+    `pattern_for`, it refuses an input preparation it would ignore.
     """
+    _input_steps(config, input_prep)
     phi = {q: a for q, a in phi.items()}
 
     def ang(q: int) -> float:

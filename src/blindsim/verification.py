@@ -32,6 +32,13 @@ SWEEP8: tuple[tuple[int, int], ...] = tuple((2, n) for n in range(8))
 ALIGNED10: tuple[tuple[int, int], ...] = SWEEP8 + ((6, 0), (6, 4))
 
 
+# every setting measures Z on qubit 1, then fixed instructions; one shared
+# pattern, so its engine plan is built once
+_TEST_PATTERN = MeasurementPattern(
+    (MeasurementStep(1, pauli_override="Z"), *(MeasurementStep(q) for q in (2, 3, 4))), ()
+)
+
+
 @dataclass(frozen=True)
 class QuantumnessSetting:
     """Fixed per-qubit instructions for the test rounds.
@@ -47,13 +54,7 @@ class QuantumnessSetting:
     minus_is_zero: bool = True
 
     def pattern(self) -> MeasurementPattern:
-        steps = (
-            MeasurementStep(1, pauli_override="Z"),
-            MeasurementStep(2),
-            MeasurementStep(3),
-            MeasurementStep(4),
-        )
-        return MeasurementPattern(steps, ())
+        return _TEST_PATTERN
 
     def deltas(self) -> dict[int, Angle8 | None]:
         return {1: None, 2: self.delta2, 3: self.delta3, 4: self.delta4}

@@ -389,6 +389,97 @@ class TestInstructionTable:
         )
 
 
+def _per_call_tables(pattern, theta, r, deltas=None):
+    """Every branch's interpreted outcomes, instructed eighths and output
+    gates, derived per call as the engine did before its plan held them:
+    `interp @ deps & 1` parities, `adapt_angle`'s eighths, and _BYPRODUCTS
+    then frames then the theta unwind."""
+    steps, outputs = pattern.steps, sorted(pattern.outputs)
+    k, width = len(steps), len(outputs)
+    qubits = [s.qubit for s in steps]
+    pauli = np.array([s.pauli_override is not None for s in steps], dtype=bool)
+    rmask = np.zeros((len(theta), k), dtype=np.int64)
+    if deltas is None:
+        rmask[:, ~pauli] = r[:, [q - 1 for q, p in zip(qubits, pauli) if not p]]
+    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    interp = bits ^ rmask[:, None, :]
+    sets = [s.x_deps for s in steps] + [s.z_deps for s in steps]
+    sets += [pattern.output_x_deps.get(q, frozenset()) for q in outputs]
+    sets += [pattern.output_z_deps.get(q, frozenset()) for q in outputs]
+    deps = np.array([[q in d for d in sets] for q in qubits], dtype=np.int64).reshape(k, -1)
+    parity = interp @ deps & 1
+    table = np.empty(interp.shape, dtype=np.int64)
+    if deltas is None:
+        phi = np.array([s.phi.eighths for s in steps], dtype=np.int64)
+        hiding = theta[:, None, [q - 1 for q in qubits]]
+        flip = 1 - 2 * parity[..., :k]
+        np.remainder(phi * flip + hiding + 4 * (rmask[:, None, :] ^ parity[..., k : 2 * k]), 8, out=table)
+    else:
+        table[...] = [0 if p else deltas[q].eighths for q, p in zip(qubits, pauli)]
+    table[..., pauli] = -1
+    gates = mbqc._BYPRODUCTS[2 * parity[..., 2 * k : 2 * k + width] + parity[..., 2 * k + width :]]
+    if pattern.frame:
+        gates = np.array([HADAMARD if q in pattern.frame else np.eye(2) for q in outputs]) @ gates
+    if pattern.theta_unwind:
+        unwound = [q in pattern.theta_unwind for q in outputs]
+        half = np.where(unwound, theta[:, [q - 1 for q in outputs]], 0) * (np.pi / 8.0)
+        unwind = np.stack([np.exp(1j * half), np.exp(-1j * half)], axis=-1)
+        gates = gates * unwind[:, None, :, None, :]
+    return bits, interp, table, gates
+
+
+@st.composite
+def mask_batches(draw):
+    """A computation and up to 8 (theta, r) rows with distinct r rows."""
+    config, phi, prep, _, _ = draw(computations())
+    rows = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 7)] * 4), st.tuples(*[st.integers(0, 1)] * 4)),
+        min_size=1, max_size=8, unique_by=lambda row: row[1],
+    ))
+    theta, r = (np.array([row[i] for row in rows]) for i in (0, 1))
+    return pattern_for(config, phi=phi, input_prep=prep), theta, r
+
+
+class TestMaskTables:
+    """The plan's mask-indexed tables against the per-call derivation they replaced."""
+
+    @staticmethod
+    def _assert_matches(pattern, branches, reference, picked=None):
+        bits, interp, table, gates = reference
+        if picked is not None:
+            rows = np.arange(len(picked))[:, None]
+            bits, interp, table, gates = bits[picked], interp[rows, picked], table[rows, picked], gates[rows, picked]
+        np.testing.assert_array_equal(branches.outcomes, np.broadcast_to(bits, interp.shape))
+        np.testing.assert_array_equal(branches.interpreted, interp)
+        np.testing.assert_array_equal(branches.deltas, table)
+        if pattern.outputs:
+            batch, count = branches.output.shape[:2]
+            t = branches.output.reshape((batch, count) + (2,) * len(pattern.outputs))
+            operands = [gates[..., i, :, :] for i in range(len(pattern.outputs))]
+            corrected = np.einsum(pattern._correction.spec, *operands, t).reshape(batch, count, -1)
+            np.testing.assert_array_equal(branches.corrected, corrected)
+
+    @given(mask_batches(), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 7), min_size=4, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_engine_reads_the_per_call_derivation(self, drawn, seed, fixed_eighths):
+        pattern, theta, r = drawn
+        k = len(pattern.steps)
+        states = blind_cluster_batch(pattern.config.graph, theta)
+        reference = _per_call_tables(pattern, theta, r)
+        self._assert_matches(pattern, _measure_batch(pattern, states, theta, r), reference)
+        sampled = _measure_batch(pattern, states, theta, r, rng=np.random.default_rng(seed))
+        picked = sampled.outcomes[:, 0] @ (1 << np.arange(k - 1, -1, -1))
+        self._assert_matches(pattern, sampled, reference, picked[:, None])
+        deltas = {s.qubit: A(e) for s, e in zip(pattern.steps, fixed_eighths) if s.pauli_override is None}
+        fixed = _measure_batch(pattern, states, theta, r, deltas=deltas)
+        self._assert_matches(pattern, fixed, _per_call_tables(pattern, theta, r, deltas))
+        plan = pattern._plan
+        tables = [v for v in (*plan, *plan.correction) if isinstance(v, np.ndarray)]
+        assert len(tables) >= 9
+        for array in tables:
+            assert not array.flags.writeable
+
+
 class TestPlan:
     """What the engine derives from a pattern alone is built once per pattern
     and kept on it, outside the dataclass fields."""
@@ -420,9 +511,9 @@ class TestPlan:
                 assert getattr(after, name).tobytes() == value.tobytes(), name
 
     def test_equality_and_repr_ignore_the_plan(self):
-        phi = {2: A(3), 3: A(7)}
-        built = pattern_for(ClusterConfig.HORSESHOE, phi=phi)
-        bare = pattern_for(ClusterConfig.HORSESHOE, phi=phi)
+        # fresh copies: the shared pattern may carry its plan from an earlier call
+        shared = pattern_for(ClusterConfig.HORSESHOE, phi={2: A(3), 3: A(7)})
+        built, bare = dataclasses.replace(shared), dataclasses.replace(shared)
         self._run(built)
         assert "_plan" in vars(built) and "_plan" not in vars(bare)
         assert built == bare and bare == built
@@ -431,7 +522,7 @@ class TestPlan:
 
     def test_correct_output_builds_only_the_correction(self):
         # a session corrects one output, so it builds no more of the plan
-        pattern = pattern_for(ClusterConfig.ROTATED_HORSESHOE, phi={1: A(3), 4: A(5)})
+        pattern = dataclasses.replace(pattern_for(ClusterConfig.ROTATED_HORSESHOE, phi={1: A(3), 4: A(5)}))
         raw = PureState.from_amplitudes(np.full(4, 0.5))
         correct_output(pattern, {1: 1, 4: 0}, raw, BlindPhases.family(2, 3))
         assert "_correction" in vars(pattern) and "_plan" not in vars(pattern)
@@ -509,6 +600,29 @@ class TestTrustBoundary:
             PureState.from_amplitudes(amplitudes)
         with pytest.raises(ValueError, match="norm"):
             amplitudes_from_wire([[a, 0.0] for a in amplitudes])
+
+    def test_mask_bits_and_hiding_phases_off_their_grids_rejected(self):
+        # a mask bit picks a row of the plan's tables, so 2 or -1 would read another row
+        config = ClusterConfig.LINEAR_RIGHT
+        pattern = pattern_for(config, phi={2: A(1), 3: A(6)}, input_prep=A(2))
+        phases = BlindPhases.family(2, 5)
+        state = cluster_state_for(config, phases)
+        for r in ({1: 2}, {1: 5, 2: -1}):
+            with pytest.raises(ValueError, match="mask bits"):
+                enumerate_adaptive(state, pattern, phases, r)
+            with pytest.raises(ValueError, match="mask bits"):
+                run_adaptive(state, pattern, phases, r)
+        theta = np.array([[0, 2, 5, 0]])
+        states = blind_cluster_batch(config.graph, theta)
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="mask bits"):
+                _measure_batch(pattern, states, theta, np.array([[0, bad, 0, 0]]))
+        for bad in (8, -1):
+            off_grid = np.array([[0, 2, bad, 0]])
+            with pytest.raises(ValueError, match="hiding phases"):
+                _measure_batch(pattern, states, off_grid, np.zeros((1, 4), dtype=int))
+            with pytest.raises(ValueError, match="hiding phases"):
+                _measure_batch(pattern, states, off_grid, deltas={1: A(2), 2: A(0), 3: A(0)})
 
 
 # ------------------------------------------------------- exhaustive scan

@@ -72,6 +72,21 @@ class TestPatternFor:
             assert tuple(s.qubit for s in pattern.steps) == config.measure_order
             assert tuple(sorted(pattern.outputs)) == tuple(sorted(config.outputs))
 
+    def test_equal_arguments_share_one_pattern(self):
+        phi = {2: A(1), 3: A(6)}
+        for config, prep in ((ClusterConfig.LINEAR_RIGHT, A(3)), (ClusterConfig.HORSESHOE, "Z")):
+            pattern = pattern_for(config, phi=phi, input_prep=prep)
+            assert pattern_for(config, phi=dict(phi), input_prep=prep) is pattern
+            # a rotation on an output is no part of the key, and a missing one is 0
+            assert pattern_for(config, phi={**phi, 4: A(5)}, input_prep=prep) is pattern
+            assert pattern_for(config, input_prep=prep) is pattern_for(config, {2: A(0)}, prep)
+            assert pattern_for(config, {2: A(2), 3: A(6)}, prep) is not pattern
+        right = ClusterConfig.LINEAR_RIGHT
+        assert pattern_for(right, phi, A(4)) is not pattern_for(right, phi, A(3))
+        assert pattern_for(right, phi, "Z") is not pattern_for(right, phi, A(3))
+        # the key is the input step, so a Pauli name and its angle agree
+        assert pattern_for(right, phi, "X") is pattern_for(right, phi, A(0))
+
     def test_partition_enforced(self):
         with pytest.raises(ValueError):
             MeasurementPattern(
@@ -246,8 +261,9 @@ class TestCausalFlow:
     )
     def test_configurations_without_an_input_step_refuse_a_preparation(self, config):
         for prep in ("X", "Y", "W", A(0), A(5)):
-            with pytest.raises(ValueError, match="takes no input preparation"):
-                pattern_for(config, input_prep=prep)
+            for build in (pattern_for, circuit_oracle):
+                with pytest.raises(ValueError, match="takes no input preparation"):
+                    build(config, {}, input_prep=prep)
 
 
 class TestEnumerateBranches:
