@@ -46,11 +46,6 @@ PASS, FAIL = 0, 2
 NOISY_GAP_BITS = 1e-6
 
 
-def _parse_address(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    return (host or "127.0.0.1", int(port))
-
-
 def _theta_pair(text: str) -> tuple[int, int]:
     """`n2,n3`: two hiding phases on the 0-7 grid of eighths of pi."""
     try:
@@ -83,6 +78,15 @@ _NONNEGATIVE = _flag(int, lambda n: n >= 0, "an integer >= 0")
 _MEAN_TOTAL = _flag(
     float, lambda x: 0.0 < x <= MAX_MEAN_TOTAL, f"a finite number > 0 and <= {MAX_MEAN_TOTAL:g}"
 )
+_PORT = _flag(int, lambda n: 0 <= n <= 65535, "[HOST]:PORT with PORT in 0..65535")
+
+
+def _address(text: str) -> tuple[str, int]:
+    """`[HOST]:PORT`, with the host 127.0.0.1 when it is left out."""
+    host, _, port = text.rpartition(":")
+    return (host or "127.0.0.1", _PORT(port))
+
+
 # each noise flag's value under --noisy when it is not given
 NOISE_DEFAULTS = {"bell_visibility": 0.9, "interference_visibility": 0.85, "phase_drift_sigma": 0.1}
 
@@ -161,10 +165,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--mean-total", type=_MEAN_TOTAL, default=10_000.0)
     p.add_argument("--mc-trials", type=_AT_LEAST_TWO, default=25)
     p = sub.add_parser("serve")
-    p.add_argument("--listen", required=True, metavar="ADDR")
+    p.add_argument("--listen", type=_address, required=True, metavar="ADDR")
     p.add_argument("--seed", type=int, default=None)
     p = sub.add_parser("client")
-    p.add_argument("--connect", required=True, metavar="ADDR")
+    p.add_argument("--connect", type=_address, required=True, metavar="ADDR")
     p.add_argument("--config", default="horseshoe",
                    choices=[c.value for c in ClusterConfig])
     p.add_argument("--theta", type=_theta_pair, default=None, metavar="n2,n3")
@@ -175,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     seed = _seed(args)
 
     if args.command == "serve":
-        server = TcpServer(_parse_address(args.listen), seed=seed)
+        server = TcpServer(args.listen, seed=seed)
         print(
             f"listening on {server.server_address[0]}:{server.server_address[1]}",
             flush=True,
@@ -195,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         secrets = ClientSecrets.random(config, phi, rng)
         if args.theta is not None:
             secrets = ClientSecrets(config, BlindPhases.family(*args.theta), secrets.r, phi)
-        transcript, result = run_session_tcp(secrets, _parse_address(args.connect))
+        transcript, result = run_session_tcp(secrets, args.connect)
         table = {
             "config": config.value,
             "seed": seed,

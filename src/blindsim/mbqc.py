@@ -18,21 +18,24 @@ configuration's graph, measurement order and outputs.  Three entries stay
 data: the horseshoe's H frame, the staircase's X sets (its order has no
 causal flow) and the two linear configurations' input step.
 
-One batched engine (`_measure_batch`) runs every pattern: it holds a batch of
-input states times every branch so far as one array, projects all branches
-with one einsum per step, prunes impossible ones and corrects every output
-at once.  Dependency sets are linear maps over GF(2): as 0/1 matrices over
-step columns, the X and Z parities of every branch of the whole tree are
-two integer matrix products, so every branch's instruction on the integer
-pi/4 grid is known before the first projection.
+One batched engine (`_measure_batch`) runs every pattern, and it is exact: it
+holds a batch of input states times every branch so far as one array,
+projects all branches with one einsum per step, prunes impossible ones and
+corrects every output at once.  It never samples; a sampled run is a
+protocol session, whose server measures one qubit at a time with
+`quantum.project_qubit`.  Dependency sets are linear maps over GF(2): as
+0/1 matrices over step columns, the X and Z parities of every branch of the
+whole tree are two integer matrix products, so every branch's instruction
+on the integer pi/4 grid is known before the first projection.
 
 A pattern's plan holds what the engine derives from it alone, built on first
 use (it assumes, as `__post_init__` does, unmutated mappings).  For each of
 the 2^m values of r on the m equatorial steps it tabulates every branch's
 interpreted outcomes, instructions less theta and output gates, so a call
 packs r into a row number and adds theta.  `pattern_for` shares one pattern per
-configuration, rotations and input.  `enumerate_branches`,
-`enumerate_adaptive` and `run_adaptive` are the engine's batch-of-one front ends.
+configuration, rotations and input.  `enumerate_branches` (fixed
+instructions) and `enumerate_adaptive` (feed-forward) are the engine's
+batch-of-one front ends.
 """
 from __future__ import annotations
 
@@ -291,16 +294,6 @@ class BranchRecord:
     corrected_state: PureState | None
 
 
-@dataclass(frozen=True)
-class MbqcRun:
-    """One sampled trajectory of an adaptive pattern."""
-
-    outcomes: dict[int, int]
-    interpreted: dict[int, int]
-    deltas: dict[int, Angle8 | None]
-    probability: float
-
-
 # <b_delta| for every delta on the grid: _GRID_BRAS[e, b] = equatorial_bra(e pi/4, b)
 _GRID_BRAS = np.array([[equatorial_bra(Angle8(e).radians, b) for b in (0, 1)] for e in range(8)])
 # the bras of each Pauli measurement; X and Y are the equatorial angles 0 and pi/2
@@ -450,15 +443,14 @@ def _measure_batch(
     theta: np.ndarray | None = None,
     r: np.ndarray | None = None,
     deltas: Mapping[int, Angle8 | None] | None = None,
-    rng: np.random.Generator | None = None,
 ) -> _Branches:
-    """Measure every step of `pattern` on a batch of states at once.
+    """Measure every step of `pattern` on a batch of states at once, along
+    every branch.
 
     `amplitudes` is (B, 2^n), qubit 1 most significant; `theta` (eighths)
     and `r` (bits) are (B, n), qubit q in column q-1.  Instructions follow
     `adapt_angle` per branch unless fixed `deltas` are given, in which case
-    outcomes are not reinterpreted.  With `rng`, each batch element follows
-    one sampled branch instead of all of them.
+    outcomes are not reinterpreted.
     """
     plan = pattern._plan
     n, k = pattern.num_qubits, len(plan.qubits)
@@ -471,36 +463,33 @@ def _measure_batch(
         raise ValueError("adaptive instructions need the hiding phases")
     if theta is not None:
         theta = np.asarray(theta)
+        if theta.shape != (batch, n):
+            raise ValueError(f"hiding phases of shape {theta.shape}, expected {(batch, n)}")
         if (theta & ~7).any():
             raise ValueError("hiding phases must be eighths in 0..7")
     # each batch element's row of the plan's mask tables
     row = np.zeros(batch, dtype=np.intp)
     if r is not None:
         r = np.asarray(r)
+        if r.shape != (batch, n):
+            raise ValueError(f"mask bits of shape {r.shape}, expected {(batch, n)}")
         if (r & ~1).any():
             raise ValueError("mask bits must be 0 or 1")
         if adaptive:
             row = r[:, plan.r_cols] @ plan.r_weights
     # (B, 2^k, k): every branch's interpreted outcomes and instructed eighths
-    interp = plan.interpreted[row]
+    interpreted = plan.interpreted[row]
     if adaptive:
         table = plan.eighths[row] + theta[:, None, plan.theta_cols]
         table %= 8
         table[..., plan.pauli] = -1
     else:
-        table = _instruction_table(plan, deltas, interp.shape)
+        table = _instruction_table(plan, deltas, interpreted.shape)
     grid = _GRID_BRAS[table]  # every instruction's bras
     psi = psi.reshape(batch, 1, -1)
     prob = np.ones((batch, 1))
-    sampled = rng is not None
-    if sampled:
-        rows = np.arange(batch)[:, None]
-        index = np.zeros((1, 1), dtype=np.int64)  # the sampled branch's number so far
-        mass = np.ones(batch)  # product of each step's total probability
     for i, (left, bras) in enumerate(zip(plan.left, plan.bras)):
-        if bras is None and sampled:
-            bras = grid[rows, index << (k - i), i]
-        elif bras is None:
+        if bras is None:
             # the 2^(k-i) leaves below each current branch share its instruction
             bras = grid[:, :: 2 ** (k - i), i]
         branches = psi.shape[1]
@@ -514,32 +503,19 @@ def _measure_batch(
         prob = (prob[:, :, None] * p.reshape(batch, -1, 2)).reshape(batch, -1)
         live = p >= IMPOSSIBLE_BRANCH
         psi = psi * (live / np.sqrt(np.maximum(p, IMPOSSIBLE_BRANCH)))[..., None]
-        if sampled:
-            mass *= p.sum(axis=1)
-            pick = (rng.random(batch) >= p[:, 0]).astype(np.int64)
-            picked = (rows[:, 0], pick)
-            if not live[picked].all():
-                raise RuntimeError("sampled an impossible branch")
-            psi, prob, live = psi[picked][:, None], prob[picked][:, None], live[picked][:, None]
-            index = 2 * index + pick[:, None]
-    total = mass if sampled else prob.sum(axis=1)
+    total = prob.sum(axis=1)
     if not np.all(np.abs(total - 1.0) <= NORM_TOL):  # written so that NaN fails
         raise ValueError(f"branch probabilities sum to {total} instead of 1")
 
-    if sampled:
-        interpreted, instructed = interp[rows, index], table[rows, index]
-        outcomes, gates = _branch_bits(k)[index], plan.gates[row[:, None], index]
-    else:
-        interpreted, instructed = interp, table
-        outcomes, gates = _branch_bits(k)[None].repeat(batch, axis=0), plan.gates[row]
+    outcomes = _branch_bits(k)[None].repeat(batch, axis=0)
     corrected = None
     if pattern.outputs and (theta is not None or not pattern.theta_unwind):
         unwind = None if theta is None else theta[:, plan.out_cols]
-        corrected = _correct(plan.correction, psi, gates, unwind)
-    for value in (outcomes, interpreted, instructed, prob, live, psi, corrected):
+        corrected = _correct(plan.correction, psi, plan.gates[row], unwind)
+    for value in (outcomes, interpreted, table, prob, live, psi, corrected):
         if value is not None:
             value.setflags(write=False)
-    return _Branches(plan.qubits, outcomes, interpreted, instructed, prob, live, psi, corrected)
+    return _Branches(plan.qubits, outcomes, interpreted, table, prob, live, psi, corrected)
 
 
 def _correct(
@@ -670,29 +646,6 @@ def enumerate_adaptive(
     """All branches of the feed-forward process, with corrected outputs."""
     theta, r_row = _secrets_rows(pattern, phases, r)
     return _records(_measure_batch(pattern, state.amplitudes[None], theta, r_row), pattern)
-
-
-def run_adaptive(
-    state: PureState,
-    pattern: MeasurementPattern,
-    phases: BlindPhases,
-    r: Mapping[int, int],
-    rng_seed: int | np.random.Generator = 0,
-) -> tuple[MbqcRun, PureState | None]:
-    """Sample one adaptive trajectory; deterministic given the seed.
-
-    Returns the run record and the byproduct-corrected output state (None
-    when every qubit is measured)."""
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
-    theta, r_row = _secrets_rows(pattern, phases, r)
-    branches = _measure_batch(pattern, state.amplitudes[None], theta, r_row, rng=rng)
-    record = _records(branches, pattern)[0]
-    run = MbqcRun(record.outcomes, record.interpreted, record.deltas, record.probability)
-    return run, record.corrected_state
 
 
 def circuit_oracle(

@@ -213,19 +213,13 @@ class ClientSession:
     """Client state machine: emits messages, consumes outcome reports.  It
     runs `pattern`, by default the `pattern_for` of its secrets."""
 
-    def __init__(
-        self,
-        secrets: ClientSecrets,
-        enforce_blindness: bool = True,
-        pattern: MeasurementPattern | None = None,
-    ):
+    def __init__(self, secrets: ClientSecrets, pattern: MeasurementPattern | None = None):
         self.secrets = secrets
         if pattern is None:
             pattern = pattern_for(secrets.config, phi=secrets.phi, input_prep=secrets.input_prep)
         self.pattern = pattern
         validate_deterministic(self.pattern)
-        if enforce_blindness:
-            validate_blind_structure(self.pattern, secrets.config.blind_qubits)
+        validate_blind_structure(self.pattern, secrets.config.blind_qubits)
         self._seq = 0
         self._step_index = 0
         self._outcomes: dict[int, int] = {}

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blindsim.angles import Angle8
@@ -24,9 +24,15 @@ from blindsim.mbqc import (
     enumerate_adaptive,
     enumerate_branches,
     pattern_for,
-    run_adaptive,
 )
-from blindsim.protocol import ClientSecrets, ClientSession, ProtocolError, amplitudes_from_wire
+from blindsim.protocol import (
+    ClientSecrets,
+    ClientSession,
+    ProtocolError,
+    amplitudes_from_wire,
+    run_session,
+    validate_deterministic,
+)
 from blindsim.quantum import (
     HADAMARD,
     IMPOSSIBLE_BRANCH,
@@ -223,21 +229,26 @@ class TestAgainstRecursiveWalk:
         )
 
     @given(computations(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_run_adaptive(self, drawn, seed):
+    @settings(max_examples=150, deadline=None)
+    def test_session_follows_the_sampled_walk(self, drawn, seed):
+        # a sampled run is a protocol session; its server draws one number
+        # per step from its seed, as the walk does
         config, phi, prep, (n2, n3), r = drawn
+        secrets = ClientSecrets(config, BlindPhases.family(n2, n3), r, phi, prep)
+        try:
+            ClientSession(secrets)
+        except ProtocolError:
+            assume(False)  # secrets the client refuses never reach a server
+        _, result = run_session(secrets, server_seed=seed)
         pattern = pattern_for(config, phi=phi, input_prep=prep)
-        phases = BlindPhases.family(n2, n3)
-        state = cluster_state_for(config, phases)
-        run, corrected = run_adaptive(state, pattern, phases, r, rng_seed=seed)
-        outcomes, interpreted, used, prob, ref_corrected = _ref_sample(
-            state, pattern, phases, r, seed
+        state = cluster_state_for(config, secrets.phases)
+        outcomes, interpreted, used, _, corrected = _ref_sample(
+            state, pattern, secrets.phases, r, seed
         )
-        assert (run.outcomes, run.interpreted, run.deltas) == (outcomes, interpreted, used)
-        assert abs(run.probability - prob) <= 1e-12
-        assert (corrected is None) == (ref_corrected is None)
+        assert (result.outcomes, result.interpreted, result.deltas) == (outcomes, interpreted, used)
+        assert (result.output_state is None) == (corrected is None)
         if corrected is not None:
-            assert _same_up_to_phase(corrected.amplitudes, ref_corrected.amplitudes, 1e-12)
+            assert _same_up_to_phase(result.output_state.amplitudes, corrected.amplitudes, 1e-12)
 
     @given(st.integers(0, 7), st.integers(0, 7), st.lists(st.integers(0, 7), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -325,13 +336,9 @@ class TestBatch:
 
 
 class TestInstructionTable:
-    @given(
-        computations(),
-        st.lists(st.integers(0, 7), min_size=4, max_size=4),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(computations(), st.lists(st.integers(0, 7), min_size=4, max_size=4))
     @settings(max_examples=150, deadline=None)
-    def test_every_branch_follows_adapt_angle(self, drawn, theta_row, seed):
+    def test_every_branch_follows_adapt_angle(self, drawn, theta_row):
         # random theta on all four qubits; each branch's row of instructions
         # is adapt_angle along that branch's interpreted prefix, -1 on Pauli steps
         config, phi, prep, _, r = drawn
@@ -341,12 +348,8 @@ class TestInstructionTable:
         r_row = np.array([[r.get(q, 0) for q in range(1, 5)]])
         states = blind_cluster_batch(config.graph, theta)
         every = _measure_batch(pattern, states, theta, r_row)
-        sampled = _measure_batch(pattern, states, theta, r_row, rng=np.random.default_rng(seed))
-        assert every.deltas.shape == (1, 2**k, k) and sampled.deltas.shape == (1, 1, k)
-        rows = [(m, every.deltas[0, m]) for m in range(2**k)]
-        picked = int("".join(map(str, sampled.outcomes[0, 0])) or "0", 2)
-        rows.append((picked, sampled.deltas[0, 0]))
-        for m, deltas in rows:
+        assert every.deltas.shape == (1, 2**k, k)
+        for m, deltas in enumerate(every.deltas[0]):
             prefix = {}
             for i, step in enumerate(pattern.steps):
                 bit = (m >> (k - 1 - i)) & 1
@@ -362,7 +365,7 @@ class TestInstructionTable:
         # SHA-256 of every array of every run below, as the engine that
         # derived each step's instruction from per-step parities produced
         # them: all configurations and preparations, 16 random theta and r
-        # rows each, in enumerate, sampled and fixed-instruction modes
+        # rows each, in enumerate and fixed-instruction modes
         digest = hashlib.sha256()
         rng = np.random.default_rng(1110_1381)
         for config in ClusterConfig:
@@ -374,10 +377,9 @@ class TestInstructionTable:
                 states = blind_cluster_batch(config.graph, theta)
                 equatorial = [s.qubit for s in pattern.steps if s.pauli_override is None]
                 fixed = {q: A(int(rng.integers(8))) for q in equatorial}
-                seed = int(rng.integers(2**32))
+                rng.integers(2**32)  # a seed no run reads, drawn so the rows stay as pinned
                 for branches in (
                     _measure_batch(pattern, states, theta, r),
-                    _measure_batch(pattern, states, theta, r, rng=np.random.default_rng(seed)),
                     _measure_batch(pattern, states, theta, deltas=fixed),
                 ):
                     for name, value in vars(branches).items():
@@ -385,7 +387,7 @@ class TestInstructionTable:
                             digest.update(f"{name}{value.shape}{value.dtype.str}".encode())
                             digest.update(np.ascontiguousarray(value).tobytes())
         assert digest.hexdigest() == (
-            "9d2ceb5b752a9b2b39cdc7e05f09a0efb92a7eb09f0c08e1ed603aff9493b43b"
+            "c406f2956f901a3e1a498a46851869451ece4bd893bc9891d42edf83314af5d7"
         )
 
 
@@ -444,11 +446,8 @@ class TestMaskTables:
     """The plan's mask-indexed tables against the per-call derivation they replaced."""
 
     @staticmethod
-    def _assert_matches(pattern, branches, reference, picked=None):
+    def _assert_matches(pattern, branches, reference):
         bits, interp, table, gates = reference
-        if picked is not None:
-            rows = np.arange(len(picked))[:, None]
-            bits, interp, table, gates = bits[picked], interp[rows, picked], table[rows, picked], gates[rows, picked]
         np.testing.assert_array_equal(branches.outcomes, np.broadcast_to(bits, interp.shape))
         np.testing.assert_array_equal(branches.interpreted, interp)
         np.testing.assert_array_equal(branches.deltas, table)
@@ -459,17 +458,13 @@ class TestMaskTables:
             corrected = np.einsum(pattern._correction.spec, *operands, t).reshape(batch, count, -1)
             np.testing.assert_array_equal(branches.corrected, corrected)
 
-    @given(mask_batches(), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 7), min_size=4, max_size=4))
+    @given(mask_batches(), st.lists(st.integers(0, 7), min_size=4, max_size=4))
     @settings(max_examples=80, deadline=None)
-    def test_engine_reads_the_per_call_derivation(self, drawn, seed, fixed_eighths):
+    def test_engine_reads_the_per_call_derivation(self, drawn, fixed_eighths):
         pattern, theta, r = drawn
-        k = len(pattern.steps)
         states = blind_cluster_batch(pattern.config.graph, theta)
         reference = _per_call_tables(pattern, theta, r)
         self._assert_matches(pattern, _measure_batch(pattern, states, theta, r), reference)
-        sampled = _measure_batch(pattern, states, theta, r, rng=np.random.default_rng(seed))
-        picked = sampled.outcomes[:, 0] @ (1 << np.arange(k - 1, -1, -1))
-        self._assert_matches(pattern, sampled, reference, picked[:, None])
         deltas = {s.qubit: A(e) for s, e in zip(pattern.steps, fixed_eighths) if s.pauli_override is None}
         fixed = _measure_batch(pattern, states, theta, r, deltas=deltas)
         self._assert_matches(pattern, fixed, _per_call_tables(pattern, theta, r, deltas))
@@ -610,8 +605,6 @@ class TestTrustBoundary:
         for r in ({1: 2}, {1: 5, 2: -1}):
             with pytest.raises(ValueError, match="mask bits"):
                 enumerate_adaptive(state, pattern, phases, r)
-            with pytest.raises(ValueError, match="mask bits"):
-                run_adaptive(state, pattern, phases, r)
         theta = np.array([[0, 2, 5, 0]])
         states = blind_cluster_batch(config.graph, theta)
         for bad in (2, -1):
@@ -623,6 +616,21 @@ class TestTrustBoundary:
                 _measure_batch(pattern, states, off_grid, np.zeros((1, 4), dtype=int))
             with pytest.raises(ValueError, match="hiding phases"):
                 _measure_batch(pattern, states, off_grid, deltas={1: A(2), 2: A(0), 3: A(0)})
+
+    def test_secrets_of_another_shape_than_the_batch_rejected(self):
+        # one row of theta and r for three states would be read for all three
+        pattern = pattern_for(ClusterConfig.HORSESHOE, phi={2: A(1), 3: A(6)})
+        theta = np.array([[0, 3, 5, 0], [0, 1, 2, 0], [0, 7, 4, 0]])
+        r = np.zeros((3, 4), dtype=int)
+        states = blind_cluster_batch(pattern.config.graph, theta)
+        for bad in (theta[:1], theta[:, :3], theta[0]):
+            with pytest.raises(ValueError, match="hiding phases of shape"):
+                _measure_batch(pattern, states, bad, r)
+            with pytest.raises(ValueError, match="hiding phases of shape"):
+                _measure_batch(pattern, states, bad, deltas={2: A(0), 3: A(0)})
+        for bad in (r[:1], r[:, :3], r[0]):
+            with pytest.raises(ValueError, match="mask bits of shape"):
+                _measure_batch(pattern, states, theta, bad)
 
 
 # ------------------------------------------------------- exhaustive scan
@@ -690,12 +698,16 @@ class TestExhaustiveDeterminism:
         assert len({k for k in rule if k[0] % 2 == 0}) == 96
         phases = BlindPhases.family(0, 0)
         for phi, _, _, _ in scan:
+            pattern = pattern_for(ClusterConfig.STAIRCASE, phi=phi)
             secrets = ClientSecrets(ClusterConfig.STAIRCASE, phases, {}, phi)
-            for enforce_blindness in (False, True):
-                expect = key(phi) in rule or (enforce_blindness and key(phi)[0] % 2 == 1)
+            # the determinism rule alone, then the client, which adds the Clifford rule
+            for check, expect in (
+                (lambda: validate_deterministic(pattern), key(phi) in rule),
+                (lambda: ClientSession(secrets), key(phi) in rule or key(phi)[0] % 2 == 1),
+            ):
                 try:
-                    ClientSession(secrets, enforce_blindness=enforce_blindness)
+                    check()
                 except ProtocolError:
-                    assert expect, (phi, enforce_blindness)
+                    assert expect, phi
                 else:
-                    assert not expect, (phi, enforce_blindness)
+                    assert not expect, phi

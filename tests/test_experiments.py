@@ -469,6 +469,10 @@ BAD_FLAG_VALUES = [
     (["fig3c", "--noisy", "--bell-visibility", "2"], "bell_visibility = 2.0 outside [0, 1]"),
     (["blindness", "--noisy", "--phase-drift-sigma", "nan"], "phase_drift_sigma must be finite"),
     (["fig3c", "--noisy", "--phase-drift-sigma", "inf"], "phase_drift_sigma must be finite"),
+    (["serve", "--listen", "abc"], "argument --listen: expected [HOST]:PORT with PORT in 0..65535"),
+    (["serve", "--listen", "127.0.0.1:99999"], "argument --listen: expected [HOST]:PORT"),
+    (["client", "--connect", "127.0.0.1:xyz"], "argument --connect: expected [HOST]:PORT"),
+    (["client", "--connect", "localhost:-1"], "argument --connect: expected [HOST]:PORT"),
 ]
 
 

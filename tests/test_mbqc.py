@@ -21,7 +21,6 @@ from blindsim.mbqc import (
     enumerate_branches,
     input_prep_state,
     pattern_for,
-    run_adaptive,
     _causal_flow,
     _prep_step,
 )
@@ -492,39 +491,6 @@ class TestFirstQubitIdentity:
                 HADAMARD @ rz(-delta + theta) @ PureState.plus().amplitudes
             )
             assert states_equal_up_to_phase(rest, expected, tol=1e-10)
-
-
-class TestRunAdaptive:
-    def test_seed_determinism(self):
-        pattern = pattern_for(ClusterConfig.LINEAR_RIGHT, {2: A(1), 3: A(2)}, "Y")
-        phases = BlindPhases.family(3, 6)
-        state = cluster_state_for(ClusterConfig.LINEAR_RIGHT, phases)
-        run1, out1 = run_adaptive(state, pattern, phases, {2: 1}, rng_seed=42)
-        run2, out2 = run_adaptive(state, pattern, phases, {2: 1}, rng_seed=42)
-        assert run1.outcomes == run2.outcomes
-        np.testing.assert_allclose(out1.amplitudes, out2.amplitudes)
-
-    def test_corrected_output_independent_of_seed(self):
-        pattern = pattern_for(ClusterConfig.HORSESHOE, {2: A(2), 3: A(7)})
-        phases = BlindPhases.family(1, 4)
-        state = cluster_state_for(ClusterConfig.HORSESHOE, phases)
-        outputs = [
-            run_adaptive(state, pattern, phases, {}, rng_seed=seed)[1]
-            for seed in range(100)
-        ]
-        for out in outputs[1:]:
-            assert states_equal_up_to_phase(out, outputs[0], tol=1e-9)
-
-    def test_never_samples_zero_probability_branch(self):
-        # |+>|+> measured at delta=0 twice: only the (0,0) branch is live
-        state = PureState.from_amplitudes(np.full(4, 0.5))
-        pattern = MeasurementPattern(
-            (MeasurementStep(1), MeasurementStep(2)), ()
-        )
-        phases = BlindPhases({1: A(0), 2: A(0)})
-        for seed in range(50):
-            run, _ = run_adaptive(state, pattern, phases, {}, rng_seed=seed)
-            assert run.outcomes == {1: 0, 2: 0}
 
 
 class TestInputPrep:

@@ -36,6 +36,7 @@ from blindsim.protocol import (
     TcpServer,
     Transcript,
     _GRID_KETS,
+    amplitudes_to_wire,
     conditional_transmitted_state,
     run_session,
     run_session_tcp,
@@ -212,11 +213,18 @@ class TestCliffordRule:
 
 class TestSessionInProcess:
     def test_degenerate_outcome_deterministic(self):
-        # |theta> measured at delta = theta always reports bit 0
-        secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 0, 0)
-        for seed in range(10):
-            transcript, result = run_session(secrets, server_seed=seed)
-            assert result.outcomes[2] in (0, 1)  # genuinely random branch
+        # |0> as qubit 1 of linear_right stays |0> under the CPhase gates, so
+        # a Z measurement of it reports bit 0 whatever the server's seed
+        zero = [[1.0, 0.0], [0.0, 0.0]]
+        plus = amplitudes_to_wire(PureState.plus())
+        for seed in range(50):
+            server = ServerSession(seed=seed)
+            server.handle(Message(1, "session_init", {"config": "linear_right", "qubit_count": 4}))
+            for q in range(1, 5):
+                amplitudes = zero if q == 1 else plus
+                server.handle(Message(1 + q, "qubit_transfer", {"qubit_id": q, "amplitudes": amplitudes}))
+            (report,) = server.handle(Message(6, "measure_instruction", {"qubit_id": 1, "pauli": "Z"}))
+            assert report.body == {"qubit_id": 1, "bit": 0}
 
     def test_full_horseshoe_session_correct_output(self):
         phi = {2: A(3), 3: A(6)}
