@@ -13,7 +13,6 @@ rho_theta = (rho'_theta + rho'_{theta+pi}) / 2.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -80,19 +79,17 @@ class ChiReport:
     duality_gap: float  # max_j D(rho_j || mean) - chi at the last iterate, bits
     support: tuple[int, ...]  # indices j with argmax_prior[j] > 0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "chi_uniform_bits": self.chi_uniform,
-                "chi_maximized_bits": self.chi_maximized,
-                "argmax_prior": list(self.argmax_prior),
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "duality_gap_bits": self.duality_gap,
-                "support": list(self.support),
-            },
-            sort_keys=True,
-        )
+    def as_dict(self) -> dict:
+        """The report's fields under their table keys, in sorted order."""
+        return {
+            "argmax_prior": [float(p) for p in self.argmax_prior],
+            "chi_maximized_bits": self.chi_maximized,
+            "chi_uniform_bits": self.chi_uniform,
+            "converged": self.converged,
+            "duality_gap_bits": self.duality_gap,
+            "iterations": self.iterations,
+            "support": list(self.support),
+        }
 
 
 def pair_fold(ensemble: Ensemble) -> Ensemble:

@@ -22,6 +22,7 @@ from .quantum import (
     SQRT_X,
     SQRT_Z,
     PureState,
+    basis_bits,
     rz,
     states_equal_up_to_phase,
 )
@@ -145,18 +146,6 @@ class BlindPhases:
             {1: Angle8(0), 2: Angle8(n2), 3: Angle8(n3), 4: Angle8(0)}
         )
 
-    @classmethod
-    def uniform_random(
-        cls, rng: np.random.Generator, blind_vertices=(2, 3), vertex_count: int = 4
-    ) -> "BlindPhases":
-        theta = {}
-        for v in range(1, vertex_count + 1):
-            if v in blind_vertices:
-                theta[v] = Angle8(int(rng.integers(0, 8)))
-            else:
-                theta[v] = Angle8(0)
-        return cls(theta)
-
     def __getitem__(self, vertex: int) -> Angle8:
         return self.theta[vertex]
 
@@ -167,16 +156,15 @@ _GRID_PHASES.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=16)
-def _basis_tables(graph: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Bits of every basis label (2^n x n, qubit 1 first) and, per label,
-    the CPhase sign (-1)^{sum over edges of b_i b_j} in eighth-turns (0 or 4)."""
+def _cphase_signs(graph: GraphSpec) -> np.ndarray:
+    """Per basis label b, the CPhase sign (-1)^{sum over edges of b_i b_j}
+    in eighth-turns (0 or 4)."""
     n = graph.vertex_count
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = basis_bits(n)
     edge_sum = sum((bits[:, i - 1] & bits[:, j - 1] for i, j in graph.edges), np.zeros(2**n, int))
-    bits.setflags(write=False)
     signs = 4 * (edge_sum % 2)
     signs.setflags(write=False)
-    return bits, signs
+    return signs
 
 
 def blind_cluster_batch(graph: GraphSpec, theta: np.ndarray) -> np.ndarray:
@@ -190,8 +178,8 @@ def blind_cluster_batch(graph: GraphSpec, theta: np.ndarray) -> np.ndarray:
     the product of the |theta_j> followed by one CPhase per edge.  Phases
     are summed on the grid, so every amplitude is one table entry.
     """
-    bits, signs = _basis_tables(graph)
-    eighths = np.asarray(theta) @ bits.T + signs
+    bits = basis_bits(graph.vertex_count)
+    eighths = np.asarray(theta) @ bits.T + _cphase_signs(graph)
     out = _GRID_PHASES[eighths % 8] / math.sqrt(2**graph.vertex_count)
     out.setflags(write=False)
     return out
@@ -204,14 +192,18 @@ def family_theta(states: Sequence[tuple[int, int]]) -> np.ndarray:
     return theta
 
 
+def _check_phases(graph: GraphSpec, phases: BlindPhases) -> None:
+    missing = [v for v in range(1, graph.vertex_count + 1) if v not in phases.theta]
+    if missing:
+        raise ValueError(f"phase missing for vertices {missing}")
+
+
 def build_blind_cluster(graph: GraphSpec, phases: BlindPhases) -> PureState:
     """Tensor |theta_j> over vertices, then CPhase along every edge.
 
     CPhase gates commute, so the edge application order is irrelevant.
     """
-    missing = [v for v in range(1, graph.vertex_count + 1) if v not in phases.theta]
-    if missing:
-        raise ValueError(f"phase missing for vertices {missing}")
+    _check_phases(graph, phases)
     theta = [[phases[v].eighths for v in range(1, graph.vertex_count + 1)]]
     return PureState._trusted(blind_cluster_batch(graph, theta)[0])
 

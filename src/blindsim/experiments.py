@@ -5,12 +5,16 @@ so results are auditable, and every randomized step is
 reproducible bit-for-bit from the seed.  Values measured on a real apparatus
 are annotated as references only; the exact simulator reproduces ideal
 values.
-Exact tables, the noisy Fig. 3c/3d outputs included, come from the one
-batched engine (`mbqc._measure_batch`).
+
+Every exact table comes from the one batched engine
+(`mbqc._measure_batch`), one call per runner: the ideal and noisy Fig.
+3c/3d outputs share one call, and the Deutsch output states come from the
+same call as its success table.  Protocol sessions run only where a run is
+sampled (`run_grover_sessions`); no runner has a second path to an exact
+value.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -24,13 +28,11 @@ from .blindness import (
     mixedness_check,
     server_view_ensemble,
 )
-from .clusters import BlindPhases, ClusterConfig, blind_cluster_batch, family_theta
+from .clusters import ClusterConfig, blind_cluster_batch, family_theta
 from .mbqc import (
     MeasurementPattern,
     _Branches,
     _measure_batch,
-    cluster_state_for,
-    enumerate_adaptive,
     pattern_for,
 )
 from .noise import NoiseParams, apply_noise, dephasing_flips
@@ -203,16 +205,23 @@ def run_grover_sessions(
     return decoded
 
 
+def _deutsch_outputs(
+    oracle: str, states: Sequence[tuple[int, int]]
+) -> tuple[_Branches, np.ndarray]:
+    """Every branch of the Deutsch pattern on the family states, and each
+    state's corrected output on its first possible branch: the pattern is
+    deterministic, so any possible branch's output will do."""
+    pattern = pattern_for(ClusterConfig.STAIRCASE, phi=DEUTSCH_PHI[oracle])
+    branches = _family_batch(ClusterConfig.STAIRCASE, pattern, states)
+    first = np.argmax(~branches.impossible, axis=1)
+    return branches, branches.corrected[np.arange(len(states)), first]
+
+
 def deutsch_output_state(oracle: str, n2: int, n3: int) -> PureState:
-    """Corrected qubit-4 state of one staircase session (exact, branch-free)."""
-    phi = DEUTSCH_PHI[oracle]
-    pattern = pattern_for(ClusterConfig.STAIRCASE, phi=phi)
-    phases = BlindPhases.family(n2, n3)
-    state = cluster_state_for(ClusterConfig.STAIRCASE, phases)
-    for branch in enumerate_adaptive(state, pattern, phases, {}):
-        if not branch.impossible:
-            return branch.corrected_state
-    raise AssertionError("no live branch")
+    """Corrected qubit-4 output of the Deutsch pattern on the family state
+    (n2, n3): exact, and the same on every possible branch."""
+    _, outputs = _deutsch_outputs(oracle, [(n2, n3)])
+    return PureState._trusted(outputs[0])
 
 
 def run_deutsch(oracle: str, config: ExperimentConfig | None = None) -> dict:
@@ -227,18 +236,14 @@ def run_deutsch(oracle: str, config: ExperimentConfig | None = None) -> dict:
         raise ValueError("oracle must be 'constant' or 'balanced'")
     config = config or ExperimentConfig("deutsch")
     phi = DEUTSCH_PHI[oracle]
-    pattern = pattern_for(ClusterConfig.STAIRCASE, phi=phi)
     verdict = DEUTSCH_VERDICT_STATE[oracle].amplitudes
     settings1 = pauli_settings(1)
-    branches = _family_batch(ClusterConfig.STAIRCASE, pattern, ALIGNED10)
-    possible = ~branches.impossible
+    branches, outputs = _deutsch_outputs(oracle, ALIGNED10)
     fidelity = np.abs(branches.corrected @ verdict.conj()) ** 2
-    success = np.where(possible, branches.probability * fidelity, 0.0).sum(axis=1)
-    # the pattern is deterministic, so any possible branch's output will do
-    first = np.argmax(possible, axis=1)
+    success = np.where(~branches.impossible, branches.probability * fidelity, 0.0).sum(axis=1)
     rows = []
     for b, (n2, n3) in enumerate(ALIGNED10):
-        output = PureState.from_amplitudes(branches.corrected[b, first[b]])
+        output = PureState.from_amplitudes(outputs[b])
         counts = exact_counts(DensityMatrix.from_pure(output), settings1)
         rho_hat = mle_reconstruct(counts).rho_hat
         f_constant = fidelity_pure(rho_hat, DEUTSCH_VERDICT_STATE["constant"])
@@ -294,31 +299,15 @@ def run_fig3c(config: ExperimentConfig | None = None) -> dict:
     config = config or ExperimentConfig("fig3c")
     psi_in = PureState.from_amplitudes(np.array([1.0, 1j]) / math.sqrt(2))
     deltas = {4: A(2), 3: A(6), 2: A(6)}
+    # qubit 4 is measured at delta_4, not in Z
+    pattern = pattern_for(ClusterConfig.LINEAR_LEFT, input_prep=deltas[4])
+    states = [(2, n3) for n3 in range(8)]
+    outputs, noisy_outputs = _figure_outputs(pattern, deltas, states, config.noise)
     rows = []
-    outputs: list[DensityMatrix] = []
-    noisy_outputs: list[DensityMatrix] = []
-    if config.noise is not None:
-        # qubit 4 is measured at delta_4, not in Z
-        pattern = pattern_for(ClusterConfig.LINEAR_LEFT, input_prep=deltas[4])
-        states = [(2, n3) for n3 in range(8)]
-        noisy_outputs = _noisy_outputs(pattern, deltas, states, config.noise)
-    for n3 in range(8):
-        phases = BlindPhases.family(2, n3)
-        # the client picks phi so the instructed deltas are the fixed ones
-        phi = {q: deltas[q] - phases[q] for q in (4, 3, 2)}
-        secrets = ClientSecrets(
-            ClusterConfig.LINEAR_LEFT,
-            phases,
-            {4: 0, 3: 0, 2: 0},
-            phi,
-            input_prep=phi[4],
-        )
-        _, result = run_session(secrets, server_seed=config.seed + n3)
+    for n3, rho in enumerate(outputs):
         target = PureState.from_amplitudes(
             rx(PI) @ rz(n3 * PI / 4 + PI / 2) @ psi_in.amplitudes
         )
-        rho = DensityMatrix.from_pure(result.output_state)
-        outputs.append(rho)
         row = {
             "n3": n3,
             "fidelity_to_target": fidelity_pure(rho, target),
@@ -349,24 +338,13 @@ def run_fig3d(config: ExperimentConfig | None = None) -> dict:
     deltas = {2: A(0), 3: A(6)}
     cz = np.diag([1.0, 1, 1, -1]).astype(complex)
     pp = np.kron(PureState.plus().amplitudes, PureState.plus().amplitudes)
+    pattern = pattern_for(ClusterConfig.HORSESHOE)
+    outputs, noisy_outputs = _figure_outputs(pattern, deltas, states, config.noise)
     rows = []
-    outputs: list[DensityMatrix] = []
-    noisy_outputs: list[DensityMatrix] = []
-    if config.noise is not None:
-        pattern = pattern_for(ClusterConfig.HORSESHOE)
-        noisy_outputs = _noisy_outputs(pattern, deltas, states, config.noise)
-    for k, (n2, n3) in enumerate(states):
-        phases = BlindPhases.family(n2, n3)
-        phi = {q: deltas[q] - phases[q] for q in (2, 3)}
-        secrets = ClientSecrets(
-            ClusterConfig.HORSESHOE, phases, {2: 0, 3: 0}, phi
-        )
-        _, result = run_session(secrets, server_seed=config.seed + k)
+    for k, ((n2, n3), rho) in enumerate(zip(states, outputs)):
         target = PureState.from_amplitudes(
             np.kron(rz(n2 * PI / 4), rz(n3 * PI / 4 + PI / 2)) @ cz @ pp
         )
-        rho = DensityMatrix.from_pure(result.output_state)
-        outputs.append(rho)
         row = {
             "n2": n2,
             "n3": n3,
@@ -398,28 +376,34 @@ def _matrix_json(rho: DensityMatrix) -> list:
     ]
 
 
-def _noisy_outputs(
+def _figure_outputs(
     pattern: MeasurementPattern,
     deltas: Mapping[int, Angle8],
     states: Sequence[tuple[int, int]],
-    noise: NoiseParams,
-) -> list[DensityMatrix]:
-    """Representative noisy outputs: the all-zero branch of the fixed-delta
-    run of `pattern` on the dephased cluster of each family state (n2, n3),
-    correction included.  One engine call measures every flipped grid state
-    of `dephasing_flips`, unwinding only the nominal phases, and each output
-    is sum_f w_f p_f |out_f><out_f| renormalized, p_f the branch's weight.
+    noise: NoiseParams | None,
+) -> tuple[list[DensityMatrix], list[DensityMatrix] | None]:
+    """Ideal and noisy outputs (None without noise) of the fixed-delta run
+    of `pattern` on each family state (n2, n3): the all-zero branch,
+    correction included, which is the deterministic output.  One engine call
+    measures every flipped grid state of `dephasing_flips`, unwinding only
+    the nominal phases.  Flip 0 is the unflipped state, so it gives the
+    ideal output; each noisy output is sum_f w_f p_f |out_f><out_f|
+    renormalized, p_f the branch's weight.
     """
     theta = family_theta(states)
-    offsets, weights = dephasing_flips(noise)
+    # without noise, the one weight-1 pattern of no flip
+    offsets, weights = dephasing_flips(noise or NoiseParams(1.0, 1.0))
     flips = len(weights)
     flipped = (theta[:, None, :] + offsets).reshape(-1, 4)
     psi = blind_cluster_batch(pattern.config.graph, flipped)
     branches = _measure_batch(pattern, psi, np.repeat(theta, flips, axis=0), deltas=deltas)
     out = branches.corrected[:, 0].reshape(len(theta), flips, -1)
+    ideal = [DensityMatrix.from_pure(PureState._trusted(v)) for v in out[:, 0]]
+    if noise is None:
+        return ideal, None
     mass = weights * branches.probability[:, 0].reshape(len(theta), flips)
     rho = np.einsum("bf,bfi,bfj->bij", mass, out, out.conj())
-    return [DensityMatrix.from_matrix(r) for r in rho / mass.sum(axis=1)[:, None, None]]
+    return ideal, [DensityMatrix.from_matrix(r) for r in rho / mass.sum(axis=1)[:, None, None]]
 
 
 # the drift that makes the noisy ensemble of `run_blindness` leak
@@ -445,7 +429,7 @@ def run_blindness(config: ExperimentConfig | None = None) -> dict:
     broken_chi = holevo_chi(server_view_ensemble(states, r_uniform=False))
     table = {
         "config": config.echo(),
-        "ideal": json.loads(ideal_report.to_json()),
+        "ideal": ideal_report.as_dict(),
         "r_broken_chi_uniform_bits": broken_chi,
         "reported_reference": {
             "chi_uniform": REPORTED_VALUES["chi_uniform"],
@@ -456,7 +440,7 @@ def run_blindness(config: ExperimentConfig | None = None) -> dict:
         rng = np.random.default_rng(config.seed)
         noisy_states = {n: apply_noise(psi, config.noise, rng) for n, psi in enumerate(pure)}
         noisy_report = maximize_chi_over_priors(server_view_ensemble(noisy_states))
-        table["noisy"] = json.loads(noisy_report.to_json())
+        table["noisy"] = noisy_report.as_dict()
     return table
 
 
@@ -471,8 +455,8 @@ def run_quantumness(
     table = {
         "config": config.echo(),
         "rounds": rounds,
-        "honest": json.loads(report.to_json()),
-        "classical_guess_risk": classical_guess_risk(states=SWEEP8),
+        "honest": report.as_dict(),
+        "classical_guess_risk": classical_guess_risk(SWEEP8),
         "risk_bound": 0.125,
     }
     if stub_trials:

@@ -55,6 +55,7 @@ from .quantum import (
     PAULI_X,
     PAULI_Z,
     PureState,
+    basis_bits,
     equatorial_bra,
     phase_gate,
     rx,
@@ -310,14 +311,6 @@ for _table in (_GRID_BRAS, _BYPRODUCTS, _NO_FRAME, _UNWIND, *_PAULI_BRAS.values(
     _table.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=None)
-def _branch_bits(k: int) -> np.ndarray:
-    """(2^k, k) outcome bits of the branches of k steps, step 0 most significant."""
-    bits = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    bits.setflags(write=False)
-    return bits
-
-
 class _Plan(NamedTuple):
     """Everything the engine derives from a pattern alone; arrays read-only."""
 
@@ -355,8 +348,8 @@ def _make_plan(pattern: MeasurementPattern) -> _Plan:
     # with the dependency sets as 0/1 matrices over step columns, one integer
     # product gives every parity of every branch under every r row
     rmask = np.zeros((2 ** len(masked), 1, k), dtype=np.int64)
-    rmask[..., masked] = _branch_bits(len(masked))[:, None]
-    interpreted = _branch_bits(k) ^ rmask
+    rmask[..., masked] = basis_bits(len(masked))[:, None]
+    interpreted = basis_bits(k) ^ rmask
     parity = interpreted @ deps & 1
     phi = np.array([s.phi.eighths for s in steps], dtype=np.int64)
     x, z = np.split(parity[..., 2 * k :], 2, axis=-1)
@@ -507,7 +500,7 @@ def _measure_batch(
     if not np.all(np.abs(total - 1.0) <= NORM_TOL):  # written so that NaN fails
         raise ValueError(f"branch probabilities sum to {total} instead of 1")
 
-    outcomes = _branch_bits(k)[None].repeat(batch, axis=0)
+    outcomes = basis_bits(k)[None].repeat(batch, axis=0)
     corrected = None
     if pattern.outputs and (theta is not None or not pattern.theta_unwind):
         unwind = None if theta is None else theta[:, plan.out_cols]
@@ -569,6 +562,11 @@ def correct_output(
     return PureState._trusted(out.reshape(-1))
 
 
+def _check_masks(r: Mapping[int, int]) -> None:
+    if any(bit not in (0, 1) for bit in r.values()):
+        raise ValueError(f"mask bits must be 0 or 1, got {dict(r)}")
+
+
 def _secrets_rows(
     pattern: MeasurementPattern,
     phases: BlindPhases | None,
@@ -576,8 +574,7 @@ def _secrets_rows(
     adaptive: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """(1, n) arrays of the theta eighths and mask bits one run reads."""
-    if any(bit not in (0, 1) for bit in r.values()):
-        raise ValueError(f"mask bits must be 0 or 1, got {dict(r)}")
+    _check_masks(r)
     n = pattern.num_qubits
     equatorial = [s.qubit for s in pattern.steps if s.pauli_override is None]
     r_row = np.zeros((1, n), dtype=np.int64)

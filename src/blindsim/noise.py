@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import DensityMatrix, PureState
+from .quantum import DensityMatrix, PureState, basis_bits
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,11 @@ class NoiseParams:
         )
 
 
-def _bit(qubit: int, n: int) -> np.ndarray:
-    """Each basis state's bit of `qubit`, qubit 1 most significant."""
-    return (np.arange(2**n) >> (n - qubit)) & 1
-
-
 def _dephase(rho: np.ndarray, qubit: int, p: float, n: int) -> np.ndarray:
     """rho -> (1-p) rho + p Z_q rho Z_q."""
     if p == 0.0:
         return rho
-    signs = 1.0 - 2.0 * _bit(qubit, n)
+    signs = 1.0 - 2.0 * basis_bits(n)[:, qubit - 1]
     return (1.0 - p) * rho + p * (rho * np.outer(signs, signs))
 
 
@@ -73,7 +68,7 @@ INTERFERED_QUBITS = (2, 3)
 
 def _phase_kick(rho: np.ndarray, qubit: int, angle: float, n: int) -> np.ndarray:
     """Unitary Rz(angle) on one qubit of a density matrix."""
-    phases = np.where(_bit(qubit, n) == 1, np.exp(1j * angle), 1.0 + 0j)
+    phases = np.where(basis_bits(n)[:, qubit - 1] == 1, np.exp(1j * angle), 1.0 + 0j)
     return rho * np.outer(phases, phases.conj())
 
 
@@ -93,9 +88,10 @@ def dephasing_flips(params: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form channels as a mixture of Z-flip patterns: the dephased
     cluster of phases theta is sum_f weights[f] |psi(theta + offsets[f])><.|.
 
-    `offsets` is (F, 4) eighths, 4 on a flipped qubit (column q-1).  Each
-    qubit's channels combine into one flip probability p_a + p_b - 2 p_a p_b,
-    and only qubits that can flip get patterns, so F is 1 when ideal.
+    `offsets` is (F, 4) eighths, 4 on a flipped qubit (column q-1); row 0
+    flips nothing.  Each qubit's channels combine into one flip probability
+    p_a + p_b - 2 p_a p_b, and only qubits that can flip get patterns, so F
+    is 1 when ideal.
     """
     flip = np.zeros(4)
     for q, p in _dephasing_channels(params):

@@ -38,16 +38,17 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .angles import Angle8
-from .clusters import BlindPhases, ClusterConfig, _basis_tables
+from .clusters import BlindPhases, ClusterConfig, _check_phases, _cphase_signs
 from .mbqc import (
     _GRID_BRAS,
     _PAULI_BRAS,
     MeasurementPattern,
+    _check_masks,
     adapt_angle,
     correct_output,
     pattern_for,
 )
-from .quantum import IMPOSSIBLE_BRANCH, DensityMatrix, PureState, project_qubit
+from .quantum import IMPOSSIBLE_BRANCH, DensityMatrix, PureState, basis_bits, project_qubit
 
 
 # longest line either side reads, newline included; the longest message of a
@@ -133,6 +134,12 @@ class ClientSecrets:
     phi: Mapping[int, Angle8]
     input_prep: str | Angle8 = "Z"
 
+    def __post_init__(self) -> None:
+        """Refuse a mask bit other than 0 or 1 and a missing hiding phase,
+        as the engine does."""
+        _check_masks(self.r)
+        _check_phases(self.config.graph, self.phases)
+
     @classmethod
     def random(
         cls,
@@ -141,7 +148,9 @@ class ClientSecrets:
         rng: np.random.Generator,
         input_prep: str | Angle8 = "Z",
     ) -> "ClientSecrets":
-        phases = BlindPhases.uniform_random(rng, blind_vertices=config.blind_qubits)
+        """Uniform theta_2, then theta_3, on the grid, and a uniform mask bit
+        per measured qubit."""
+        phases = BlindPhases.family(int(rng.integers(0, 8)), int(rng.integers(0, 8)))
         r = {q: int(rng.integers(0, 2)) for q in config.measure_order}
         return cls(config, phases, dict(r), dict(phi), input_prep)
 
@@ -357,7 +366,7 @@ def server_entangle(qubits: Sequence[PureState], config: ClusterConfig) -> PureS
     """The received qubits with one CPhase per edge of the configuration's
     graph, by the product formula: amplitude x is the product over qubits j
     of <x_j|q_j>, times (-1)^{sum over edges of x_i x_j}."""
-    bits, signs = _basis_tables(config.graph)
+    bits, signs = basis_bits(config.graph.vertex_count), _cphase_signs(config.graph)
     single = np.array([q.amplitudes for q in qubits])
     # one column per qubit, multiplied left to right like a chain of krons
     product = functools.reduce(np.multiply, single[np.arange(len(qubits)), bits].T)

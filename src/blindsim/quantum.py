@@ -18,6 +18,7 @@ so bit 0 always labels the "+" element of |±_delta>.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,6 +29,16 @@ NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 IMPOSSIBLE_BRANCH = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def basis_bits(n: int) -> np.ndarray:
+    """(2^n, n) read-only bits of every basis index, qubit 1 (column 0) most
+    significant."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits.setflags(write=False)
+    return bits
+
 
 # single-qubit gate constants
 IDENTITY = np.eye(2, dtype=complex)
@@ -237,21 +248,3 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     eigenvalues = np.linalg.eigvalsh(rho.matrix)
     eigenvalues = eigenvalues[eigenvalues > 1e-12]
     return float(-(eigenvalues * np.log2(eigenvalues)).sum())
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out all qubits not in `keep` (1-based qubit labels).
-
-    The kept qubits stay in ascending original order.
-    """
-    keep = sorted(set(keep))
-    n = rho.num_qubits
-    if any(not 1 <= q <= n for q in keep):
-        raise IndexError("keep set references qubits out of range")
-    drop = [q - 1 for q in range(1, n + 1) if q not in keep]
-    tensor = rho.matrix.reshape([2] * (2 * n))
-    for offset, ax in enumerate(drop):
-        a = ax - offset
-        tensor = np.trace(tensor, axis1=a, axis2=a + (n - offset))
-    dim = 2 ** len(keep)
-    return DensityMatrix.from_matrix(tensor.reshape(dim, dim))

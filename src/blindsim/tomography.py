@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -138,27 +137,6 @@ class MLEResult:
     gradient_norm: float  # |grad_T log L| at the last iterate it was taken, else NaN
     line_search_halvings: int  # step halvings over all iterations
     seed_clipped_eigenvalues: int  # seed eigenvalues raised to the 1e-6 floor
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rho_hat": [
-                    [[float(z.real), float(z.imag)] for z in row]
-                    for row in self.rho_hat.matrix
-                ],
-                "log_likelihood": self.log_likelihood,
-                "fidelity_to_target": self.fidelity_to_target,
-                "error_bars": self.error_bars,
-                "converged": self.converged,
-                "iterations": self.iterations,
-                # strict JSON has no NaN
-                "gradient_norm": self.gradient_norm
-                if math.isfinite(self.gradient_norm)
-                else None,
-                "line_search_halvings": self.line_search_halvings,
-                "seed_clipped_eigenvalues": self.seed_clipped_eigenvalues,
-            }
-        )
 
 
 class _MeasurementModel(NamedTuple):

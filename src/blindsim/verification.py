@@ -11,7 +11,6 @@ caught quickly.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -81,20 +80,16 @@ def distribution_table(
     return branches.probability[:, np.arange(16) ^ (8 * setting.minus_is_zero)]
 
 
-def classical_guess_risk(
-    setting: QuantumnessSetting | None = None,
-    states: Sequence[tuple[int, int]] = SWEEP8,
-    prior: np.ndarray | None = None,
-) -> float:
-    """Best deterministic guesser's probability of an impossible outcome.
+def classical_guess_risk(states: Sequence[tuple[int, int]] = SWEEP8) -> float:
+    """Best deterministic guesser's probability of an impossible outcome
+    under the standard setting, the states equally likely.
 
     For each fixed outcome o the guesser is caught whenever the actual state
     assigns o probability zero; the risk is minimized over o.  On the
     theta_3 sweep the standard setting pins this at 1/8.
     """
-    table = distribution_table(states, setting)
-    if prior is None:
-        prior = np.full(len(states), 1.0 / len(states))
+    table = distribution_table(states)
+    prior = np.full(len(states), 1.0 / len(states))
     caught = (table < ZERO_TOL).astype(float)
     risk_per_outcome = prior @ caught
     return float(risk_per_outcome.min())
@@ -165,23 +160,21 @@ class TestReport:
     chi_square_threshold: float
     verdict: str
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "states": [list(s) for s in self.states],
-                "theory": self.theory.tolist(),
-                "observed": self.observed.tolist(),
-                "rounds": self.rounds,
-                "impossible_hits": self.impossible_hits,
-                "tv_marginal": self.tv_marginal,
-                "tv_per_state": self.tv_per_state,
-                "chi_square": self.chi_square,
-                "degrees_of_freedom": self.degrees_of_freedom,
-                "chi_square_threshold": self.chi_square_threshold,
-                "classical_baseline": 1.0 / 16.0,
-                "verdict": self.verdict,
-            }
-        )
+    def as_dict(self) -> dict:
+        return {
+            "states": [list(s) for s in self.states],
+            "theory": self.theory.tolist(),
+            "observed": self.observed.tolist(),
+            "rounds": self.rounds,
+            "impossible_hits": self.impossible_hits,
+            "tv_marginal": self.tv_marginal,
+            "tv_per_state": self.tv_per_state,
+            "chi_square": self.chi_square,
+            "degrees_of_freedom": self.degrees_of_freedom,
+            "chi_square_threshold": self.chi_square_threshold,
+            "classical_baseline": 1.0 / 16.0,
+            "verdict": self.verdict,
+        }
 
 
 def run_quantumness_test(

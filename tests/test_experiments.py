@@ -1,10 +1,12 @@
 """Experiment runners: ideal values, algorithm hiding, reproducibility, CLI."""
+import hashlib
 import json
 import math
 import os
 import select
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,13 @@ import pytest
 import blindsim
 from blindsim.angles import Angle8
 from blindsim.cli import main
+import blindsim.experiments as experiments
 from blindsim.experiments import (
     BLINDNESS_NOISE,
     DEUTSCH_ORACLE_ANGLES,
     ExperimentConfig,
     GROVER_TAG_ANGLES,
+    deutsch_output_state,
     grover_decode,
     instruction_pair_distribution,
     run_blindness,
@@ -29,7 +33,7 @@ from blindsim.experiments import (
     run_grover_sessions,
     run_quantumness,
     run_tomography,
-    _noisy_outputs,
+    _figure_outputs,
 )
 from blindsim.blindness import (
     Ensemble,
@@ -41,6 +45,7 @@ from blindsim.blindness import (
 from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster
 from blindsim.mbqc import pattern_for
 from blindsim.noise import NoiseParams, apply_noise
+from blindsim.protocol import ClientSecrets, run_session
 from blindsim.quantum import HADAMARD, DensityMatrix, PureState, fidelity_pure, phase_gate, rx, rz
 
 A = Angle8
@@ -165,6 +170,17 @@ class TestDeutsch:
                 assert row["tomography_verdict"] == oracle
                 assert abs(row["verdict_fidelity"] - 1.0) <= 1e-12
 
+    def test_output_states_pinned(self):
+        # every corrected output of the family, bit for bit
+        digest = hashlib.sha256()
+        for oracle in ("constant", "balanced"):
+            for n2 in range(8):
+                for n3 in range(8):
+                    digest.update(deutsch_output_state(oracle, n2, n3).amplitudes.tobytes())
+        assert digest.hexdigest() == (
+            "2c72eaf6e8d9f8624312ead470076f668e0b76582bdb424099a7e4405526c446"
+        )
+
     def test_verdict_states_orthogonal(self):
         assert DEUTSCH_ORACLE_ANGLES["constant"] != DEUTSCH_ORACLE_ANGLES["balanced"]
 
@@ -229,6 +245,66 @@ class TestFigures:
         b = run_fig3c(ExperimentConfig("fig3c", seed=9))
         assert json.dumps(a, default=str) == json.dumps(b, default=str)
 
+    def test_fig3c_does_not_depend_on_the_seed(self):
+        # exact tables sample nothing, so only the echo tells the seeds apart
+        a, b = (run_fig3c(ExperimentConfig("fig3c", seed=s)) for s in (0, 5))
+        assert a.pop("config") != b.pop("config")
+        assert a == b
+
+
+def _session_outputs(config, deltas, states):
+    """Oracle: the per-state session loop the ideal figure outputs were once
+    computed by.  With r = 0 the client picks phi = delta - theta, so the
+    server is told exactly the fixed deltas; a linear cluster's first
+    measurement prepares the input at its delta."""
+    linear = config in (ClusterConfig.LINEAR_RIGHT, ClusterConfig.LINEAR_LEFT)
+    outputs = []
+    for k, (n2, n3) in enumerate(states):
+        phases = BlindPhases.family(n2, n3)
+        phi = {q: deltas[q] - phases[q] for q in config.measure_order}
+        prep = phi[config.measure_order[0]] if linear else "Z"
+        secrets = ClientSecrets(config, phases, {q: 0 for q in phi}, phi, input_prep=prep)
+        _, result = run_session(secrets, server_seed=k)
+        outputs.append(DensityMatrix.from_pure(result.output_state))
+    return outputs
+
+
+class TestFiguresComeFromOneEngineCall:
+    @pytest.mark.parametrize("noise", [None, NoiseParams()], ids=["ideal", "noisy"])
+    def test_one_engine_call_per_figure_agrees_with_the_session_loop(self, noise, monkeypatch):
+        calls = 0
+        measure_batch = experiments._measure_batch
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return measure_batch(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a figure runner ran a protocol session")
+
+        monkeypatch.setattr(experiments, "_measure_batch", counting)
+        monkeypatch.setattr(experiments, "run_session", refuse)
+        fig3c = run_fig3c(ExperimentConfig("fig3c", noise=noise))
+        assert calls == 1
+        fig3d = run_fig3d(ExperimentConfig("fig3d", noise=noise))
+        assert calls == 2
+        monkeypatch.undo()
+
+        sessions = _session_outputs(
+            ClusterConfig.LINEAR_LEFT, {4: A(2), 3: A(6), 2: A(6)}, [(2, n) for n in range(8)]
+        )
+        for row, rho in zip(fig3c["rows"], sessions, strict=True):
+            density = np.array([[complex(re, im) for re, im in r] for r in row["output_density"]])
+            np.testing.assert_allclose(density, rho.matrix, rtol=0, atol=1e-12)
+        sessions = _session_outputs(ClusterConfig.HORSESHOE, {2: A(0), 3: A(6)}, fig3d["states"])
+        cz_plus_plus = np.array([1.0, 1.0, 1.0, -1.0]) / 2
+        for row, rho in zip(fig3d["rows"], sessions, strict=True):
+            target = PureState.from_amplitudes(
+                np.kron(rz(row["n2"] * PI / 4), rz(row["n3"] * PI / 4 + PI / 2)) @ cz_plus_plus
+            )
+            assert row["fidelity_to_target"] == pytest.approx(fidelity_pure(rho, target), abs=1e-12)
+
 
 NOISE_SETTINGS = (
     NoiseParams(1.0, 1.0, 0.0),
@@ -286,7 +362,7 @@ class TestNoisyOutputs:
             prep = deltas[config.measure_order[0]] if linear else "Z"
             pattern = pattern_for(config, input_prep=prep)
             for noise in NOISE_SETTINGS:
-                engine = _noisy_outputs(pattern, deltas, states, noise)
+                _, engine = _figure_outputs(pattern, deltas, states, noise)
                 for (n2, n3), rho in zip(states, engine):
                     oracle = _walker_output(config, BlindPhases.family(n2, n3), deltas, noise)
                     np.testing.assert_allclose(rho.matrix, oracle, rtol=0, atol=1e-12)
@@ -355,7 +431,7 @@ class TestBlindnessExperiment:
         # oracle: each state built on its own and folded by hand
         def report(states):
             folded = pair_fold(Ensemble(states, np.full(8, 1.0 / 8.0)))
-            return json.loads(maximize_chi_over_priors(folded).to_json())
+            return maximize_chi_over_priors(folded).as_dict()
 
         graph = ClusterConfig.LINEAR_LEFT.graph
         pure = [build_blind_cluster(graph, BlindPhases.family(2, n)) for n in range(8)]
@@ -474,6 +550,18 @@ BAD_FLAG_VALUES = [
     (["client", "--connect", "127.0.0.1:xyz"], "argument --connect: expected [HOST]:PORT"),
     (["client", "--connect", "localhost:-1"], "argument --connect: expected [HOST]:PORT"),
 ]
+
+
+class TestPackage:
+    def test_all_is_every_name_the_package_imports(self):
+        namespace: dict = {}
+        exec("from blindsim import *", namespace)  # every name in __all__ resolves
+        imported = {
+            name for name, value in vars(blindsim).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert len(blindsim.__all__) == len(set(blindsim.__all__))
+        assert set(namespace) - {"__builtins__"} == set(blindsim.__all__) == imported
 
 
 class TestCli:

@@ -1,7 +1,6 @@
 """Noise channel behavior, Poisson count simulation, MLE reconstruction,
 Monte Carlo error bars."""
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -263,17 +262,6 @@ class TestMle:
         )
         result = mle_reconstruct(table)
         assert math.isfinite(result.gradient_norm) and result.gradient_norm >= 0.0
-        assert json.loads(result.to_json())["gradient_norm"] == result.gradient_norm
-
-    def test_certified_result_is_strict_json(self):
-        # a certified result takes no gradient, and JSON has no NaN
-        result = mle_reconstruct(exact_counts(DensityMatrix.maximally_mixed(1), pauli_settings(1)))
-        assert result.iterations == 0
-
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        assert json.loads(result.to_json(), parse_constant=refuse)["gradient_norm"] is None
 
     def test_seed_clipped_eigenvalues_reported(self):
         mixed = mle_reconstruct(exact_counts(DensityMatrix.maximally_mixed(2), pauli_settings(2)))
@@ -281,9 +269,6 @@ class TestMle:
         pure = DensityMatrix.from_pure(random_pure(2, np.random.default_rng(2)))
         result = mle_reconstruct(exact_counts(pure, pauli_settings(2)))
         assert result.seed_clipped_eigenvalues > 0
-        assert json.loads(result.to_json())["seed_clipped_eigenvalues"] == (
-            result.seed_clipped_eigenvalues
-        )
 
     def test_line_search_halvings_reported(self, monkeypatch):
         # Deutsch's verdict qubit from exact counts.  The public call
@@ -309,7 +294,6 @@ class TestMle:
         assert result.converged and result.iterations == 0
         assert result.line_search_halvings == 0 and math.isnan(result.gradient_norm)
         assert evaluations == 1
-        assert json.loads(result.to_json())["line_search_halvings"] == 0
 
         evaluations = 0
         run = tomography._ascend(

@@ -303,6 +303,19 @@ class TestSessionInProcess:
             with pytest.raises(ValueError, match="takes no input preparation"):
                 ClientSession(secrets)
 
+    def test_secrets_refuse_a_mask_bit_that_is_not_0_or_1(self):
+        # a session would complete on it and report interpreted == {2: 3, 3: 3}
+        with pytest.raises(ValueError, match="mask bits must be 0 or 1"):
+            ClientSecrets(
+                ClusterConfig.HORSESHOE, BlindPhases.family(2, 3), {2: 2, 3: 3}, {2: A(0), 3: A(0)}
+            )
+
+    def test_secrets_refuse_a_missing_hiding_phase(self):
+        # a session would escape with KeyError: 3
+        phases = BlindPhases({1: A(0), 2: A(2), 4: A(0)})
+        with pytest.raises(ValueError, match=r"phase missing for vertices \[3\]"):
+            ClientSecrets(ClusterConfig.HORSESHOE, phases, {2: 0, 3: 0}, {2: A(0), 3: A(0)})
+
     def test_unknown_qubit_rejected(self):
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 0, 0)
         client = ClientSession(secrets)

@@ -15,11 +15,11 @@ from blindsim.quantum import (
     SQRT_Z,
     DensityMatrix,
     PureState,
+    basis_bits,
     equatorial_bra,
     fidelity_pure,
     linear_entropy,
     is_unitary,
-    partial_trace,
     phase_gate,
     rx,
     rz,
@@ -271,38 +271,15 @@ class TestEntropies:
         assert linear_entropy(mixed) >= linear_entropy(pure) - 1e-12
 
 
-class TestPartialTrace:
-    def test_product_state_factor(self):
-        psi = PureState.from_amplitudes(
-            np.kron(PureState.ket_theta(PI / 4).amplitudes, [0.0, 1.0])
-        )
-        rho = DensityMatrix.from_pure(psi)
-        reduced = partial_trace(rho, keep=[1])
-        expected = DensityMatrix.from_pure(PureState.ket_theta(PI / 4))
-        np.testing.assert_allclose(reduced.matrix, expected.matrix, atol=1e-12)
+class TestBasisBits:
+    def test_qubit_1_is_most_significant(self):
+        bits = basis_bits(4)
+        assert bits.shape == (16, 4)
+        assert bits[0b1000].tolist() == [1, 0, 0, 0]
+        assert bits[0b0011].tolist() == [0, 0, 1, 1]
+        assert (bits @ (2 ** np.arange(3, -1, -1)) == np.arange(16)).all()
 
-    def test_bell_pair_mixed(self):
-        rho = DensityMatrix.from_pure(bell_pair())
-        for keep in ([1], [2]):
-            reduced = partial_trace(rho, keep=keep)
-            np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_family_state_keep_middle(self):
-        from blindsim.clusters import linear_family_state
-
-        n2, n3 = 2, 5
-        rho = DensityMatrix.from_pure(linear_family_state(n2, n3))
-        reduced = partial_trace(rho, keep=[2, 3])
-        # independent oracle: dense index arithmetic over the 16 amplitudes
-        vec = linear_family_state(n2, n3).amplitudes
-        expected = np.zeros((4, 4), dtype=complex)
-        for a in range(16):
-            for b in range(16):
-                if (a & 0b1001) == (b & 0b1001):
-                    expected[(a >> 1) & 3, (b >> 1) & 3] += vec[a] * vec[b].conj()
-        np.testing.assert_allclose(reduced.matrix, expected, atol=1e-12)
-        assert np.trace(reduced.matrix).real == pytest.approx(1.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            partial_trace(DensityMatrix.maximally_mixed(2), keep=[3])
+    def test_shared_and_read_only(self):
+        assert basis_bits(3) is basis_bits(3)
+        assert not basis_bits(3).flags.writeable
+        assert basis_bits(0).shape == (1, 0)

@@ -189,4 +189,4 @@ class TestHarness:
     def test_report_serialization(self):
         rng = np.random.default_rng(3)
         report = run_quantumness_test(honest_protocol_round, 200, rng)
-        assert '"verdict"' in report.to_json()
+        assert report.as_dict()["verdict"] == report.verdict
