@@ -32,7 +32,8 @@ A pattern's plan holds what the engine derives from it alone, built on first
 use (it assumes, as `__post_init__` does, unmutated mappings).  For each of
 the 2^m values of r on the m equatorial steps it tabulates every branch's
 interpreted outcomes, instructions less theta and output gates, so a call
-packs r into a row number and adds theta.  `pattern_for` shares one pattern per
+packs r into a row number and adds theta; each branch's (qubit, bit) pairs
+make its record's dicts.  `pattern_for` shares one pattern per
 configuration, rotations and input.  `enumerate_branches` (fixed
 instructions) and `enumerate_adaptive` (feed-forward) are the engine's
 batch-of-one front ends.
@@ -315,10 +316,10 @@ class _Plan(NamedTuple):
     """Everything the engine derives from a pattern alone; arrays read-only."""
 
     qubits: tuple[int, ...]  # measured qubit of each step
-    r_cols: np.ndarray       # the equatorial steps' columns in a (B, n) r array
-    r_weights: np.ndarray    # (m,) the bit each sets in a row of the tables below, first highest
-    pauli: np.ndarray        # (k,) True on Pauli steps
+    r_weights: np.ndarray    # (n,) r @ r_weights packs r on the equatorial steps, first highest
+    pauli: np.ndarray        # the Pauli steps' indices
     bras: tuple[np.ndarray | None, ...]  # each Pauli step's bras, None if equatorial
+    outcomes: np.ndarray     # (1, 2^k, k) every branch's outcome bits
     interpreted: np.ndarray  # (2^m, 2^k, k) every branch's outcomes xor r
     eighths: np.ndarray      # (2^m, 2^k, k) its instructed eighths less theta, mod 8
     gates: np.ndarray        # (2^m, 2^k, outputs, 2, 2) its output gates, byproduct then frame
@@ -326,6 +327,8 @@ class _Plan(NamedTuple):
     left: tuple[int, ...]    # 2^(unmeasured qubits before each step's qubit)
     out_cols: np.ndarray     # the outputs' columns in a (B, n) theta array
     correction: _Correction
+    outcome_items: tuple[tuple[tuple[int, int], ...], ...]  # each branch's (qubit, bit) pairs
+    flips: tuple[int, ...]   # each row's r as a branch f: b's interpreted bits are b ^ f's outcomes
 
 
 class _Correction(NamedTuple):
@@ -353,12 +356,15 @@ def _make_plan(pattern: MeasurementPattern) -> _Plan:
     parity = interpreted @ deps & 1
     phi = np.array([s.phi.eighths for s in steps], dtype=np.int64)
     x, z = np.split(parity[..., 2 * k :], 2, axis=-1)
+    r_weights = np.zeros(pattern.num_qubits, dtype=np.int64)
+    r_weights[[qubits[i] - 1 for i in masked]] = 2 ** np.arange(len(masked) - 1, -1, -1)
+    qb = [((q, 0), (q, 1)) for q in qubits]  # (qubit, bit) pairs shared by every branch
     plan = _Plan(
         qubits=qubits,
-        r_cols=np.array([qubits[i] - 1 for i in masked], dtype=np.intp),
-        r_weights=2 ** np.arange(len(masked) - 1, -1, -1),
-        pauli=np.array([s.pauli_override is not None for s in steps], dtype=bool),
+        r_weights=r_weights,
+        pauli=np.flatnonzero([s.pauli_override is not None for s in steps]),
         bras=tuple(_PAULI_BRAS.get(s.pauli_override) for s in steps),
+        outcomes=basis_bits(k)[None],
         interpreted=interpreted,
         # adapt_angle's (-1)^{x parity} phi + pi (r xor z parity); a call adds theta
         eighths=(phi * (1 - 2 * parity[..., :k]) + 4 * (rmask ^ parity[..., k : 2 * k])) % 8,
@@ -367,6 +373,8 @@ def _make_plan(pattern: MeasurementPattern) -> _Plan:
         left=tuple(2 ** (q - 1 - sum(p < q for p in qubits[:i])) for i, q in enumerate(qubits)),
         out_cols=np.array([q - 1 for q in outputs], dtype=np.intp),
         correction=correction,
+        outcome_items=tuple(tuple(map(tuple.__getitem__, qb, b)) for b in basis_bits(k).tolist()),
+        flips=tuple((rmask[:, 0] @ 2 ** np.arange(k - 1, -1, -1)).tolist()),
     )
     for value in plan:
         if isinstance(value, np.ndarray):
@@ -394,10 +402,10 @@ def _instruction_table(plan: _Plan, deltas: Mapping[int, Angle8 | None], shape: 
     """`shape` (B, 2^k, k) table of fixed instructed eighths, one row for
     every branch, -1 on Pauli steps."""
     row = []
-    for q, pauli in zip(plan.qubits, plan.pauli):
-        if not pauli and deltas.get(q) is None:
+    for q, bras in zip(plan.qubits, plan.bras):
+        if bras is None and deltas.get(q) is None:
             raise ValueError(f"no instruction for qubit {q}")
-        row.append(-1 if pauli else deltas[q].eighths)
+        row.append(-1 if bras is not None else deltas[q].eighths)
     return np.broadcast_to(np.array(row, dtype=np.int64), shape)
 
 
@@ -421,6 +429,7 @@ class _Branches:
     live: np.ndarray         # (B, M)
     output: np.ndarray       # (B, M, 2^outputs) output amplitudes, zero if pruned
     corrected: np.ndarray | None  # output after correction; None if it needs absent phases
+    rows: tuple[int, ...]    # each element's row of the plan's mask tables
 
     @property
     def impossible(self) -> np.ndarray:
@@ -469,18 +478,18 @@ def _measure_batch(
         if (r & ~1).any():
             raise ValueError("mask bits must be 0 or 1")
         if adaptive:
-            row = r[:, plan.r_cols] @ plan.r_weights
+            row = r @ plan.r_weights
     # (B, 2^k, k): every branch's interpreted outcomes and instructed eighths
     interpreted = plan.interpreted[row]
     if adaptive:
         table = plan.eighths[row] + theta[:, None, plan.theta_cols]
         table %= 8
-        table[..., plan.pauli] = -1
+        if plan.pauli.size:
+            table[..., plan.pauli] = -1
     else:
         table = _instruction_table(plan, deltas, interpreted.shape)
     grid = _GRID_BRAS[table]  # every instruction's bras
     psi = psi.reshape(batch, 1, -1)
-    prob = np.ones((batch, 1))
     for i, (left, bras) in enumerate(zip(plan.left, plan.bras)):
         if bras is None:
             # the 2^(k-i) leaves below each current branch share its instruction
@@ -493,22 +502,25 @@ def _measure_batch(
         flat = psi.view(np.float64)  # real and imaginary parts side by side
         p = np.einsum("...i,...i->...", flat, flat)
         # a pruned branch has a zero state, so its children get probability 0
-        prob = (prob[:, :, None] * p.reshape(batch, -1, 2)).reshape(batch, -1)
+        prob = p if i == 0 else (prob[:, :, None] * p.reshape(batch, -1, 2)).reshape(batch, -1)
         live = p >= IMPOSSIBLE_BRANCH
-        psi = psi * (live / np.sqrt(np.maximum(p, IMPOSSIBLE_BRANCH)))[..., None]
+        scale = np.maximum(p, IMPOSSIBLE_BRANCH)
+        np.sqrt(scale, out=scale)
+        psi *= np.divide(live, scale, out=scale)[..., None]
     total = prob.sum(axis=1)
-    if not np.all(np.abs(total - 1.0) <= NORM_TOL):  # written so that NaN fails
+    if not all(abs(t - 1.0) <= NORM_TOL for t in total.tolist()):  # written so that NaN fails
         raise ValueError(f"branch probabilities sum to {total} instead of 1")
 
-    outcomes = basis_bits(k)[None].repeat(batch, axis=0)
+    outcomes = plan.outcomes if batch == 1 else plan.outcomes.repeat(batch, axis=0)
     corrected = None
     if pattern.outputs and (theta is not None or not pattern.theta_unwind):
-        unwind = None if theta is None else theta[:, plan.out_cols]
+        unwind = theta[:, plan.out_cols] if pattern.theta_unwind else None
         corrected = _correct(plan.correction, psi, plan.gates[row], unwind)
     for value in (outcomes, interpreted, table, prob, live, psi, corrected):
         if value is not None:
             value.setflags(write=False)
-    return _Branches(plan.qubits, outcomes, interpreted, table, prob, live, psi, corrected)
+    rows = tuple(row.tolist())
+    return _Branches(plan.qubits, outcomes, interpreted, table, prob, live, psi, corrected, rows)
 
 
 def _correct(
@@ -576,23 +588,21 @@ def _secrets_rows(
     """(1, n) arrays of the theta eighths and mask bits one run reads."""
     _check_masks(r)
     n = pattern.num_qubits
-    equatorial = [s.qubit for s in pattern.steps if s.pauli_override is None]
-    r_row = np.zeros((1, n), dtype=np.int64)
-    for q in equatorial:
-        r_row[0, q - 1] = r.get(q, 0)
+    r_row = np.array([[r.get(q, 0) for q in range(1, n + 1)]])  # read on equatorial steps only
     if phases is None:
         return None, r_row
     theta = np.zeros((1, n), dtype=np.int64)
-    for q in (equatorial if adaptive else []) + sorted(pattern.theta_unwind):
+    equatorial = [s.qubit for s in pattern.steps if s.pauli_override is None] if adaptive else []
+    for q in equatorial + sorted(pattern.theta_unwind):
         theta[0, q - 1] = phases[q].eighths
     return theta, r_row
 
 
 def _records(branches: _Branches, pattern: MeasurementPattern) -> list[BranchRecord]:
-    """BranchRecords of batch element 0."""
+    """BranchRecords of batch element 0, each with fresh dicts of the plan's items."""
+    plan = pattern._plan
     qubits = branches.qubits
-    outcomes = branches.outcomes[0].tolist()
-    interpreted = branches.interpreted[0].tolist()
+    items, flip = plan.outcome_items, plan.flips[branches.rows[0]]
     deltas = branches.deltas[0].tolist()
     probs = branches.probability[0].tolist()
     live = branches.live[0].tolist()
@@ -605,8 +615,8 @@ def _records(branches: _Branches, pattern: MeasurementPattern) -> list[BranchRec
         alive = has_output and live[m]
         records.append(
             BranchRecord(
-                outcomes=dict(zip(qubits, outcomes[m])),
-                interpreted=dict(zip(qubits, interpreted[m])),
+                outcomes=dict(items[m]),
+                interpreted=dict(items[m ^ flip]),
                 deltas=dict(zip(qubits, map(_INSTRUCTIONS.__getitem__, deltas[m]))),
                 probability=p,
                 impossible=p < IMPOSSIBLE_BRANCH,

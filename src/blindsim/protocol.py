@@ -109,7 +109,8 @@ def amplitudes_to_wire(psi: PureState) -> list[list[float]]:
 
 
 def amplitudes_from_wire(pairs: Sequence[Sequence[float]]) -> PureState:
-    """A state from [re, im] pairs of JSON numbers; a bool or a string is refused."""
+    """A state from [re, im] pairs of JSON numbers; a bool or a string is
+    refused, and an integer past float range raises OverflowError."""
     if not all({type(re), type(im)} <= {int, float} for re, im in pairs):
         raise TypeError("an amplitude is not a pair of numbers")
     return PureState.from_amplitudes([complex(re, im) for re, im in pairs])
@@ -135,10 +136,13 @@ class ClientSecrets:
     input_prep: str | Angle8 = "Z"
 
     def __post_init__(self) -> None:
-        """Refuse a mask bit other than 0 or 1 and a missing hiding phase,
-        as the engine does."""
+        """Refuse a mask bit other than 0 or 1 and a missing hiding phase, as
+        the engine does, and a rotation on a qubit no pattern measures."""
         _check_masks(self.r)
         _check_phases(self.config.graph, self.phases)
+        unmeasured = sorted(set(self.phi) - set(self.config.measure_order))
+        if unmeasured:
+            raise ValueError(f"target rotations on unmeasured qubits {unmeasured}")
 
     @classmethod
     def random(
@@ -294,7 +298,7 @@ class ClientSession:
         read, after every outcome, with the pattern's sorted outputs as ids."""
         try:
             return self._react(message)
-        except (KeyError, ValueError, IndexError, TypeError) as exc:
+        except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
             raise ProtocolError(
                 f"unreadable {message.type!r} body: {exc!r}", reason="bad_message"
             ) from None
@@ -420,7 +424,7 @@ class ServerSession:
                 return self._measure(message.body)
             if message.type == "session_close":
                 return []
-        except (KeyError, ValueError, IndexError, TypeError) as exc:
+        except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
             raise ProtocolError(
                 f"malformed {message.type!r}: {exc!r}", reason="bad_message"
             ) from exc

@@ -224,12 +224,18 @@ def _weighted_projector_sum(model: _MeasurementModel, weights: np.ndarray) -> np
 
 
 class _Seed(NamedTuple):
-    """The linear-inversion estimate, projected to the PSD cone two ways
-    from one eigendecomposition."""
+    """The linear-inversion estimate's eigendecomposition, projected to the
+    PSD cone two ways: clipped at once, floored only for an ascent."""
 
-    floored: np.ndarray  # eigenvalues raised to 1e-6: the ascent's start
+    vals: np.ndarray
+    vecs: np.ndarray
     projected: np.ndarray  # eigenvalues clipped at 0: the certified candidate
-    clipped: int  # eigenvalues the floor raised
+    clipped: int  # eigenvalues the floor raises
+
+    def floored(self) -> np.ndarray:
+        """Eigenvalues raised to 1e-6: the ascent's start."""
+        floored = (self.vecs * np.clip(self.vals, 1e-6, None)) @ self.vecs.conj().T
+        return floored / np.trace(floored).real
 
 
 def _linear_inversion(table: CountsTable) -> _Seed:
@@ -250,12 +256,8 @@ def _linear_inversion(table: CountsTable) -> _Seed:
     means[0] = 1.0  # the identity string: Tr rho = 1
     vals, vecs = np.linalg.eigh(_pauli_sum(model, means))
     projected = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    floored = (vecs * np.clip(vals, 1e-6, None)) @ vecs.conj().T
-    return _Seed(
-        floored / np.trace(floored).real,
-        projected / np.trace(projected).real,
-        int(np.count_nonzero(vals < 1e-6)),
-    )
+    clipped = int(np.count_nonzero(vals < 1e-6))
+    return _Seed(vals, vecs, projected / np.trace(projected).real, clipped)
 
 
 def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
@@ -426,7 +428,7 @@ def mle_reconstruct(
     if bound <= improvement_tol * max(abs(ll), 1.0):
         run = _Ascent(seed.projected, ll, True, 0, math.nan, 0)
     else:
-        run = _ascend(likelihood, seed.floored, max_iterations, improvement_tol)
+        run = _ascend(likelihood, seed.floored(), max_iterations, improvement_tol)
 
     rho_hat = DensityMatrix.from_matrix(run.rho)
     fid = fidelity_pure(rho_hat, target) if target is not None else None

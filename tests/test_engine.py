@@ -390,6 +390,52 @@ class TestInstructionTable:
             "c406f2956f901a3e1a498a46851869451ece4bd893bc9891d42edf83314af5d7"
         )
 
+    def test_batch_of_one_records_are_pinned(self):
+        # SHA-256 of every field of every record of the batch-of-one front
+        # ends, types included: all configurations and preparations, 16
+        # random theta and r rows each, enumerate_adaptive with the row's
+        # secrets and enumerate_branches with fixed instructions, with and
+        # without the phases
+        def entries(mapping):
+            return [(type(q).__name__, q, type(v).__name__, v) for q, v in mapping.items()]
+
+        def state_bytes(state):
+            if state is None:
+                return b"None"
+            amps = state.amplitudes
+            head = f"{state.num_qubits}{amps.shape}{amps.dtype.str}{amps.flags.writeable}"
+            return head.encode() + np.ascontiguousarray(amps).tobytes()
+
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(1110_1381_1)
+        for config in ClusterConfig:
+            for prep in PREPS if _linear(config) else ("Z",):
+                phi = {q: A(int(e)) for q, e in zip(config.measure_order, rng.integers(0, 8, 4))}
+                pattern = pattern_for(config, phi=phi, input_prep=prep)
+                equatorial = [s.qubit for s in pattern.steps if s.pauli_override is None]
+                for b, (theta, r) in enumerate(
+                    zip(rng.integers(0, 8, size=(16, 4)), rng.integers(0, 2, size=(16, 4)))
+                ):
+                    phases = BlindPhases({q: A(int(e)) for q, e in zip(range(1, 5), theta)})
+                    state = cluster_state_for(config, phases)
+                    masks = {q: int(r[q - 1]) for q in config.measure_order}
+                    fixed = {q: A(int(rng.integers(8))) for q in equatorial}
+                    for records in (
+                        enumerate_adaptive(state, pattern, phases, masks),
+                        enumerate_branches(state, pattern, fixed, phases if b % 2 else None),
+                    ):
+                        digest.update(f"{len(records)}".encode())
+                        for rec in records:
+                            fields = [entries(rec.outcomes), entries(rec.interpreted), entries(rec.deltas)]
+                            fields.append((type(rec.probability).__name__, rec.probability.hex()))
+                            fields.append((type(rec.impossible).__name__, rec.impossible))
+                            digest.update(repr(fields).encode())
+                            digest.update(state_bytes(rec.output_state))
+                            digest.update(state_bytes(rec.corrected_state))
+        assert digest.hexdigest() == (
+            "fff09ee81a3da53795b0a910af378bb77f2a7ca4e29da7b3f34d9ab51a05631f"
+        )
+
 
 def _per_call_tables(pattern, theta, r, deltas=None):
     """Every branch's interpreted outcomes, instructed eighths and output

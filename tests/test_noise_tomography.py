@@ -298,7 +298,7 @@ class TestMle:
         evaluations = 0
         run = tomography._ascend(
             tomography._PoissonLikelihood.of(table),
-            tomography._linear_inversion(table).floored,
+            tomography._linear_inversion(table).floored(),
             max_iterations=2000,
             improvement_tol=1e-9,
         )
@@ -316,7 +316,7 @@ class TestMle:
         rho_true = apply_noise(lab_family_state(2, 3), NoiseParams())
         table = simulate_counts(rho_true, pauli_settings(4), 10_000, np.random.default_rng(3))
         likelihood = _PoissonLikelihood.of(table)
-        t_mat = np.linalg.cholesky(_linear_inversion(table)[0] + 1e-9 * np.eye(16))
+        t_mat = np.linalg.cholesky(_linear_inversion(table).floored() + 1e-9 * np.eye(16))
         point = likelihood.at(t_mat)
         grad = likelihood.gradient(point)
         assert np.array_equal(grad, np.tril(grad))
@@ -338,7 +338,7 @@ class TestMle:
             DensityMatrix.from_pure(target), pauli_settings(2), 1000, rng
         )
         result = mle_reconstruct(table)
-        seed = _linear_inversion(table).floored
+        seed = _linear_inversion(table).floored()
         projectors = np.concatenate(
             [born_probabilities(DensityMatrix.from_matrix(seed), s) for s in table.settings]
         )

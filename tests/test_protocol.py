@@ -316,6 +316,18 @@ class TestSessionInProcess:
         with pytest.raises(ValueError, match=r"phase missing for vertices \[3\]"):
             ClientSecrets(ClusterConfig.HORSESHOE, phases, {2: 0, 3: 0}, {2: A(0), 3: A(0)})
 
+    @pytest.mark.parametrize("config", list(ClusterConfig), ids=lambda c: c.value)
+    def test_secrets_refuse_a_rotation_on_a_qubit_that_is_never_measured(self, config):
+        # on the horseshoe, phi_1 = 3 pi/4 ran as if it were absent
+        phases = BlindPhases.family(2, 3)
+        measured = {q: A(0) for q in config.measure_order}
+        ClientSecrets(config, phases, {}, measured)
+        for q in config.outputs:
+            with pytest.raises(ValueError, match=rf"target rotations on unmeasured qubits \[{q}\]"):
+                ClientSecrets(config, phases, {}, {**measured, q: A(3)})
+        with pytest.raises(ValueError, match=r"unmeasured qubits \[5\]"):
+            ClientSecrets(config, phases, {}, {5: A(0)})
+
     def test_unknown_qubit_rejected(self):
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 0, 0)
         client = ClientSession(secrets)
@@ -600,7 +612,14 @@ HOSTILE = {
         OPENING + [_line(6, "measure_instruction", {"qubit_id": 1, "pauli": "Q"})],
         "bad_message",
     ),
+    # a 401-digit JSON integer, past float range
+    "huge_amplitude": (
+        [INIT, _line(2, "qubit_transfer", {"qubit_id": 1, "amplitudes": [[10**400, 0], [0, 0]]})],
+        "bad_message",
+    ),
 }
+# two qubits' amplitudes, the first a 401-digit JSON integer
+HUGE_AMPLITUDES = [[10**400, 0], [0, 0], [0, 0], [0, 0]]
 OVER_LONG = ([b'{"seq": 1, ' + b" " * (3 * MAX_LINE_BYTES) + b"}\n"], "line_too_long")
 
 # server replies a client cannot read, given the qubit it waits on
@@ -846,6 +865,40 @@ class TestWire:
         with pytest.raises(ProtocolError) as info:
             client.on_message(output_return)
         assert info.value.reason == "out_of_order"
+
+    def test_client_refuses_an_output_amplitude_past_float_range_in_process(self):
+        client = ClientSession(secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5))
+        server = ServerSession(seed=3)
+        batch = client.start()
+        while batch:
+            replies = [r for m in batch for r in server.handle(m)]
+            batch = [m for r in replies if r.type != "output_return" for m in client.on_message(r)]
+        huge = Message(9, "output_return", {"qubit_ids": [1, 4], "amplitudes": HUGE_AMPLITUDES})
+        with pytest.raises(ProtocolError) as info:
+            client.on_message(huge)
+        assert info.value.reason == "bad_message"
+        assert not client.done
+
+    def test_client_refuses_an_output_amplitude_past_float_range_over_tcp(
+        self, tcp_server, monkeypatch, capfd
+    ):
+        handle = ServerSession.handle
+
+        def huge_output(self, message):
+            return [
+                Message(r.seq, r.type, {**r.body, "amplitudes": HUGE_AMPLITUDES})
+                if r.type == "output_return" else r
+                for r in handle(self, message)
+            ]
+
+        monkeypatch.setattr(ServerSession, "handle", huge_output)
+        secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5)
+        with pytest.raises(ProtocolError) as info:
+            run_session_tcp(secrets, tcp_server.server_address, timeout=10)
+        assert info.value.reason == "bad_message"
+        monkeypatch.undo()
+        _check_next_session_succeeds(tcp_server)
+        assert capfd.readouterr().err == ""
 
     def test_client_refuses_a_malformed_reply_over_tcp(self, tcp_server, monkeypatch, capfd):
         def malformed(self, message):

@@ -311,7 +311,7 @@ class TestTomographyKernels:
             settings = [s for s in settings if s[0] != "Z"]
         table = random_table(settings, rng)
         np.testing.assert_allclose(
-            _linear_inversion(table)[0], reference_linear_inversion(table), rtol=0, atol=1e-12
+            _linear_inversion(table).floored(), reference_linear_inversion(table), rtol=0, atol=1e-12
         )
         assert _measurement_model(tuple(settings)).complete == complete
 
