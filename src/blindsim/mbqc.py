@@ -328,7 +328,6 @@ class _Plan(NamedTuple):
     out_cols: np.ndarray     # the outputs' columns in a (B, n) theta array
     correction: _Correction
     outcome_items: tuple[tuple[tuple[int, int], ...], ...]  # each branch's (qubit, bit) pairs
-    flips: tuple[int, ...]   # each row's r as a branch f: b's interpreted bits are b ^ f's outcomes
 
 
 class _Correction(NamedTuple):
@@ -374,7 +373,6 @@ def _make_plan(pattern: MeasurementPattern) -> _Plan:
         out_cols=np.array([q - 1 for q in outputs], dtype=np.intp),
         correction=correction,
         outcome_items=tuple(tuple(map(tuple.__getitem__, qb, b)) for b in basis_bits(k).tolist()),
-        flips=tuple((rmask[:, 0] @ 2 ** np.arange(k - 1, -1, -1)).tolist()),
     )
     for value in plan:
         if isinstance(value, np.ndarray):
@@ -429,7 +427,6 @@ class _Branches:
     live: np.ndarray         # (B, M)
     output: np.ndarray       # (B, M, 2^outputs) output amplitudes, zero if pruned
     corrected: np.ndarray | None  # output after correction; None if it needs absent phases
-    rows: tuple[int, ...]    # each element's row of the plan's mask tables
 
     @property
     def impossible(self) -> np.ndarray:
@@ -511,7 +508,7 @@ def _measure_batch(
     if not all(abs(t - 1.0) <= NORM_TOL for t in total.tolist()):  # written so that NaN fails
         raise ValueError(f"branch probabilities sum to {total} instead of 1")
 
-    outcomes = plan.outcomes if batch == 1 else plan.outcomes.repeat(batch, axis=0)
+    outcomes = plan.outcomes.repeat(batch, axis=0)
     corrected = None
     if pattern.outputs and (theta is not None or not pattern.theta_unwind):
         unwind = theta[:, plan.out_cols] if pattern.theta_unwind else None
@@ -519,8 +516,7 @@ def _measure_batch(
     for value in (outcomes, interpreted, table, prob, live, psi, corrected):
         if value is not None:
             value.setflags(write=False)
-    rows = tuple(row.tolist())
-    return _Branches(plan.qubits, outcomes, interpreted, table, prob, live, psi, corrected, rows)
+    return _Branches(plan.qubits, outcomes, interpreted, table, prob, live, psi, corrected)
 
 
 def _correct(
@@ -600,9 +596,11 @@ def _secrets_rows(
 
 def _records(branches: _Branches, pattern: MeasurementPattern) -> list[BranchRecord]:
     """BranchRecords of batch element 0, each with fresh dicts of the plan's items."""
-    plan = pattern._plan
     qubits = branches.qubits
-    items, flip = plan.outcome_items, plan.flips[branches.rows[0]]
+    items, flip = pattern._plan.outcome_items, 0
+    # branch 0's outcomes are all 0, so its interpreted bits are r: branch b's are b ^ r's outcomes
+    for bit in branches.interpreted[0, 0].tolist():
+        flip = 2 * flip + bit
     deltas = branches.deltas[0].tolist()
     probs = branches.probability[0].tolist()
     live = branches.live[0].tolist()

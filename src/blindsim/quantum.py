@@ -191,12 +191,15 @@ class DensityMatrix:
         n = int(round(math.log2(dim)))
         if mat.shape != (dim, dim) or 2**n != dim:
             raise ValueError(f"density matrix shape {mat.shape} is not 2^n x 2^n")
-        if not _close_to_adjoint(mat):
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has a non-finite entry")
+        adjoint = mat.conj().T  # np.allclose's |a - b| <= atol + 1e-5 |b|, fused
+        if not (np.abs(mat - adjoint) <= HERMITIAN_TOL + 1e-5 * np.abs(adjoint)).all():
             raise ValueError("density matrix is not Hermitian")
-        if not abs(np.trace(mat).real - 1.0) <= HERMITIAN_TOL:  # written so that NaN fails
+        if abs(np.trace(mat).real - 1.0) > HERMITIAN_TOL:
             raise ValueError(f"trace {np.trace(mat)} deviates from 1")
         eigenvalues = np.linalg.eigvalsh(mat)
-        if not eigenvalues.min() >= EIGENVALUE_FLOOR:  # so does an inf entry's NaN spectrum
+        if eigenvalues.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue {eigenvalues.min()}")
         mat = mat.copy()
         mat.setflags(write=False)
@@ -228,15 +231,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def _close_to_adjoint(mat: np.ndarray) -> bool:
-    """np.allclose(mat, mat^dagger, atol=HERMITIAN_TOL): its |a - b| <= atol + 1e-5 |b|
-    fused when finite; NaN and inf go to np.allclose, where equal infinities are close."""
-    adjoint = mat.conj().T
-    if not np.isfinite(mat).all():
-        return bool(np.allclose(mat, adjoint, atol=HERMITIAN_TOL))
-    return bool((np.abs(mat - adjoint) <= HERMITIAN_TOL + 1e-5 * np.abs(adjoint)).all())
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:

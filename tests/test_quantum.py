@@ -16,7 +16,6 @@ from blindsim.quantum import (
     SQRT_Z,
     DensityMatrix,
     PureState,
-    _close_to_adjoint,
     basis_bits,
     equatorial_bra,
     fidelity_pure,
@@ -246,71 +245,42 @@ class TestDensityMatrix:
             DensityMatrix.from_matrix(np.array([[1.5, 0], [0, -0.5]]))
 
 
-SPECIAL = (math.nan, math.inf, -math.inf)
-
-
 @st.composite
 def near_hermitian(draw):
-    """Square and non-square complex matrices, Hermitian when square, with
-    entries pushed to about the tolerance |a - b| <= atol + 1e-5 |b| and
-    NaN or +-inf parts, alone or mirrored onto the transposed entry."""
-    rows = draw(st.integers(1, 4))
-    cols = draw(st.one_of(st.just(rows), st.integers(1, 4)))
-    size = rows * cols
-    parts = [draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)) for _ in range(2)]
+    """Square Hermitian complex matrices with up to two entries pushed to about
+    np.allclose's tolerance |a - b| <= atol + 1e-5 |b| against the adjoint."""
+    dim = draw(st.sampled_from([1, 2, 4]))
+    parts = [draw(st.lists(st.floats(-2.0, 2.0), min_size=dim**2, max_size=dim**2)) for _ in range(2)]
     mat = draw(st.sampled_from([0.0, 1e-6, 1.0, 1e6])) * (np.array(parts[0]) + 1j * np.array(parts[1]))
-    mat = mat.reshape(rows, cols)
-    if rows == cols:
-        mat = (mat + mat.conj().T) / 2
-    entry = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    mat = mat.reshape(dim, dim)
+    mat = (mat + mat.conj().T) / 2
     for _ in range(draw(st.integers(0, 2))):
-        i, j = draw(entry)
-        other = mat[j, i] if rows == cols else mat[i, j]
+        i, j = draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))
         factor = draw(st.sampled_from([0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0]))
-        mat[i, j] += factor * (HERMITIAN_TOL + 1e-5 * abs(other)) * draw(st.sampled_from([1, -1, 1j, -1j]))
-    for _ in range(draw(st.integers(0, 2))):
-        i, j = draw(entry)
-        value = complex(draw(st.sampled_from(SPECIAL)), draw(st.sampled_from((0.0, 1.0) + SPECIAL)))
-        if draw(st.booleans()):
-            value = complex(value.imag, value.real)
-        mat[i, j] = value
-        if rows == cols and draw(st.booleans()):
-            mat[j, i] = value.conjugate()
+        mat[i, j] += factor * (HERMITIAN_TOL + 1e-5 * abs(mat[j, i])) * draw(st.sampled_from([1, -1, 1j, -1j]))
     return mat
 
 
 class TestHermitianCheck:
     """`from_matrix`'s fused Hermitian test is np.allclose against the adjoint."""
 
-    @staticmethod
-    def _verdict(check, mat):
-        try:
-            return check(mat)
-        except ValueError:  # shapes that do not broadcast
-            return "refused"
-
     @given(near_hermitian())
     @settings(max_examples=400, deadline=None)
     def test_accepts_exactly_what_allclose_accepts(self, mat):
-        reference = lambda m: bool(np.allclose(m, m.conj().T, atol=HERMITIAN_TOL))
-        assert self._verdict(_close_to_adjoint, mat) == self._verdict(reference, mat)
-
-    def test_equal_infinities_are_close_and_unequal_ones_are_not(self):
-        # isclose's rule: an infinity is close only to an equal infinity
-        assert _close_to_adjoint(np.array([[math.inf, 0], [0, 0.5]], dtype=complex))
-        assert _close_to_adjoint(np.array([[0.5, math.inf], [math.inf, 0.5]], dtype=complex))
-        assert not _close_to_adjoint(np.array([[0.5, math.inf], [-math.inf, 0.5]], dtype=complex))
-        assert not _close_to_adjoint(np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex))
+        try:
+            DensityMatrix.from_matrix(mat)
+            hermitian = True
+        except ValueError as err:  # the trace and eigenvalue checks come after
+            hermitian = "not Hermitian" not in str(err)
+        assert hermitian == np.allclose(mat, mat.conj().T, atol=HERMITIAN_TOL)
 
     @pytest.mark.parametrize(
-        "entries", [[[1, math.inf], [math.inf, 0]], [[math.inf, 0], [0, -math.inf]]]
+        "entry", [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(math.nan, 0.0)]
     )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # numpy's inf - inf
-    def test_from_matrix_refuses_what_passes_the_check_with_an_infinity(self, entries):
-        # both pass the Hermitian test and were accepted; the spectrum or the trace is NaN
-        mat = np.array(entries, dtype=complex)
-        assert _close_to_adjoint(mat)
-        with pytest.raises(ValueError, match="trace|eigenvalue"):
+    def test_refuses_a_non_finite_entry(self, entry):
+        mat = np.array([[0.5, 0], [0, 0.5]], dtype=complex)
+        mat[1, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix.from_matrix(mat)
 
 
