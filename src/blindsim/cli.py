@@ -1,14 +1,16 @@
 """Command-line entry point.
 
-    blindsim fig3c|fig3d|grover|deutsch|quantumness|tomography|blindness
-    blindsim bulk
+    blindsim fig3c|fig3d|grover|deutsch|bulk
+    blindsim quantumness|tomography|blindness [--seed N]
     blindsim serve  --listen ADDR [--seed N]
     blindsim client --connect ADDR [--config NAME] [--theta n2,n3] [--seed N]
 
 Every experiment prints a JSON table (grover, deutsch and bulk print CSV with
 --csv), prints `check failed: KEY` on stderr for each acceptance check that
 fails (KEY is the table key it reads) and exits 2 if any failed, else 0.  Bad
-flag values are usage errors (exit 2).  BLINDSIM_SEED is the default seed.
+flag values are usage errors (exit 2).  Only the commands that draw at random
+take --seed; for them BLINDSIM_SEED is the default seed, refused as --seed
+would be.  The exact experiments draw nothing and refuse --seed.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,6 @@ from .angles import Angle8
 from .clusters import BlindPhases, ClusterConfig
 from .experiments import (
     BLINDNESS_NOISE,
-    ExperimentConfig,
     GROVER_TAG_ANGLES,
     run_blindness,
     run_bulk_branches,
@@ -91,10 +91,14 @@ def _address(text: str) -> tuple[str, int]:
 NOISE_DEFAULTS = {"bell_visibility": 0.9, "interference_visibility": 0.85, "phase_drift_sigma": 0.1}
 
 
-def _seed(args: argparse.Namespace) -> int:
+def _seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """--seed, else BLINDSIM_SEED, else 0."""
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("BLINDSIM_SEED", "0"))
+    try:
+        return _NONNEGATIVE(os.environ.get("BLINDSIM_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"BLINDSIM_SEED: {exc}")
 
 
 def _noise(args: argparse.Namespace) -> NoiseParams | None:
@@ -137,8 +141,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="blindsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seeded(p: argparse.ArgumentParser) -> None:
+        """--seed, only on the commands that draw at random."""
+        p.add_argument("--seed", type=_NONNEGATIVE, default=None, help="default $BLINDSIM_SEED or 0")
+
     def common(p: argparse.ArgumentParser, noisy: bool = False, csv: bool = False) -> None:
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="write the table to a file")
         if csv:  # only the commands that have a CSV form of their table
             p.add_argument("--csv", action="store_true")
@@ -147,8 +154,11 @@ def main(argv: list[str] | None = None) -> int:
             for key, value in NOISE_DEFAULTS.items():
                 p.add_argument("--" + key.replace("_", "-"), type=float, help=f"default {value}")
 
-    for name in ("fig3c", "fig3d", "blindness"):
+    for name in ("fig3c", "fig3d"):
         common(sub.add_parser(name), noisy=True)
+    p = sub.add_parser("blindness")
+    common(p, noisy=True)
+    seeded(p)
     common(sub.add_parser("bulk"), csv=True)
     p = sub.add_parser("grover")
     common(p, csv=True)
@@ -158,25 +168,27 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--oracle", choices=("constant", "balanced"), default="constant")
     p = sub.add_parser("quantumness")
     common(p)
+    seeded(p)
     p.add_argument("--rounds", type=_AT_LEAST_ONE, default=10_000)
     p.add_argument("--stub-trials", type=_NONNEGATIVE, default=0)
     p = sub.add_parser("tomography")
     common(p, noisy=True)
+    seeded(p)
     p.add_argument("--mean-total", type=_MEAN_TOTAL, default=10_000.0)
     p.add_argument("--mc-trials", type=_AT_LEAST_TWO, default=25)
     p = sub.add_parser("serve")
     p.add_argument("--listen", type=_address, required=True, metavar="ADDR")
-    p.add_argument("--seed", type=int, default=None)
+    seeded(p)
     p = sub.add_parser("client")
     p.add_argument("--connect", type=_address, required=True, metavar="ADDR")
     p.add_argument("--config", default="horseshoe",
                    choices=[c.value for c in ClusterConfig])
     p.add_argument("--theta", type=_theta_pair, default=None, metavar="n2,n3")
-    p.add_argument("--seed", type=int, default=None)
+    seeded(p)
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    seed = _seed(args)
+    seed = _seed(args, parser) if "seed" in args else None
 
     if args.command == "serve":
         server = TcpServer(args.listen, seed=seed)
@@ -214,17 +226,16 @@ def main(argv: list[str] | None = None) -> int:
         noise = _noise(args)
     except ValueError as exc:  # a noise flag out of its range or without --noisy
         parser.error(str(exc))
-    config = ExperimentConfig(args.command, seed=seed, noise=noise)
     branch_columns = ["n2", "n3", "success_probability"]
     # command -> (runner call, CSV columns or None, checks: table -> {key read:
     # passed}).  Built here, so a runner patched on this module is the one run.
     commands = {
-        "fig3c": (lambda: run_fig3c(config), None, _figure_checks),
-        "fig3d": (lambda: run_fig3d(config), None, _figure_checks),
-        "grover": (lambda: run_grover(args.tag, config), branch_columns, _success_checks),
-        "deutsch": (lambda: run_deutsch(args.oracle, config), branch_columns, _success_checks),
+        "fig3c": (lambda: run_fig3c(noise=noise), None, _figure_checks),
+        "fig3d": (lambda: run_fig3d(noise=noise), None, _figure_checks),
+        "grover": (lambda: run_grover(args.tag), branch_columns, _success_checks),
+        "deutsch": (lambda: run_deutsch(args.oracle), branch_columns, _success_checks),
         "quantumness": (
-            lambda: run_quantumness(config, rounds=args.rounds, stub_trials=args.stub_trials),
+            lambda: run_quantumness(seed=seed, rounds=args.rounds, stub_trials=args.stub_trials),
             None,
             lambda t: {
                 "honest.verdict": t["honest"]["verdict"] == "quantum-consistent",
@@ -233,7 +244,12 @@ def main(argv: list[str] | None = None) -> int:
             },
         ),
         "tomography": (
-            lambda: run_tomography(config, mean_total=args.mean_total, mc_trials=args.mc_trials),
+            lambda: run_tomography(
+                seed=seed,
+                noise=noise or NoiseParams(),
+                mean_total=args.mean_total,
+                mc_trials=args.mc_trials,
+            ),
             None,
             lambda t: {
                 "converged": t["converged"],
@@ -241,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
             },
         ),
         "blindness": (
-            lambda: run_blindness(replace(config, noise=config.noise or BLINDNESS_NOISE)),
+            lambda: run_blindness(seed=seed, noise=noise or BLINDNESS_NOISE),
             None,
             lambda t: {
                 "ideal.chi_uniform_bits": _close(t["ideal"]["chi_uniform_bits"], 0.0),
@@ -252,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             },
         ),
         "bulk": (
-            lambda: run_bulk_branches(config),
+            run_bulk_branches,
             ["setting", "n2", "n3", "outcome", "probability"],
             lambda t: {"row_count": t["row_count"] > 0},
         ),

@@ -1,10 +1,10 @@
 """End-to-end demonstrations, each emitting a machine-readable table.
 
-Every runner echoes its configuration (seed, noise) in the returned table
-so results are auditable, and every randomized step is
-reproducible bit-for-bit from the seed.  Values measured on a real apparatus
-are annotated as references only; the exact simulator reproduces ideal
-values.
+Every runner takes only the inputs it reads and echoes them in the
+returned table's `config`, so results are auditable, and every randomized
+step is reproducible bit-for-bit from the seed.  Values measured on a real
+apparatus are annotated as references only; the exact simulator reproduces
+ideal values.
 
 Every exact table comes from the one batched engine
 (`mbqc._measure_batch`), one call per runner: the ideal and noisy Fig.
@@ -16,7 +16,7 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,17 +66,6 @@ from .verification import (
 PI = math.pi
 A = Angle8
 
-EXPERIMENT_NAMES = (
-    "fig3c",
-    "fig3d",
-    "grover",
-    "deutsch",
-    "quantumness",
-    "tomography",
-    "blindness",
-    "bulk",
-)
-
 # Grover tag -> (phi_2, phi_3); readout angles on qubits 1 and 4 are pi/2.
 # Anchor: tagging |01> uses angles -pi/2 and pi.
 GROVER_TAG_ANGLES: dict[str, tuple[Angle8, Angle8]] = {
@@ -116,28 +105,8 @@ REPORTED_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    name: str
-    seed: int = 0
-    noise: NoiseParams | None = None
-
-    def __post_init__(self) -> None:
-        if self.name not in EXPERIMENT_NAMES:
-            raise ValueError(f"unknown experiment {self.name!r}")
-
-    def echo(self) -> dict:
-        return {
-            "experiment": self.name,
-            "seed": self.seed,
-            "noise": None
-            if self.noise is None
-            else {
-                "bell_visibility": self.noise.bell_visibility,
-                "interference_visibility": self.noise.interference_visibility,
-                "phase_drift_sigma": self.noise.phase_drift_sigma,
-            },
-        }
+def _noise_echo(noise: NoiseParams | None) -> dict | None:
+    return None if noise is None else asdict(noise)
 
 
 def grover_decode(interpreted: Mapping[int, int]) -> str:
@@ -154,7 +123,7 @@ def _family_batch(
     return _measure_batch(pattern, blind_cluster_batch(config.graph, theta), theta)
 
 
-def run_grover(tag: str, config: ExperimentConfig | None = None) -> dict:
+def run_grover(tag: str) -> dict:
     """Blind Grover search on the triangle cluster for one tagged element.
 
     Enumerates every branch of the adaptive pattern for each of the 64 blind
@@ -162,7 +131,6 @@ def run_grover(tag: str, config: ExperimentConfig | None = None) -> dict:
     """
     if tag not in GROVER_TAG_ANGLES:
         raise ValueError(f"tag must be one of {sorted(GROVER_TAG_ANGLES)}")
-    config = config or ExperimentConfig("grover")
     states = [(n2, n3) for n2 in range(8) for n3 in range(8)]
     phi = GROVER_PHI[tag]
     pattern = pattern_for(ClusterConfig.TRIANGLE, phi=phi)
@@ -177,7 +145,7 @@ def run_grover(tag: str, config: ExperimentConfig | None = None) -> dict:
     ]
     successes = [row["success_probability"] for row in rows]
     return {
-        "config": config.echo(),
+        "config": {"experiment": "grover"},
         "tag": tag,
         "angles_eighths": [phi[2].eighths, phi[3].eighths],
         "rows": rows,
@@ -194,13 +162,19 @@ def run_grover(tag: str, config: ExperimentConfig | None = None) -> dict:
 def run_grover_sessions(
     tag: str, seed: int = 0, n_sessions: int = 16
 ) -> list[str]:
-    """Decode live protocol sessions; returns the decoded tags."""
+    """Decode live protocol sessions; returns the decoded tags.
+
+    The client draws its secrets from `seed`, and each session's server
+    from its own child of `SeedSequence(seed)`, so no server stream repeats
+    the client's or another seed's.
+    """
     phi = GROVER_PHI[tag]
     rng = np.random.default_rng(seed)
+    servers = np.random.SeedSequence(seed).spawn(n_sessions)
     decoded = []
-    for k in range(n_sessions):
+    for server in servers:
         secrets = ClientSecrets.random(ClusterConfig.TRIANGLE, phi, rng)
-        _, result = run_session(secrets, server_seed=seed + k)
+        _, result = run_session(secrets, server_seed=np.random.default_rng(server))
         decoded.append(grover_decode(result.interpreted))
     return decoded
 
@@ -224,7 +198,7 @@ def deutsch_output_state(oracle: str, n2: int, n3: int) -> PureState:
     return PureState._trusted(outputs[0])
 
 
-def run_deutsch(oracle: str, config: ExperimentConfig | None = None) -> dict:
+def run_deutsch(oracle: str) -> dict:
     """Blind Deutsch algorithm on the staircase cluster, over `ALIGNED10`.
 
     The verdict is read from qubit 4 (|0> for a constant oracle, |1> for a
@@ -234,7 +208,6 @@ def run_deutsch(oracle: str, config: ExperimentConfig | None = None) -> dict:
     """
     if oracle not in DEUTSCH_ORACLE_ANGLES:
         raise ValueError("oracle must be 'constant' or 'balanced'")
-    config = config or ExperimentConfig("deutsch")
     phi = DEUTSCH_PHI[oracle]
     verdict = DEUTSCH_VERDICT_STATE[oracle].amplitudes
     settings1 = pauli_settings(1)
@@ -259,7 +232,7 @@ def run_deutsch(oracle: str, config: ExperimentConfig | None = None) -> dict:
         )
     successes = [row["success_probability"] for row in rows]
     return {
-        "config": config.echo(),
+        "config": {"experiment": "deutsch"},
         "oracle": oracle,
         "phi_eighths": {str(q): angle.eighths for q, angle in phi.items()},
         "rows": rows,
@@ -292,17 +265,16 @@ def instruction_pair_distribution(
     return counts
 
 
-def run_fig3c(config: ExperimentConfig | None = None) -> dict:
+def run_fig3c(noise: NoiseParams | None = None) -> dict:
     """Blind Z-rotation: fixed instructions delta_4 = pi/2,
     delta_3 = -pi/2, delta_2 = -pi/2 on the left-pointing linear cluster,
     swept over the eight theta_3 values at n2 = 2."""
-    config = config or ExperimentConfig("fig3c")
     psi_in = PureState.from_amplitudes(np.array([1.0, 1j]) / math.sqrt(2))
     deltas = {4: A(2), 3: A(6), 2: A(6)}
     # qubit 4 is measured at delta_4, not in Z
     pattern = pattern_for(ClusterConfig.LINEAR_LEFT, input_prep=deltas[4])
     states = [(2, n3) for n3 in range(8)]
-    outputs, noisy_outputs = _figure_outputs(pattern, deltas, states, config.noise)
+    outputs, noisy_outputs = _figure_outputs(pattern, deltas, states, noise)
     rows = []
     for n3, rho in enumerate(outputs):
         target = PureState.from_amplitudes(
@@ -318,7 +290,7 @@ def run_fig3c(config: ExperimentConfig | None = None) -> dict:
         rows.append(row)
     average = DensityMatrix.mixture(outputs)
     table = {
-        "config": config.echo(),
+        "config": {"experiment": "fig3c", "noise": _noise_echo(noise)},
         "delta_eighths": {"4": 2, "3": 6, "2": 6},
         "rows": rows,
         "average_density": _matrix_json(average),
@@ -330,16 +302,15 @@ def run_fig3c(config: ExperimentConfig | None = None) -> dict:
     return table
 
 
-def run_fig3d(config: ExperimentConfig | None = None) -> dict:
+def run_fig3d(noise: NoiseParams | None = None) -> dict:
     """Blind two-qubit gate on the horseshoe cluster: delta_2 = 0,
     delta_3 = -pi/2 over the four states {(2,0), (2,4), (6,0), (6,4)}."""
-    config = config or ExperimentConfig("fig3d")
     states = [(2, 0), (2, 4), (6, 0), (6, 4)]
     deltas = {2: A(0), 3: A(6)}
     cz = np.diag([1.0, 1, 1, -1]).astype(complex)
     pp = np.kron(PureState.plus().amplitudes, PureState.plus().amplitudes)
     pattern = pattern_for(ClusterConfig.HORSESHOE)
-    outputs, noisy_outputs = _figure_outputs(pattern, deltas, states, config.noise)
+    outputs, noisy_outputs = _figure_outputs(pattern, deltas, states, noise)
     rows = []
     for k, ((n2, n3), rho) in enumerate(zip(states, outputs)):
         target = PureState.from_amplitudes(
@@ -356,7 +327,7 @@ def run_fig3d(config: ExperimentConfig | None = None) -> dict:
         rows.append(row)
     average = DensityMatrix.mixture(outputs)
     table = {
-        "config": config.echo(),
+        "config": {"experiment": "fig3d", "noise": _noise_echo(noise)},
         "delta_eighths": {"2": 0, "3": 6},
         "states": states,
         "rows": rows,
@@ -410,14 +381,14 @@ def _figure_outputs(
 BLINDNESS_NOISE = NoiseParams(phase_drift_sigma=0.15)
 
 
-def run_blindness(config: ExperimentConfig | None = None) -> dict:
-    """Leakage of the theta_3 sweep: ideal, mask-broken, and noisy.
+def run_blindness(seed: int = 0, noise: NoiseParams | None = BLINDNESS_NOISE) -> dict:
+    """Leakage of the theta_3 sweep: ideal, mask-broken, and noisy (none
+    without `noise`).
 
     The noisy ensemble draws the realized drift of each prepared state from
     the seeded generator: visibility damping alone is a setting-independent
     channel and cannot leak, so all the reported chi comes from the drift.
     """
-    config = config or ExperimentConfig("blindness", noise=BLINDNESS_NOISE)
     pure = [
         PureState._trusted(amplitudes)
         for amplitudes in blind_cluster_batch(
@@ -428,7 +399,7 @@ def run_blindness(config: ExperimentConfig | None = None) -> dict:
     ideal_report = maximize_chi_over_priors(server_view_ensemble(states))
     broken_chi = holevo_chi(server_view_ensemble(states, r_uniform=False))
     table = {
-        "config": config.echo(),
+        "config": {"experiment": "blindness", "seed": seed, "noise": _noise_echo(noise)},
         "ideal": ideal_report.as_dict(),
         "r_broken_chi_uniform_bits": broken_chi,
         "reported_reference": {
@@ -436,24 +407,19 @@ def run_blindness(config: ExperimentConfig | None = None) -> dict:
             "chi_maximized": REPORTED_VALUES["chi_maximized"],
         },
     }
-    if config.noise is not None:
-        rng = np.random.default_rng(config.seed)
-        noisy_states = {n: apply_noise(psi, config.noise, rng) for n, psi in enumerate(pure)}
+    if noise is not None:
+        rng = np.random.default_rng(seed)
+        noisy_states = {n: apply_noise(psi, noise, rng) for n, psi in enumerate(pure)}
         noisy_report = maximize_chi_over_priors(server_view_ensemble(noisy_states))
         table["noisy"] = noisy_report.as_dict()
     return table
 
 
-def run_quantumness(
-    config: ExperimentConfig | None = None,
-    rounds: int = 10_000,
-    stub_trials: int = 0,
-) -> dict:
-    config = config or ExperimentConfig("quantumness")
-    rng = np.random.default_rng(config.seed)
+def run_quantumness(seed: int = 0, rounds: int = 10_000, stub_trials: int = 0) -> dict:
+    rng = np.random.default_rng(seed)
     report = run_quantumness_test(honest_protocol_round, rounds, rng)
     table = {
-        "config": config.echo(),
+        "config": {"experiment": "quantumness", "seed": seed},
         "rounds": rounds,
         "honest": report.as_dict(),
         "classical_guess_risk": classical_guess_risk(SWEEP8),
@@ -469,18 +435,17 @@ def run_quantumness(
 
 
 def run_tomography(
-    config: ExperimentConfig | None = None,
+    seed: int = 0,
+    noise: NoiseParams = NoiseParams(),
     mean_total: float = 10_000.0,
     mc_trials: int = 25,
 ) -> dict:
     """Reconstruct the (2,3) laboratory-basis state from noisy counts."""
     from .clusters import lab_family_state
 
-    config = config or ExperimentConfig("tomography")
-    config = replace(config, noise=config.noise or NoiseParams())  # echo the noise applied
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     target = lab_family_state(2, 3)
-    rho_true = apply_noise(target, config.noise)
+    rho_true = apply_noise(target, noise)
     settings = pauli_settings(4)
     table_counts = simulate_counts(rho_true, settings, mean_total, rng)
     result = mle_reconstruct(table_counts, target=target)
@@ -492,7 +457,7 @@ def run_tomography(
     )
     result = replace(result, error_bars={"fidelity_to_target": fid_err})
     return {
-        "config": config.echo(),
+        "config": {"experiment": "tomography", "seed": seed, "noise": asdict(noise)},
         "mean_total": mean_total,
         "mc_trials": mc_trials,
         "fidelity_to_ideal": result.fidelity_to_target,
@@ -504,14 +469,13 @@ def run_tomography(
     }
 
 
-def run_bulk_branches(config: ExperimentConfig | None = None) -> dict:
+def run_bulk_branches() -> dict:
     """Exhaustive branch enumeration across the aligned states.
 
     Mirrors the bulk methodology of measuring every computational branch
     instead of feeding forward: each (state, setting) pair contributes all
     16 outcome probabilities.
     """
-    config = config or ExperimentConfig("bulk")
     table = distribution_table(ALIGNED10, standard_test_setting())
     rows = []
     for (n2, n3), probs in zip(ALIGNED10, table):
@@ -525,7 +489,7 @@ def run_bulk_branches(config: ExperimentConfig | None = None) -> dict:
                     "probability": float(probs[outcome]),
                 }
             )
-    return {"config": config.echo(), "rows": rows, "row_count": len(rows)}
+    return {"config": {"experiment": "bulk"}, "rows": rows, "row_count": len(rows)}
 
 
 def rows_to_csv(rows: Sequence[Mapping], columns: Sequence[str]) -> str:

@@ -549,7 +549,7 @@ def _drive_in_process(client: ClientSession, server: ServerSession) -> Transcrip
 
 def run_session(
     secrets: ClientSecrets,
-    server_seed: int = 0,
+    server_seed: int | np.random.Generator = 0,
 ) -> tuple[Transcript, SessionResult]:
     """Drive one full session over the in-process transport."""
     client = ClientSession(secrets)

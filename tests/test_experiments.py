@@ -1,4 +1,6 @@
 """Experiment runners: ideal values, algorithm hiding, reproducibility, CLI."""
+import copy
+import functools
 import hashlib
 import json
 import math
@@ -19,7 +21,6 @@ import blindsim.experiments as experiments
 from blindsim.experiments import (
     BLINDNESS_NOISE,
     DEUTSCH_ORACLE_ANGLES,
-    ExperimentConfig,
     GROVER_TAG_ANGLES,
     deutsch_output_state,
     grover_decode,
@@ -145,6 +146,24 @@ class TestGrover:
             decoded = run_grover_sessions(tag, seed=5, n_sessions=8)
             assert decoded == [tag] * 8
 
+    def test_live_session_streams_are_independent(self, monkeypatch):
+        # no server replays the client's stream, and seed 5's session 1 does
+        # not share a server stream with seed 6's session 0
+        def first_draws(seed):
+            return tuple(np.random.default_rng(copy.deepcopy(seed)).integers(2**32, size=4))
+
+        draws = []
+
+        def recording(secrets, server_seed):
+            draws.append(first_draws(server_seed))
+            return run_session(secrets, server_seed)
+
+        monkeypatch.setattr(experiments, "run_session", recording)
+        for seed in (5, 6):
+            draws.append(first_draws(seed))  # the client's secrets
+            assert run_grover_sessions("01", seed=seed, n_sessions=2) == ["01", "01"]
+        assert len(draws) == 6 and len(set(draws)) == 6
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             run_grover("21")
@@ -224,7 +243,7 @@ class TestFigures:
         np.testing.assert_allclose(avg, np.eye(2) / 2, atol=1e-9)
 
     def test_fig3c_noisy_entropy_still_high(self):
-        table = run_fig3c(ExperimentConfig("fig3c", noise=NoiseParams()))
+        table = run_fig3c(noise=NoiseParams())
         assert table["noisy_average_linear_entropy"] >= 0.95
 
     def test_fig3d_table(self):
@@ -240,16 +259,27 @@ class TestFigures:
             "Rz(6pi/4) x Rz(4pi/4 + pi/2)",
         }
 
-    def test_reproducible_given_seed(self):
-        a = run_fig3c(ExperimentConfig("fig3c", seed=9))
-        b = run_fig3c(ExperimentConfig("fig3c", seed=9))
+    def test_fig3c_is_reproducible(self):
+        a, b = run_fig3c(), run_fig3c()
         assert json.dumps(a, default=str) == json.dumps(b, default=str)
 
-    def test_fig3c_does_not_depend_on_the_seed(self):
-        # exact tables sample nothing, so only the echo tells the seeds apart
-        a, b = (run_fig3c(ExperimentConfig("fig3c", seed=s)) for s in (0, 5))
-        assert a.pop("config") != b.pop("config")
-        assert a == b
+    @pytest.mark.parametrize(
+        "experiment, run",
+        [
+            ("fig3c", run_fig3c),
+            ("fig3d", run_fig3d),
+            ("grover", functools.partial(run_grover, "01")),
+            ("deutsch", functools.partial(run_deutsch, "constant")),
+            ("bulk", run_bulk_branches),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_exact_runners_have_no_seed(self, experiment, run):
+        # exact tables sample nothing, so there is no seed to take or echo
+        with pytest.raises(TypeError, match="seed"):
+            run(seed=0)
+        config = run()["config"]
+        assert config["experiment"] == experiment and "seed" not in config
 
 
 def _session_outputs(config, deltas, states):
@@ -285,9 +315,9 @@ class TestFiguresComeFromOneEngineCall:
 
         monkeypatch.setattr(experiments, "_measure_batch", counting)
         monkeypatch.setattr(experiments, "run_session", refuse)
-        fig3c = run_fig3c(ExperimentConfig("fig3c", noise=noise))
+        fig3c = run_fig3c(noise=noise)
         assert calls == 1
-        fig3d = run_fig3d(ExperimentConfig("fig3d", noise=noise))
+        fig3d = run_fig3d(noise=noise)
         assert calls == 2
         monkeypatch.undo()
 
@@ -369,7 +399,7 @@ class TestNoisyOutputs:
 
     @pytest.mark.parametrize("noise", NOISE_SETTINGS[1:])
     def test_noisy_fig3c_matches_the_walker(self, noise):
-        table = run_fig3c(ExperimentConfig("fig3c", noise=noise))
+        table = run_fig3c(noise=noise)
         deltas = {4: A(2), 3: A(6), 2: A(6)}
         psi_in = np.array([1.0, 1j]) / math.sqrt(2)
         walked = []
@@ -389,7 +419,7 @@ class TestNoisyOutputs:
 
     @pytest.mark.parametrize("noise", NOISE_SETTINGS[1:])
     def test_noisy_fig3d_matches_the_walker(self, noise):
-        table = run_fig3d(ExperimentConfig("fig3d", noise=noise))
+        table = run_fig3d(noise=noise)
         deltas = {2: A(0), 3: A(6)}
         cz_plus_plus = np.array([1.0, 1.0, 1.0, -1.0]) / 2
         walked = []
@@ -413,7 +443,9 @@ class TestNoisyOutputs:
 
 class TestBlindnessExperiment:
     def test_ideal_and_broken(self):
-        table = run_blindness(ExperimentConfig("blindness"))
+        table = run_blindness(noise=None)
+        assert "noisy" not in table
+        assert table["config"] == {"experiment": "blindness", "seed": 0, "noise": None}
         assert table["ideal"]["chi_uniform_bits"] == pytest.approx(0.0, abs=1e-9)
         assert table["ideal"]["chi_maximized_bits"] == pytest.approx(0.0, abs=1e-9)
         assert table["r_broken_chi_uniform_bits"] == pytest.approx(1.0, abs=1e-6)
@@ -438,7 +470,7 @@ class TestBlindnessExperiment:
         states = [DensityMatrix.from_pure(psi) for psi in pure]
         rng = np.random.default_rng(seed)
         noisy = [apply_noise(psi, BLINDNESS_NOISE, rng) for psi in pure]
-        table = run_blindness(ExperimentConfig("blindness", seed=seed, noise=BLINDNESS_NOISE))
+        table = run_blindness(seed=seed, noise=BLINDNESS_NOISE)
         assert table["ideal"] == report(states)
         assert table["r_broken_chi_uniform_bits"] == holevo_chi(
             Ensemble(states, np.full(8, 1.0 / 8.0))
@@ -448,9 +480,7 @@ class TestBlindnessExperiment:
 
 class TestTomographyExperiment:
     def test_fig3b_analogue_structure(self):
-        table = run_tomography(
-            ExperimentConfig("tomography", noise=NoiseParams()), mc_trials=5
-        )
+        table = run_tomography(noise=NoiseParams(), mc_trials=5)
         assert table["error_bars"]["fidelity_to_target"] > 0.0
         assert table["converged"]
         # real part dominated by the four corner terms of the lab-basis state
@@ -480,9 +510,7 @@ class TestBulk:
 
 class TestQuantumnessExperiment:
     def test_small_run(self):
-        table = run_quantumness(
-            ExperimentConfig("quantumness", seed=3), rounds=500, stub_trials=5
-        )
+        table = run_quantumness(seed=3, rounds=500, stub_trials=5)
         assert table["honest"]["verdict"] == "quantum-consistent"
         assert table["stub_rejection_rate"] == 1.0
         assert table["classical_guess_risk"] == pytest.approx(0.125, abs=1e-12)
@@ -499,6 +527,21 @@ PASSING_ARGV = [
     ["blindness"],
     ["bulk"],
 ]
+
+# command -> its table's `config` keys: the experiment and the inputs its runner reads
+CONFIG_KEYS = {
+    "fig3c": {"experiment", "noise"},
+    "fig3d": {"experiment", "noise"},
+    "grover": {"experiment"},
+    "deutsch": {"experiment"},
+    "quantumness": {"experiment", "seed"},
+    "tomography": {"experiment", "seed", "noise"},
+    "blindness": {"experiment", "seed", "noise"},
+    "bulk": {"experiment"},
+}
+
+# the commands whose runners draw nothing at random, so they take no --seed
+EXACT_COMMANDS = ["fig3c", "fig3d", "grover", "deutsch", "bulk"]
 
 
 # (argv, runner, flaw applied to the runner's passing table, the check it fails)
@@ -533,6 +576,9 @@ FORCED_FAILURES = [
 BAD_FLAG_VALUES = [
     (["quantumness", "--rounds", "0"], "argument --rounds: expected an integer >= 1"),
     (["quantumness", "--stub-trials", "-1"], "argument --stub-trials: expected an integer >= 0"),
+    (["quantumness", "--seed", "-1"], "argument --seed: expected an integer >= 0"),
+    (["blindness", "--seed", "1.5"], "argument --seed: expected an integer >= 0"),
+    (["serve", "--listen", "127.0.0.1:0", "--seed", "-3"], "argument --seed: expected an integer >= 0"),
     (["tomography", "--mc-trials", "0"], "argument --mc-trials: expected an integer >= 2"),
     (["tomography", "--mc-trials", "1"], "argument --mc-trials: expected an integer >= 2"),
     (["tomography", "--mean-total", "-5"], "argument --mean-total: expected a finite number > 0"),
@@ -632,9 +678,36 @@ class TestCli:
 
     def test_seed_env_fallback(self, monkeypatch, capsys):
         monkeypatch.setenv("BLINDSIM_SEED", "123")
-        assert main(["fig3d"]) == 0
+        assert main(["quantumness", "--rounds", "500"]) == 0
         table = json.loads(capsys.readouterr().out)
         assert table["config"]["seed"] == 123
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_a_bad_seed_env_is_a_usage_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("BLINDSIM_SEED", value)
+        with pytest.raises(SystemExit) as refused:
+            main(["quantumness", "--rounds", "500"])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: blindsim")
+        assert f"BLINDSIM_SEED: expected an integer >= 0, got {value!r}" in captured.err
+
+    def test_exact_commands_ignore_the_seed_env(self, monkeypatch, capsys):
+        # they read no seed, so a value that a seeded command refuses is not read
+        monkeypatch.setenv("BLINDSIM_SEED", "abc")
+        assert main(["bulk"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {"experiment": "bulk"}
+
+    @pytest.mark.parametrize("command", EXACT_COMMANDS)
+    def test_exact_commands_refuse_seed(self, command, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--seed", "0"])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: blindsim")
+        assert "unrecognized arguments: --seed 0" in captured.err
 
     def test_blindness_seed_zero_reproduces_default_table(self, tmp_path):
         out = tmp_path / "blindness.json"
@@ -666,9 +739,9 @@ class TestCli:
     ):
         import blindsim.cli as cli
 
-        table = run_blindness(ExperimentConfig("blindness", noise=BLINDNESS_NOISE))
+        table = run_blindness(noise=BLINDNESS_NOISE)
         flawed = {**table, "noisy": {**table["noisy"], **flaw}}
-        monkeypatch.setattr(cli, "run_blindness", lambda config: flawed)
+        monkeypatch.setattr(cli, "run_blindness", lambda **kwargs: flawed)
         assert main(["blindness", "--out", str(tmp_path / "blindness.json")]) == 2
         assert capsys.readouterr().err == f"check failed: noisy.{next(iter(flaw))}\n"
 
@@ -678,7 +751,7 @@ class TestCli:
         table = run_tomography(mc_trials=2)
         assert table["converged"]
         flawed = {**table, "converged": False}
-        monkeypatch.setattr(cli, "run_tomography", lambda config, **kwargs: flawed)
+        monkeypatch.setattr(cli, "run_tomography", lambda **kwargs: flawed)
         assert main(["tomography", "--out", str(tmp_path / "tomography.json")]) == 2
         assert capsys.readouterr().err == "check failed: converged\n"
 
@@ -687,7 +760,7 @@ class TestCli:
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert set(json.loads(captured.out)["config"]) == {"experiment", "seed", "noise"}
+        assert set(json.loads(captured.out)["config"]) == CONFIG_KEYS[argv[0]]
 
     @pytest.mark.parametrize(
         "argv, runner, flaw, check",

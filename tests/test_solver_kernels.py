@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from blindsim import experiments
 from blindsim.blindness import Ensemble, holevo_chi, maximize_chi_over_priors, pair_fold
 from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster, lab_family_state
-from blindsim.experiments import BLINDNESS_NOISE, ExperimentConfig, run_blindness
+from blindsim.experiments import BLINDNESS_NOISE, run_blindness
 from blindsim.noise import NoiseParams, apply_noise
 from blindsim import tomography
 from blindsim.quantum import DensityMatrix, von_neumann_entropy
@@ -164,7 +164,7 @@ class TestChiKernel:
             experiments, "maximize_chi_over_priors", recording(maximize_chi_over_priors)
         )
         monkeypatch.setattr(experiments, "holevo_chi", recording(holevo_chi))
-        run_blindness(ExperimentConfig("blindness", seed=seed, noise=BLINDNESS_NOISE))
+        run_blindness(seed=seed, noise=BLINDNESS_NOISE)
         assert len(ensembles) == 3
         for ensemble in ensembles:
             assert holevo_chi(ensemble) == per_state_chi(ensemble)
