@@ -33,10 +33,10 @@ use (it assumes, as `__post_init__` does, unmutated mappings).  For each of
 the 2^m values of r on the m equatorial steps it tabulates every branch's
 interpreted outcomes, instructions less theta and output gates, so a call
 packs r into a row number and adds theta; each branch's (qubit, bit) pairs
-make its record's dicts.  `pattern_for` shares one pattern per
-configuration, rotations and input.  `enumerate_branches` (fixed
-instructions) and `enumerate_adaptive` (feed-forward) are the engine's
-batch-of-one front ends.
+make its record's dicts.  Beside it sits the determinism verdict, one engine
+call.  `pattern_for` shares one pattern per configuration, rotations and
+input.  `enumerate_branches` (fixed instructions) and `enumerate_adaptive`
+(feed-forward) are the engine's batch-of-one front ends.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .angles import Angle8
-from .clusters import BlindPhases, ClusterConfig, GraphSpec, build_blind_cluster
+from .clusters import BlindPhases, ClusterConfig, GraphSpec, blind_cluster_batch, build_blind_cluster
 from .quantum import (
     HADAMARD,
     IMPOSSIBLE_BRANCH,
@@ -130,16 +130,22 @@ class MeasurementPattern:
         deps = (*self.output_x_deps.values(), *self.output_z_deps.values())
         return any(deps) or bool(self.frame) or bool(self.theta_unwind)
 
-    def step_for(self, qubit: int) -> MeasurementStep:
-        for step in self.steps:
-            if step.qubit == qubit:
-                return step
-        raise KeyError(qubit)
-
     # built on first use and kept; not fields, so ==, repr and `replace` ignore them
     @functools.cached_property
     def _plan(self) -> _Plan:
         return _make_plan(self)
+
+    @functools.cached_property
+    def _deterministic(self) -> bool:
+        """Whether every live branch ends in one corrected output up to phase.
+        theta and r only relabel branches, so one call at theta = r = 0 decides
+        them all.  A pattern without a configuration or output correction passes."""
+        if self.config is None or not self.corrects_outputs:
+            return True
+        theta = np.zeros((1, self.num_qubits), dtype=np.int64)
+        branches = _measure_batch(self, blind_cluster_batch(self.config.graph, theta), theta)
+        out = branches.corrected[branches.live]
+        return bool(np.all(np.abs(np.abs(out @ out[0].conj()) - 1.0) < 1e-9))
 
     @functools.cached_property
     def _correction(self) -> _Correction:

@@ -205,20 +205,13 @@ def validate_blind_structure(pattern: MeasurementPattern, blind: Iterable[int]) 
 
 
 def validate_deterministic(pattern: MeasurementPattern) -> None:
-    """Reject the one family of patterns whose corrected output is not unique.
-
-    Every pattern whose sets come from a causal flow is deterministic.  The
-    staircase's order has none: with phi_1 and phi_2 both off {0, pi}, its
-    live branches end in different corrected outputs, and a session would
-    return a wrong one silently (an exhaustive engine test checks both).
-    """
-    if pattern.config is not ClusterConfig.STAIRCASE:
-        return
-    phi1, phi2 = pattern.step_for(1).phi, pattern.step_for(2).phi
-    if phi1.eighths % 4 and phi2.eighths % 4:
+    """Reject a pattern whose possible branches end in different corrected outputs,
+    as one engine call per pattern decides (`MeasurementPattern._deterministic`)."""
+    if not pattern._deterministic:
+        phi = {step.qubit: step.phi.eighths for step in pattern.steps}
         raise ProtocolError(
-            f"staircase with phi_1 = {phi1!r} and phi_2 = {phi2!r} is not "
-            "deterministic: one of them must be 0 or pi"
+            f"{pattern.config.value} with phi {phi} (eighth-turns) is not deterministic: "
+            "its possible branches end in different corrected outputs"
         )
 
 
@@ -635,10 +628,11 @@ class TcpServer(socketserver.ThreadingTCPServer):
         self._lock = threading.Lock()
 
     def session_seed(self) -> np.random.Generator:
+        """Session k's stream, child k of SeedSequence(seed): never a client's default_rng(seed)."""
         with self._lock:
             index = self._count
             self._count += 1
-        return np.random.default_rng([self._seed, index])
+        return np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=(index,)))
 
     def start_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

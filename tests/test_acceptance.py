@@ -404,7 +404,7 @@ def test_criterion_11_wire_protocol():
     from test_protocol import run_session_with_rng
 
     mem_transcript, mem_result = run_session_with_rng(
-        secrets, np.random.default_rng([31, 0])
+        secrets, np.random.default_rng(np.random.SeedSequence(31, spawn_key=(0,)))
     )
     assert tcp_transcript.to_ndjson() == mem_transcript.to_ndjson()
     assert tcp_result.outcomes == mem_result.outcomes

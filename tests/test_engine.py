@@ -41,7 +41,7 @@ from blindsim.quantum import (
     PureState,
     rz,
 )
-from blindsim.verification import standard_test_setting
+from blindsim.verification import SWEEP8, _round_client, honest_protocol_round, standard_test_setting
 
 A = Angle8
 PREPS = ("Z", "X", "Y") + tuple(A(e) for e in range(8))
@@ -757,3 +757,32 @@ class TestExhaustiveDeterminism:
                     assert expect, phi
                 else:
                     assert not expect, phi
+
+    @pytest.mark.parametrize(
+        "config",
+        [c for c in ClusterConfig if c.outputs and c is not ClusterConfig.STAIRCASE],
+        ids=lambda c: c.value,
+    )
+    def test_every_non_staircase_pattern_is_accepted(self, config):
+        for phi, prep, deterministic, _ in _scan(config):
+            assert deterministic, (phi, prep)
+            validate_deterministic(pattern_for(config, phi=phi, input_prep=prep))
+
+    def test_a_flow_pattern_without_its_x_sets_is_refused(self):
+        pattern = pattern_for(ClusterConfig.LINEAR_RIGHT, phi={2: A(1), 3: A(3)})
+        broken = dataclasses.replace(
+            pattern,
+            steps=tuple(dataclasses.replace(s, x_deps=frozenset()) for s in pattern.steps),
+            output_x_deps={},
+        )
+        validate_deterministic(pattern)
+        with pytest.raises(ProtocolError, match=r"linear_right with phi \{1: 0, 2: 1, 3: 3\}"):
+            validate_deterministic(broken)
+
+    @pytest.mark.parametrize("theta", SWEEP8)
+    def test_uncorrected_quantumness_rounds_stay_out_of_scope(self, theta):
+        # the client measures qubit 4 raw, so its live outputs differ by design
+        setting = standard_test_setting()
+        assert not _round_client(theta, setting)[1].corrects_outputs
+        outcome = honest_protocol_round(theta, setting, np.random.default_rng(list(theta)))
+        assert outcome in range(16)

@@ -510,13 +510,25 @@ class TestTcpTransport:
         finally:
             server.shutdown()
             server.server_close()
-        # the TCP server derives its first session stream from (seed, 0);
-        # an in-process run with the identical stream must match byte for byte
+        # the TCP server derives its first session stream from child 0 of
+        # SeedSequence(seed); an in-process run with the identical stream must
+        # match byte for byte
         mem_transcript, result_ref = run_session_with_rng(
-            secrets, np.random.default_rng([11, 0])
+            secrets, np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0,)))
         )
         assert tcp_transcript.to_ndjson() == mem_transcript.to_ndjson()
         assert result_tcp.outcomes == result_ref.outcomes
+
+    def test_first_session_stream_is_not_the_clients(self):
+        # `client --seed S` draws its secrets from default_rng(S); no session
+        # of `serve --seed S` may replay that stream, or another session's
+        server = TcpServer(("127.0.0.1", 0), seed=7)
+        try:
+            streams = [np.random.default_rng(7), server.session_seed(), server.session_seed()]
+        finally:
+            server.server_close()
+        draws = [tuple(rng.integers(2**32, size=4)) for rng in streams]
+        assert len(set(draws)) == 3
 
 
 def _line(seq, type_, body) -> bytes:
