@@ -23,7 +23,6 @@ from .quantum import (
     EIGENVALUE_FLOOR,
     HERMITIAN_TOL,
     DensityMatrix,
-    linear_entropy,
     von_neumann_entropy,
 )
 
@@ -327,11 +326,6 @@ def grid_search_chi(ensemble: Ensemble, step: float = 1e-3) -> float:
     chis = mean_entropy - priors @ state_entropy
     best = float(chis.max())
     return best
-
-
-def mixedness_check(outputs: list[DensityMatrix]) -> float:
-    """Linear entropy of the average of output states over a secret sweep."""
-    return linear_entropy(DensityMatrix.mixture(outputs))
 
 
 def server_view_ensemble(

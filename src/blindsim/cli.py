@@ -10,7 +10,9 @@ Every experiment prints a JSON table (grover, deutsch and bulk print CSV with
 fails (KEY is the table key it reads) and exits 2 if any failed, else 0.  Bad
 flag values are usage errors (exit 2).  Only the commands that draw at random
 take --seed; for them BLINDSIM_SEED is the default seed, refused as --seed
-would be.  The exact experiments draw nothing and refuse --seed.
+would be.  The exact experiments draw nothing and refuse --seed.  A runtime
+failure (a socket or file error, or a client's peer that is not a blindsim
+server) prints `blindsim COMMAND: ERROR` on stderr and exits 1.
 """
 from __future__ import annotations
 
@@ -38,10 +40,10 @@ from .experiments import (
     rows_to_csv,
 )
 from .noise import NoiseParams
-from .protocol import ClientSecrets, TcpServer, run_session_tcp
+from .protocol import ClientSecrets, ProtocolError, TcpServer, run_session_tcp
 from .tomography import MAX_MEAN_TOTAL
 
-PASS, FAIL = 0, 2
+PASS, ERROR, FAIL = 0, 1, 2
 # largest certified duality gap `blindness` accepts for the noisy chi
 NOISY_GAP_BITS = 1e-6
 
@@ -114,7 +116,7 @@ def _emit(args: argparse.Namespace, table: dict, csv_columns: list[str] | None =
     if getattr(args, "csv", False) and csv_columns is not None:
         text = rows_to_csv(table["rows"], csv_columns)
     else:
-        text = json.dumps(table, indent=2, default=str)
+        text = json.dumps(table, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -189,7 +191,17 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     seed = _seed(args, parser) if "seed" in args else None
+    # a socket or file error, or a peer that is not a blindsim server, is one
+    # line; a ProtocolError anywhere but a client session is a fault and raises
+    failures = (OSError, ProtocolError) if args.command == "client" else OSError
+    try:
+        return _run(args, parser, seed)
+    except failures as exc:
+        print(f"blindsim {args.command}: {exc}", file=sys.stderr)
+        return ERROR
 
+
+def _run(args: argparse.Namespace, parser: argparse.ArgumentParser, seed: int | None) -> int:
     if args.command == "serve":
         server = TcpServer(args.listen, seed=seed)
         print(

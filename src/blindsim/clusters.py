@@ -56,9 +56,6 @@ class GraphSpec:
             j if i == v else i for i, j in self.edges if v in (i, j)
         )
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
 
 def path_graph(n: int = 4) -> GraphSpec:
     return GraphSpec.from_edges(n, [(i, i + 1) for i in range(1, n)])

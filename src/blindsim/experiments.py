@@ -25,7 +25,6 @@ from .angles import Angle8
 from .blindness import (
     holevo_chi,
     maximize_chi_over_priors,
-    mixedness_check,
     server_view_ensemble,
 )
 from .clusters import ClusterConfig, blind_cluster_batch, family_theta
@@ -55,11 +54,11 @@ from .tomography import (
 from .verification import (
     ALIGNED10,
     SWEEP8,
+    QuantumnessSetting,
     classical_guess_risk,
     classical_stub_round,
     distribution_table,
     honest_protocol_round,
-    standard_test_setting,
     run_quantumness_test,
 )
 
@@ -298,7 +297,7 @@ def run_fig3c(noise: NoiseParams | None = None) -> dict:
         "reported_reference": REPORTED_VALUES["fig3c_linear_entropy"],
     }
     if noisy_outputs:
-        table["noisy_average_linear_entropy"] = mixedness_check(noisy_outputs)
+        table["noisy_average_linear_entropy"] = linear_entropy(DensityMatrix.mixture(noisy_outputs))
     return table
 
 
@@ -337,7 +336,7 @@ def run_fig3d(noise: NoiseParams | None = None) -> dict:
         "reported_reference": REPORTED_VALUES["fig3d_linear_entropy"],
     }
     if noisy_outputs:
-        table["noisy_average_linear_entropy"] = mixedness_check(noisy_outputs)
+        table["noisy_average_linear_entropy"] = linear_entropy(DensityMatrix.mixture(noisy_outputs))
     return table
 
 
@@ -476,7 +475,7 @@ def run_bulk_branches() -> dict:
     instead of feeding forward: each (state, setting) pair contributes all
     16 outcome probabilities.
     """
-    table = distribution_table(ALIGNED10, standard_test_setting())
+    table = distribution_table(ALIGNED10, QuantumnessSetting())
     rows = []
     for (n2, n3), probs in zip(ALIGNED10, table):
         for outcome in range(16):

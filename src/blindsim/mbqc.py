@@ -58,9 +58,6 @@ from .quantum import (
     PureState,
     basis_bits,
     equatorial_bra,
-    phase_gate,
-    rx,
-    rz,
 )
 
 PAULI_AXES = ("X", "Y", "Z")
@@ -147,10 +144,6 @@ class MeasurementPattern:
         out = branches.corrected[branches.live]
         return bool(np.all(np.abs(np.abs(out @ out[0].conj()) - 1.0) < 1e-9))
 
-    @functools.cached_property
-    def _correction(self) -> _Correction:
-        return _make_correction(self)
-
 
 def adapt_angle(
     step: MeasurementStep,
@@ -168,19 +161,6 @@ def adapt_angle(
         raise ValueError(f"dependency on unmeasured qubit {exc.args[0]}") from exc
     delta = step.phi.negate_if(bool(x_par)) + theta_j
     return delta.add_pi((r_j ^ z_par) & 1)
-
-
-def input_prep_state(prep: str | Angle8) -> PureState:
-    """Logical input produced by the first-qubit measurement (outcome 0).
-
-    Pauli X, Y, Z measurements prepare |0>, |+_i>, |+>; an equatorial prep
-    at angle phi prepares H Rz(-phi)|+>.
-    """
-    step = _prep_step(1, prep)
-    if step.pauli_override is not None:
-        return PureState.plus()
-    vec = HADAMARD @ phase_gate(-step.phi.radians) @ PureState.plus().amplitudes
-    return PureState.from_amplitudes(vec)
 
 
 def _prep_step(qubit: int, prep: str | Angle8) -> MeasurementStep:
@@ -337,7 +317,7 @@ class _Plan(NamedTuple):
 
 
 class _Correction(NamedTuple):
-    """A plan's output correction, apart: a session corrects one output."""
+    """A plan's output correction, the part `correct_output` reads."""
 
     outputs: tuple[int, ...]   # ascending
     gates: np.ndarray          # (outputs, 4, 2, 2) frame . Z^z X^x, indexed by 2x + z
@@ -346,7 +326,7 @@ class _Correction(NamedTuple):
 
 
 def _make_plan(pattern: MeasurementPattern) -> _Plan:
-    steps, correction = pattern.steps, pattern._correction
+    steps, correction = pattern.steps, _make_correction(pattern)
     k, qubits, outputs = len(steps), tuple(s.qubit for s in steps), correction.outputs
     masked = [i for i, s in enumerate(steps) if s.pauli_override is None]
     sets = [s.x_deps for s in steps] + [s.z_deps for s in steps]
@@ -570,7 +550,7 @@ def correct_output(
     theta = None
     if phases is not None:
         theta = np.array([[phases[q].eighths if q in pattern.theta_unwind else 0 for q in outputs]])
-    correction = pattern._correction
+    correction = pattern._plan.correction
     gates = correction.gates[np.arange(len(outputs)), 2 * x + z]
     out = _correct(correction, raw_output.amplitudes.reshape(1, 1, -1), gates[None, None], theta)
     return PureState._trusted(out.reshape(-1))
@@ -657,62 +637,6 @@ def enumerate_adaptive(
     """All branches of the feed-forward process, with corrected outputs."""
     theta, r_row = _secrets_rows(pattern, phases, r)
     return _records(_measure_batch(pattern, state.amplitudes[None], theta, r_row), pattern)
-
-
-def circuit_oracle(
-    config: ClusterConfig,
-    phi: Mapping[int, Angle8],
-    input_prep: str | Angle8 = "Z",
-) -> PureState:
-    """Brute-force circuit-model reference for each configuration's output.
-
-    Every expression below is built from plain gate algebra, independent of
-    the measurement engine, so the two can cross-check each other.  Like
-    `pattern_for`, it refuses an input preparation it would ignore.
-    """
-    _input_steps(config, input_prep)
-    phi = {q: a for q, a in phi.items()}
-
-    def ang(q: int) -> float:
-        return phi.get(q, Angle8(0)).radians
-
-    plus = PureState.plus().amplitudes
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-    if config is ClusterConfig.LINEAR_RIGHT:
-        psi_in = input_prep_state(input_prep).amplitudes
-        out = rx(-ang(3)) @ rz(-ang(2)) @ psi_in
-        return PureState.from_amplitudes(out)
-    if config is ClusterConfig.LINEAR_LEFT:
-        psi_in = input_prep_state(input_prep).amplitudes
-        out = rx(-ang(2)) @ rz(-ang(3)) @ psi_in
-        return PureState.from_amplitudes(out)
-    if config is ClusterConfig.HORSESHOE:
-        out = np.kron(phase_gate(-ang(2)), phase_gate(-ang(3))) @ cz @ np.kron(plus, plus)
-        return PureState.from_amplitudes(out)
-    if config is ClusterConfig.ROTATED_HORSESHOE:
-        wire = lambda a: HADAMARD @ phase_gate(-a) @ plus
-        out = cz @ np.kron(wire(ang(1)), wire(ang(4)))
-        return PureState.from_amplitudes(out)
-    if config is ClusterConfig.STAIRCASE:
-        pre = np.kron(HADAMARD @ phase_gate(-ang(2)), HADAMARD @ phase_gate(-ang(3))) @ cz @ np.kron(plus, plus)
-        bra = np.array([1.0, np.exp(1j * ang(1))]).conj() / math.sqrt(2)
-        out = np.tensordot(bra, pre.reshape(2, 2), axes=([0], [0]))
-        return PureState.from_amplitudes(out / np.linalg.norm(out))
-    if config is ClusterConfig.TRIANGLE:
-        # pre-readout state on qubits (1,4) after ideally measuring 2 and 3
-        ea, eb = np.exp(-1j * ang(2)), np.exp(-1j * ang(3))
-        vec = np.array(
-            [
-                (1 + ea) + eb * (1 - ea),
-                (1 + ea) - eb * (1 - ea),
-                (1 - ea) - eb * (1 + ea),
-                (1 - ea) + eb * (1 + ea),
-            ],
-            dtype=complex,
-        )
-        return PureState.from_amplitudes(vec / np.linalg.norm(vec))
-    raise ValueError(f"unknown configuration {config!r}")
 
 
 def cluster_state_for(config: ClusterConfig, phases: BlindPhases) -> PureState:

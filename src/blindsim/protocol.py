@@ -48,7 +48,7 @@ from .mbqc import (
     correct_output,
     pattern_for,
 )
-from .quantum import IMPOSSIBLE_BRANCH, DensityMatrix, PureState, basis_bits, project_qubit
+from .quantum import IMPOSSIBLE_BRANCH, PureState, basis_bits, project_qubit
 
 
 # longest line either side reads, newline included; the longest message of a
@@ -665,19 +665,4 @@ def run_session_tcp(
             transcript = _drive(client, lambda batch: sock.sendall(_ndjson_bytes(batch)), receive)
     return transcript, client.result()
 
-
-def conditional_transmitted_state(delta: Angle8, phi: Angle8) -> DensityMatrix:
-    """Server's knowledge of one blind qubit given the delta message.
-
-    Averages |theta> over the (theta, r) pairs consistent with
-    delta = phi + theta + pi r; with r uniform this is I/2 for every delta.
-    """
-    rhos = []
-    for n in range(8):
-        for r in (0, 1):
-            if (phi + Angle8(n)).add_pi(r) == delta:
-                rhos.append(DensityMatrix.from_pure(_GRID_KETS[n]))
-    if not rhos:
-        raise ValueError("no (theta, r) pair is consistent with this delta")
-    return DensityMatrix.mixture(rhos)
 

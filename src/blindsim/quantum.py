@@ -158,10 +158,6 @@ class PureState:
     def overlap(self, other: "PureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def phase_insensitive_fidelity(self, other: "PureState") -> float:
-        """|<self|other>|^2; equality up to global phase scores 1."""
-        return abs(self.overlap(other)) ** 2
-
 
 def project_qubit(state: PureState, pos: int, bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure the qubit at 0-based `pos` with each row of `bras`: the
@@ -212,11 +208,6 @@ class DensityMatrix:
         mat = np.outer(vec, vec.conj())
         mat.setflags(write=False)
         return cls(mat, psi.num_qubits)
-
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        dim = 2**num_qubits
-        return cls.from_matrix(np.eye(dim) / dim)
 
     @classmethod
     def mixture(

@@ -59,10 +59,6 @@ class QuantumnessSetting:
         return {1: None, 2: self.delta2, 3: self.delta3, 4: self.delta4}
 
 
-def standard_test_setting() -> QuantumnessSetting:
-    return QuantumnessSetting()
-
-
 def _outcome_index(bits: dict[int, int], setting: QuantumnessSetting) -> int:
     b1 = bits[1] ^ (1 if setting.minus_is_zero else 0)
     return b1 * 8 + bits[2] * 4 + bits[3] * 2 + bits[4]
@@ -74,7 +70,7 @@ def distribution_table(
 ) -> np.ndarray:
     """(len(states), 16) exact outcome probabilities from one engine call:
     branch m's bits are qubits 1-4, so m is the outcome up to qubit 1's label."""
-    setting = setting or standard_test_setting()
+    setting = setting or QuantumnessSetting()
     psi = blind_cluster_batch(ClusterConfig.LINEAR_RIGHT.graph, family_theta(states))
     branches = _measure_batch(setting.pattern(), psi, deltas=setting.deltas())
     return branches.probability[:, np.arange(16) ^ (8 * setting.minus_is_zero)]
@@ -183,14 +179,14 @@ def run_quantumness_test(
     rng: np.random.Generator,
     states: Sequence[tuple[int, int]] = SWEEP8,
 ) -> TestReport:
-    """Tally `rounds` rounds of `standard_test_setting()` and compare with theory.
+    """Tally `rounds` rounds of `QuantumnessSetting()` and compare with theory.
 
     The verdict is "classical-suspect" when any impossible outcome occurs or
     when the pooled Pearson chi-square exceeds dof + CHI_SQUARE_SIGMA * sqrt(2 dof).
     """
     if rounds <= 0:
         raise ValueError("rounds must be positive")
-    setting = standard_test_setting()
+    setting = QuantumnessSetting()
     states = list(states)
     theory = distribution_table(states, setting)
     observed = np.zeros((len(states), 16))

@@ -10,10 +10,11 @@ from blindsim.blindness import (
     grid_search_chi,
     holevo_chi,
     maximize_chi_over_priors,
-    mixedness_check,
     pair_fold,
 )
-from blindsim.quantum import DensityMatrix, PureState
+from blindsim.quantum import DensityMatrix, PureState, linear_entropy
+
+from oracles import maximally_mixed
 
 PI = math.pi
 
@@ -50,7 +51,7 @@ class TestEnsemble:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Ensemble(
-                [equatorial(0), DensityMatrix.maximally_mixed(2)],
+                [equatorial(0), maximally_mixed(2)],
                 np.array([0.5, 0.5]),
             )
 
@@ -118,7 +119,7 @@ class TestHolevoChi:
             assert chi <= 1.0 + 1e-9  # log2 d
 
     def test_chi_zero_iff_states_equal(self):
-        mixed = DensityMatrix.maximally_mixed(1)
+        mixed = maximally_mixed(1)
         same = uniform([mixed, mixed, mixed])
         assert holevo_chi(same) == pytest.approx(0.0, abs=1e-9)
         different = uniform([mixed, equatorial(0)])
@@ -157,7 +158,7 @@ class TestMaximizeChi:
     def test_boundary_optimum_lands_on_its_face(self):
         # I/2 is the even mix of |0> and |1>: weight moved from it to them
         # leaves the mean alone and raises chi linearly, up to the face p_3 = 0
-        mixed = DensityMatrix.maximally_mixed(1)
+        mixed = maximally_mixed(1)
         report = maximize_chi_over_priors(uniform([pure([1, 0]), pure([0, 1]), mixed]))
         assert report.converged and report.iterations <= 5
         assert report.support == (0, 1) and report.argmax_prior[2] == 0.0
@@ -190,10 +191,10 @@ class TestMaximizeChi:
 
 class TestMixedness:
     def test_single_state_pure(self):
-        assert mixedness_check([equatorial(0)]) == pytest.approx(0.0, abs=1e-12)
+        assert linear_entropy(DensityMatrix.mixture([equatorial(0)])) == pytest.approx(0.0, abs=1e-12)
 
     def test_equatorial_sweep_fully_mixed(self):
-        assert mixedness_check([equatorial(n) for n in range(8)]) == pytest.approx(
+        assert linear_entropy(DensityMatrix.mixture([equatorial(n) for n in range(8)])) == pytest.approx(
             1.0, abs=1e-12
         )
 

@@ -32,6 +32,8 @@ from blindsim.quantum import (
     states_equal_up_to_phase,
 )
 
+from oracles import degree
+
 PI = math.pi
 
 
@@ -165,7 +167,7 @@ class TestLocalComplement:
         assert local_complement(lc, v) == g
         untouched = set(range(1, 5)) - set(g.neighbors(v)) - {v}
         for w in untouched:
-            assert lc.degree(w) == g.degree(w)
+            assert degree(lc, w) == degree(g, w)
 
 
 class TestLcUnitary:

@@ -18,7 +18,6 @@ from blindsim.mbqc import (
     MeasurementStep,
     _measure_batch,
     adapt_angle,
-    circuit_oracle,
     cluster_state_for,
     correct_output,
     enumerate_adaptive,
@@ -41,7 +40,9 @@ from blindsim.quantum import (
     PureState,
     rz,
 )
-from blindsim.verification import SWEEP8, _round_client, honest_protocol_round, standard_test_setting
+from blindsim.verification import SWEEP8, QuantumnessSetting, _round_client, honest_protocol_round
+
+from oracles import circuit_oracle
 
 A = Angle8
 PREPS = ("Z", "X", "Y") + tuple(A(e) for e in range(8))
@@ -253,7 +254,7 @@ class TestAgainstRecursiveWalk:
     @given(st.integers(0, 7), st.integers(0, 7), st.lists(st.integers(0, 7), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_enumerate_branches(self, n2, n3, eighths):
-        setting = standard_test_setting()
+        setting = QuantumnessSetting()
         pattern = setting.pattern()
         deltas = {1: None, 2: A(eighths[0]), 3: A(eighths[1]), 4: A(eighths[2])}
         state = cluster_state_for(ClusterConfig.LINEAR_RIGHT, BlindPhases.family(n2, n3))
@@ -501,7 +502,7 @@ class TestMaskTables:
             batch, count = branches.output.shape[:2]
             t = branches.output.reshape((batch, count) + (2,) * len(pattern.outputs))
             operands = [gates[..., i, :, :] for i in range(len(pattern.outputs))]
-            corrected = np.einsum(pattern._correction.spec, *operands, t).reshape(batch, count, -1)
+            corrected = np.einsum(pattern._plan.correction.spec, *operands, t).reshape(batch, count, -1)
             np.testing.assert_array_equal(branches.corrected, corrected)
 
     @given(mask_batches(), st.lists(st.integers(0, 7), min_size=4, max_size=4))
@@ -560,14 +561,6 @@ class TestPlan:
         assert built == bare and bare == built
         assert repr(built) == repr(bare)
         assert "_plan" not in {f.name for f in dataclasses.fields(built)}
-
-    def test_correct_output_builds_only_the_correction(self):
-        # a session corrects one output, so it builds no more of the plan
-        pattern = dataclasses.replace(pattern_for(ClusterConfig.ROTATED_HORSESHOE, phi={1: A(3), 4: A(5)}))
-        raw = PureState.from_amplitudes(np.full(4, 0.5))
-        correct_output(pattern, {1: 1, 4: 0}, raw, BlindPhases.family(2, 3))
-        assert "_correction" in vars(pattern) and "_plan" not in vars(pattern)
-        assert pattern._plan.correction is pattern._correction
 
     @pytest.mark.parametrize("config", list(ClusterConfig), ids=lambda c: c.value)
     def test_plan_arrays_are_read_only(self, config):
@@ -782,7 +775,7 @@ class TestExhaustiveDeterminism:
     @pytest.mark.parametrize("theta", SWEEP8)
     def test_uncorrected_quantumness_rounds_stay_out_of_scope(self, theta):
         # the client measures qubit 4 raw, so its live outputs differ by design
-        setting = standard_test_setting()
+        setting = QuantumnessSetting()
         assert not _round_client(theta, setting)[1].corrects_outputs
         outcome = honest_protocol_round(theta, setting, np.random.default_rng(list(theta)))
         assert outcome in range(16)

@@ -2,12 +2,16 @@
 import copy
 import functools
 import hashlib
+import importlib
 import json
 import math
 import os
+import runpy
 import select
+import socket
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -40,14 +44,13 @@ from blindsim.blindness import (
     Ensemble,
     holevo_chi,
     maximize_chi_over_priors,
-    mixedness_check,
     pair_fold,
 )
 from blindsim.clusters import BlindPhases, ClusterConfig, build_blind_cluster
 from blindsim.mbqc import pattern_for
 from blindsim.noise import NoiseParams, apply_noise
 from blindsim.protocol import ClientSecrets, run_session
-from blindsim.quantum import HADAMARD, DensityMatrix, PureState, fidelity_pure, phase_gate, rx, rz
+from blindsim.quantum import HADAMARD, DensityMatrix, PureState, fidelity_pure, linear_entropy, phase_gate, rx, rz
 
 A = Angle8
 PI = math.pi
@@ -414,7 +417,7 @@ class TestNoisyOutputs:
                 fidelity_pure(rho, target), abs=1e-12
             )
         assert table["noisy_average_linear_entropy"] == pytest.approx(
-            mixedness_check(walked), abs=1e-12
+            linear_entropy(DensityMatrix.mixture(walked)), abs=1e-12
         )
 
     @pytest.mark.parametrize("noise", NOISE_SETTINGS[1:])
@@ -436,7 +439,7 @@ class TestNoisyOutputs:
                 fidelity_pure(rho, target), abs=1e-12
             )
         assert table["noisy_average_linear_entropy"] == pytest.approx(
-            mixedness_check(walked), abs=1e-12
+            linear_entropy(DensityMatrix.mixture(walked)), abs=1e-12
         )
         assert all(row["noisy_fidelity_to_target"] < 1.0 for row in table["rows"])
 
@@ -608,6 +611,16 @@ class TestPackage:
         }
         assert len(blindsim.__all__) == len(set(blindsim.__all__))
         assert set(namespace) - {"__builtins__"} == set(blindsim.__all__) == imported
+
+    def test_every_benchmark_target_resolves(self):
+        # the benchmark's tracer wraps these names; a missing one stops its run
+        tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+        assert tracing["TARGETS"]
+        for module, attr, _ in tracing["TARGETS"]:
+            owner = importlib.import_module(f"blindsim.{module}")
+            for name in attr.split("."):
+                owner = getattr(owner, name)
+            assert callable(owner), (module, attr)
 
 
 class TestCli:
@@ -820,3 +833,49 @@ class TestCli:
     def test_bulk(self, capsys):
         assert main(["bulk", "--csv"]) == 0
         assert capsys.readouterr().out.startswith("setting,n2,n3,outcome")
+
+    @staticmethod
+    def _assert_one_line_failure(argv, capsys, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"blindsim {argv[0]}: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_client_with_nothing_listening_fails_in_one_line(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        self._assert_one_line_failure(["client", "--connect", f"127.0.0.1:{port}"], capsys, "refused")
+
+    def test_serve_on_a_port_in_use_fails_in_one_line(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as live:
+            port = live.getsockname()[1]
+            self._assert_one_line_failure(["serve", "--listen", f"127.0.0.1:{port}"], capsys, "in use")
+
+    def test_an_unwritable_out_file_fails_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        self._assert_one_line_failure(["bulk", "--out", str(out)], capsys, "No such file")
+
+    def test_client_of_a_peer_that_is_not_a_server_fails_in_one_line(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as peer:
+
+            def answer():
+                conn, _ = peer.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(b"HTTP/1.0 400 Bad Request\r\n\r\n")
+
+            thread = threading.Thread(target=answer, daemon=True)
+            thread.start()
+            port = peer.getsockname()[1]
+            self._assert_one_line_failure(["client", "--connect", f"127.0.0.1:{port}"], capsys, "not JSON")
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_a_table_that_is_not_strict_json_raises(self, monkeypatch):
+        import blindsim.cli as cli
+
+        monkeypatch.setattr(cli, "run_bulk_branches", lambda: {"x": np.int64(1)})
+        with pytest.raises(TypeError):
+            main(["bulk"])

@@ -15,16 +15,16 @@ from blindsim.mbqc import (
     MeasurementPattern,
     MeasurementStep,
     adapt_angle,
-    circuit_oracle,
     cluster_state_for,
     enumerate_adaptive,
     enumerate_branches,
-    input_prep_state,
     pattern_for,
     _causal_flow,
     _prep_step,
 )
 from blindsim.quantum import HADAMARD, PureState, phase_gate, states_equal_up_to_phase
+
+from oracles import circuit_oracle, input_prep_state
 
 PI = math.pi
 A = Angle8

@@ -31,6 +31,8 @@ from blindsim.tomography import (
     simulate_counts,
 )
 
+from oracles import maximally_mixed
+
 PI = math.pi
 
 
@@ -203,12 +205,12 @@ class TestCounts:
     @pytest.mark.parametrize("mean_total", [-5.0, 1e20, math.nan])
     def test_mean_total_beyond_the_poisson_sampler_refused(self, mean_total):
         # numpy's sampler refuses means above ~9.22e18 with "lam value too large"
-        rho = DensityMatrix.maximally_mixed(1)
+        rho = maximally_mixed(1)
         with pytest.raises(ValueError, match="mean_total"):
             simulate_counts(rho, [("Z",)], mean_total, np.random.default_rng(0))
 
     def test_poisson_scale(self):
-        rho = DensityMatrix.maximally_mixed(1)
+        rho = maximally_mixed(1)
         rng = np.random.default_rng(42)
         table = simulate_counts(rho, [("Z",)], 10_000, rng)
         for o in (0, 1):
@@ -217,7 +219,7 @@ class TestCounts:
 
 class TestMle:
     def test_under_complete_rejected(self):
-        rho = DensityMatrix.maximally_mixed(1)
+        rho = maximally_mixed(1)
         table = exact_counts(rho, [("Z",)])
         with pytest.raises(ValueError, match="complete"):
             mle_reconstruct(table)
@@ -240,7 +242,7 @@ class TestMle:
     def test_recovers_maximally_mixed(self):
         rng = np.random.default_rng(11)
         table = simulate_counts(
-            DensityMatrix.maximally_mixed(1), pauli_settings(1), 20_000, rng
+            maximally_mixed(1), pauli_settings(1), 20_000, rng
         )
         result = mle_reconstruct(table)
         assert linear_entropy(result.rho_hat) >= 0.99
@@ -264,7 +266,7 @@ class TestMle:
         assert math.isfinite(result.gradient_norm) and result.gradient_norm >= 0.0
 
     def test_seed_clipped_eigenvalues_reported(self):
-        mixed = mle_reconstruct(exact_counts(DensityMatrix.maximally_mixed(2), pauli_settings(2)))
+        mixed = mle_reconstruct(exact_counts(maximally_mixed(2), pauli_settings(2)))
         assert mixed.seed_clipped_eigenvalues == 0
         pure = DensityMatrix.from_pure(random_pure(2, np.random.default_rng(2)))
         result = mle_reconstruct(exact_counts(pure, pauli_settings(2)))
@@ -367,7 +369,7 @@ def _poisson_table(name: str) -> CountsTable:
         return simulate_counts(rho, pauli_settings(4), 10_000, rng)
     if name == "mixed1":
         rng = np.random.default_rng(11)
-        return simulate_counts(DensityMatrix.maximally_mixed(1), pauli_settings(1), 20_000, rng)
+        return simulate_counts(maximally_mixed(1), pauli_settings(1), 20_000, rng)
     seed, total = {"pure2_5": (5, 200), "pure2_7": (7, 1000), "pure2_13": (13, 1000)}[name]
     rng = np.random.default_rng(seed)
     rho = DensityMatrix.from_pure(random_pure(2, rng))
@@ -443,14 +445,14 @@ class TestCertifiedStop:
 
 class TestMonteCarlo:
     def test_constant_extractor_zero_spread(self):
-        rho = DensityMatrix.maximally_mixed(1)
+        rho = maximally_mixed(1)
         table = exact_counts(rho, pauli_settings(1), exposure=100)
         rng = np.random.default_rng(0)
         assert monte_carlo_errors(table, 20, lambda t: 1.23, rng) == 0.0
 
     def test_fewer_than_two_trials_refused(self):
         # the spread of one resampling is 0 whatever the counts
-        table = exact_counts(DensityMatrix.maximally_mixed(1), pauli_settings(1), exposure=100)
+        table = exact_counts(maximally_mixed(1), pauli_settings(1), exposure=100)
         for n_trials in (1, 0, -3):
             with pytest.raises(ValueError, match="at least 2"):
                 monte_carlo_errors(table, n_trials, lambda t: 1.23, np.random.default_rng(0))

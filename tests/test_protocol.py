@@ -23,7 +23,6 @@ from blindsim.mbqc import (
     _PAULI_BRAS,
     MeasurementPattern,
     MeasurementStep,
-    circuit_oracle,
     pattern_for,
 )
 from blindsim.protocol import (
@@ -37,7 +36,6 @@ from blindsim.protocol import (
     Transcript,
     _GRID_KETS,
     amplitudes_to_wire,
-    conditional_transmitted_state,
     run_session,
     run_session_tcp,
     server_entangle,
@@ -49,6 +47,8 @@ from blindsim.quantum import (
     project_qubit,
     states_equal_up_to_phase,
 )
+
+from oracles import circuit_oracle, conditional_transmitted_state
 
 PI = math.pi
 A = Angle8

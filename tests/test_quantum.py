@@ -28,6 +28,8 @@ from blindsim.quantum import (
     von_neumann_entropy,
 )
 
+from oracles import maximally_mixed
+
 PI = math.pi
 
 
@@ -219,7 +221,7 @@ class TestDensityMatrix:
         assert not rho.matrix.flags.writeable
 
     def test_maximally_mixed_fidelity(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = maximally_mixed(2)
         psi = bell_pair()
         assert fidelity_pure(rho, psi) == pytest.approx(0.25)
 
@@ -290,22 +292,22 @@ class TestEntropies:
         assert linear_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_entropy_mixed_one(self):
-        assert linear_entropy(DensityMatrix.maximally_mixed(1)) == pytest.approx(1.0)
-        assert linear_entropy(DensityMatrix.maximally_mixed(2)) == pytest.approx(1.0)
+        assert linear_entropy(maximally_mixed(1)) == pytest.approx(1.0)
+        assert linear_entropy(maximally_mixed(2)) == pytest.approx(1.0)
 
     def test_von_neumann_values(self):
         assert von_neumann_entropy(
             DensityMatrix.from_pure(PureState.plus())
         ) == pytest.approx(0.0, abs=1e-9)
-        assert von_neumann_entropy(DensityMatrix.maximally_mixed(1)) == pytest.approx(1.0)
-        assert von_neumann_entropy(DensityMatrix.maximally_mixed(3)) == pytest.approx(3.0)
+        assert von_neumann_entropy(maximally_mixed(1)) == pytest.approx(1.0)
+        assert von_neumann_entropy(maximally_mixed(3)) == pytest.approx(3.0)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)
     def test_linear_entropy_monotone_under_mixing(self, weight):
         pure = DensityMatrix.from_pure(PureState.ket_theta(0.3))
         mixed = DensityMatrix.mixture(
-            [pure, DensityMatrix.maximally_mixed(1)], [1 - weight, weight]
+            [pure, maximally_mixed(1)], [1 - weight, weight]
         )
         assert linear_entropy(mixed) <= 1.0 + 1e-12
         assert linear_entropy(mixed) >= linear_entropy(pure) - 1e-12
