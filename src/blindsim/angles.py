@@ -37,9 +37,6 @@ class Angle8:
         """Shift by pi (4 grid units) `times` times."""
         return Angle8(self.eighths + 4 * (times % 2))
 
-    def negate_if(self, condition: bool) -> "Angle8":
-        return -self if condition else self
-
     @property
     def is_clifford(self) -> bool:
         """True when the angle is an integer multiple of pi/2."""

@@ -159,8 +159,8 @@ def adapt_angle(
         z_par = sum(prior_outcomes[q] for q in step.z_deps) % 2
     except KeyError as exc:
         raise ValueError(f"dependency on unmeasured qubit {exc.args[0]}") from exc
-    delta = step.phi.negate_if(bool(x_par)) + theta_j
-    return delta.add_pi((r_j ^ z_par) & 1)
+    phi = -step.phi.eighths if x_par else step.phi.eighths
+    return Angle8(phi + theta_j.eighths + 4 * ((r_j ^ z_par) & 1))
 
 
 def _prep_step(qubit: int, prep: str | Angle8) -> MeasurementStep:

@@ -9,14 +9,18 @@ with amplitudes as [re, im] pairs of 64-bit floats and angles as integer
 eighth-turns.  One session loop runs the ClientSession state machine over
 both transports, so transcripts differ only in how the bytes travel.  Over
 TCP each batch the client has ready is one write, with Nagle's algorithm
-off, so no reply waits for a delayed ACK.  The client's qubits |theta_j>
-come from one shared table of the eight grid kets, built at import.  The
-server builds its state by the blind cluster's product formula and
-measures on the engine's bras with `quantum.project_qubit`.  A
-line longer than MAX_LINE_BYTES, no line for IDLE_TIMEOUT_S, a malformed
-message (ids, counts and angles are JSON integers) or any other
-ProtocolError on the server ends the session with one `error` line that
-carries only a reason code.
+off, so no reply waits for a delayed ACK.  The client sends each qubit
+|theta_j> as the shared wire form of one of the eight grid kets, built at
+import.  The server parses each qubit's pairs in one pass, keeps the
+qubits apart until the first instruction, then builds the cluster by the
+product formula: a chain of broadcast products, then the CPhase signs.  It
+measures on the engine's bras with `quantum.project_qubit`, draws the
+outcome against the branch probabilities as Python floats and renormalizes
+the drawn branch in place.  A line longer than MAX_LINE_BYTES, no line for
+IDLE_TIMEOUT_S, a malformed message (ids, counts and angles are JSON
+integers; an instruction carries a Pauli axis or an angle, not both) or
+any other ProtocolError on the server ends the session with one `error`
+line that carries only a reason code.
 
 The transfer of qubit amplitudes on the wire is a simulation artifact: the
 server's *knowledge* is modeled by the r-averaged density matrices fed to the
@@ -24,7 +28,6 @@ blindness analyzer, never by the raw amplitude payloads.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import socket
@@ -33,7 +36,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .mbqc import (
     correct_output,
     pattern_for,
 )
-from .quantum import IMPOSSIBLE_BRANCH, PureState, basis_bits, project_qubit
+from .quantum import IMPOSSIBLE_BRANCH, PureState, checked_norm, project_qubit
 
 
 # longest line either side reads, newline included; the longest message of a
@@ -59,8 +62,8 @@ MAX_LINE_BYTES = 4096
 # gets an `error` reply and is closed, so it cannot hold a server thread
 IDLE_TIMEOUT_S = 30.0
 
-# |theta> for every theta on the pi/4 grid; the client hands out these shared,
-# read-only states instead of building and validating new ones per session
+# |theta> for every theta on the pi/4 grid, built once; the client sends their
+# wire forms (_GRID_WIRE) instead of building new states per session
 _GRID_KETS = tuple(PureState.ket_theta(Angle8(e).radians) for e in range(8))
 
 
@@ -73,8 +76,9 @@ class ProtocolError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One wire message: an immutable tuple, half a frozen dataclass's cost to build."""
+
     seq: int
     type: str
     body: dict
@@ -105,15 +109,32 @@ def _ndjson_bytes(messages: Iterable[Message]) -> bytes:
 
 
 def amplitudes_to_wire(psi: PureState) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in psi.amplitudes]
+    return psi.amplitudes.view(np.float64).reshape(-1, 2).tolist()
+
+
+# the wire form of each grid ket, shared read-only by every qubit_transfer
+_GRID_WIRE = tuple(tuple(map(tuple, amplitudes_to_wire(ket))) for ket in _GRID_KETS)
+# the Python types of a JSON number; bool is a subclass of int, not a number here
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def amplitudes_from_wire(pairs: Sequence[Sequence[float]]) -> PureState:
-    """A state from [re, im] pairs of JSON numbers; a bool or a string is
-    refused, and an integer past float range raises OverflowError."""
-    if not all({type(re), type(im)} <= {int, float} for re, im in pairs):
-        raise TypeError("an amplitude is not a pair of numbers")
-    return PureState.from_amplitudes([complex(re, im) for re, im in pairs])
+    """A state from [re, im] pairs of JSON numbers, read in one pass: a bool
+    or a string raises TypeError, a pair of another length ValueError and an
+    integer past float range OverflowError; the vector then passes
+    `quantum.checked_norm`, as `PureState.from_amplitudes` does."""
+    values, norm_sq = [], 0.0
+    for re, im in pairs:
+        if not (type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS):
+            raise TypeError("an amplitude is not a pair of numbers")
+        value = complex(re, im)
+        values.append(value)
+        norm_sq += value.real * value.real + value.imag * value.imag
+    norm = checked_norm(len(values), norm_sq)
+    vec = np.array(values)
+    if norm != 1.0:
+        vec /= norm
+    return PureState._trusted(vec)
 
 
 def _int_field(body: dict, key: str) -> int:
@@ -240,12 +261,10 @@ class ClientSession:
         self._seq += 1
         return Message(self._seq, type_, body)
 
-    def prepared_qubits(self) -> list[PureState]:
-        """|theta_j> per qubit, shared from the grid table; nothing is entangled client-side."""
-        phases = self.secrets.phases
-        return [_GRID_KETS[phases[q].eighths] for q in range(1, self.pattern.num_qubits + 1)]
-
     def start(self) -> list[Message]:
+        """session_init, then |theta_j> for each qubit j in the wire form of
+        its shared grid ket (nothing is entangled client-side), then the
+        first instruction."""
         out = [
             self._msg(
                 "session_init",
@@ -255,11 +274,12 @@ class ClientSession:
                 },
             )
         ]
-        for qid, psi in enumerate(self.prepared_qubits(), start=1):
+        phases = self.secrets.phases
+        for qid in range(1, self.pattern.num_qubits + 1):
             out.append(
                 self._msg(
                     "qubit_transfer",
-                    {"qubit_id": qid, "amplitudes": amplitudes_to_wire(psi)},
+                    {"qubit_id": qid, "amplitudes": _GRID_WIRE[phases[qid].eighths]},
                 )
             )
         out.append(self._next_instruction())
@@ -363,11 +383,11 @@ def server_entangle(qubits: Sequence[PureState], config: ClusterConfig) -> PureS
     """The received qubits with one CPhase per edge of the configuration's
     graph, by the product formula: amplitude x is the product over qubits j
     of <x_j|q_j>, times (-1)^{sum over edges of x_i x_j}."""
-    bits, signs = basis_bits(config.graph.vertex_count), _cphase_signs(config.graph)
-    single = np.array([q.amplitudes for q in qubits])
-    # one column per qubit, multiplied left to right like a chain of krons
-    product = functools.reduce(np.multiply, single[np.arange(len(qubits)), bits].T)
-    return PureState._trusted(np.where(signs, -product, product))
+    product = qubits[0].amplitudes
+    for qubit in qubits[1:]:  # left to right, like a chain of krons
+        product = product[..., None] * qubit.amplitudes
+    product = product.reshape(-1)
+    return PureState._trusted(np.where(_cphase_signs(config.graph), -product, product))
 
 
 class ServerSession:
@@ -375,9 +395,10 @@ class ServerSession:
 
     Every client message is checked before it changes the session: seq
     strictly increasing, a known config and its own vertex count, each qubit
-    id in range and sent once as one qubit, and only the config's scheduled
-    qubits measured, each once.  A failed check, or a body that cannot be
-    read, raises ProtocolError.  Each check is O(1) dict and int work.
+    id in range and sent once as one qubit, only the config's scheduled
+    qubits measured, each once, and nothing after session_close.  A failed
+    check, or a body that cannot be read, raises ProtocolError.  Each check
+    is O(1) dict and int work.
     """
 
     def __init__(self, seed: int | np.random.Generator = 0):
@@ -393,6 +414,7 @@ class ServerSession:
         self._remaining: list[int] = []
         self._scheduled: set[int] = set()
         self._outputs: list[int] = []
+        self._closed = False
 
     def _msg(self, type_: str, body: dict) -> Message:
         self._seq += 1
@@ -404,6 +426,10 @@ class ServerSession:
 
     def handle(self, message: Message) -> list[Message]:
         try:
+            if self._closed:
+                raise ProtocolError(
+                    f"{message.type!r} after session_close", reason="out_of_order"
+                )
             if not message.seq > self._peer_seq:
                 raise ProtocolError(
                     f"seq {message.seq} does not follow {self._peer_seq}", reason="bad_seq"
@@ -416,6 +442,7 @@ class ServerSession:
             if message.type == "measure_instruction":
                 return self._measure(message.body)
             if message.type == "session_close":
+                self._closed = True
                 return []
         except (KeyError, ValueError, IndexError, TypeError, OverflowError) as exc:
             raise ProtocolError(
@@ -483,14 +510,19 @@ class ServerSession:
                 reason="bad_qubit",
             )
         if "pauli" in body:
+            if "delta_eighths" in body:
+                raise ValueError("an instruction carries both a Pauli axis and an angle")
             bras = _PAULI_BRAS[body["pauli"]]  # an unknown axis is a KeyError
         else:
             bras = _GRID_BRAS[_int_field(body, "delta_eighths") % 8]
         prob, branches = project_qubit(self._state, self._remaining.index(qid), bras)
+        prob = prob.tolist()
         bit = 0 if self._rng.random() < prob[0] else 1
         if prob[bit] < IMPOSSIBLE_BRANCH:
             raise ProtocolError("measured an impossible branch")
-        self._state = PureState._trusted(branches[bit] / math.sqrt(prob[bit]))
+        state = branches[bit]
+        state /= math.sqrt(prob[bit])
+        self._state = PureState._trusted(state)
         self._remaining.remove(qid)
         self._scheduled.remove(qid)
         out = [self._msg("outcome_report", {"qubit_id": qid, "bit": bit})]

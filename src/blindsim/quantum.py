@@ -3,10 +3,12 @@
 Convention: qubit 1 is the most significant bit of the basis index, so the
 basis label of a four-qubit amplitude reads |q1 q2 q3 q4>.  States are
 immutable; every operation returns a fresh value.  Amplitudes are validated
-where they enter (`PureState.from_amplitudes`); states that are normalized
-by construction (a renormalized projection, a blind cluster built by its
-product formula, the outer product of a validated state, the eight grid
-kets |k pi/4> built once at import) skip the check.
+where they enter: arrays in `PureState.from_amplitudes`, and [re, im] pairs
+off the wire in `protocol.amplitudes_from_wire`, which reads them in one
+pass.  Both apply one norm rule, `checked_norm`.  States that are
+normalized by construction (a renormalized projection, a blind cluster
+built by its product formula, the outer product of a validated state, the
+eight grid kets |k pi/4> built once at import) skip the check.
 
 One kernel, `project_qubit`, measures a qubit: the state reshaped to
 (2^pos, 2, rest) and contracted with one row per outcome.  The server and
@@ -86,6 +88,27 @@ def equatorial_bra(delta: float, bit: int) -> np.ndarray:
     return np.array([1.0, (-1) ** bit * np.exp(1j * delta)]).conj() / math.sqrt(2)
 
 
+def checked_norm(size: int, norm_sq: float) -> float:
+    """The norm of `size` amplitudes whose squared moduli sum to `norm_sq`,
+    once the vector passes the one check every state from outside passes:
+    a power-of-2 length and a norm within NORM_TOL of 1."""
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"amplitude vector length {size} is not a power of 2")
+    norm = math.sqrt(norm_sq)
+    if not abs(norm - 1.0) <= NORM_TOL:  # written so that NaN fails
+        raise ValueError(f"state norm {norm} deviates from 1")
+    return norm
+
+
+@functools.lru_cache(maxsize=64)
+def _equatorial_row(delta: float, bit: int) -> np.ndarray:
+    """equatorial_bra(delta, bit) as a read-only (1, 2) row, built once per
+    angle: a client measures its outputs at a few angles, many times."""
+    row = equatorial_bra(delta, bit)[None]
+    row.setflags(write=False)
+    return row
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex state vector on `num_qubits` qubits."""
@@ -96,13 +119,7 @@ class PureState:
     @classmethod
     def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "PureState":
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        n = int(round(math.log2(vec.size)))
-        if 2**n != vec.size:
-            raise ValueError(f"amplitude vector length {vec.size} is not a power of 2")
-        norm = math.sqrt(np.vdot(vec, vec).real)
-        if not abs(norm - 1.0) <= NORM_TOL:  # written so that NaN fails
-            raise ValueError(f"state norm {norm} deviates from 1")
-        return cls._trusted(vec / norm)
+        return cls._trusted(vec / checked_norm(vec.size, np.vdot(vec, vec).real))
 
     @classmethod
     def _trusted(cls, vec: np.ndarray) -> "PureState":
@@ -149,7 +166,7 @@ class PureState:
         A branch with probability below 1e-12 returns None for the state so
         the caller can prune it.
         """
-        probs, branches = project_qubit(self, self._axis(qubit), equatorial_bra(delta, bit)[None])
+        probs, branches = project_qubit(self, self._axis(qubit), _equatorial_row(delta, bit))
         prob = float(probs[0])
         if prob < IMPOSSIBLE_BRANCH:
             return prob, None

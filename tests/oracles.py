@@ -3,6 +3,8 @@
 `circuit_oracle` is the circuit-model cross-check of the measurement
 engine, and `conditional_transmitted_state` is the blindness invariant in
 executable form: the server's view of one blind qubit given its delta.
+`amplitudes_from_wire_oracle` is the two-pass wire parse that the one-pass
+`protocol.amplitudes_from_wire` replaced.
 The three small helpers stand in for what a library caller reaches with
 one public expression.
 """
@@ -101,6 +103,14 @@ def circuit_oracle(
         )
         return PureState.from_amplitudes(vec / np.linalg.norm(vec))
     raise ValueError(f"unknown configuration {config!r}")
+
+
+def amplitudes_from_wire_oracle(pairs) -> PureState:
+    """A state from [re, im] pairs of JSON numbers; a bool or a string is
+    refused, and an integer past float range raises OverflowError."""
+    if not all({type(re), type(im)} <= {int, float} for re, im in pairs):
+        raise TypeError("an amplitude is not a pair of numbers")
+    return PureState.from_amplitudes([complex(re, im) for re, im in pairs])
 
 
 def conditional_transmitted_state(delta: Angle8, phi: Angle8) -> DensityMatrix:

@@ -35,6 +35,8 @@ from blindsim.protocol import (
     TcpServer,
     Transcript,
     _GRID_KETS,
+    _GRID_WIRE,
+    amplitudes_from_wire,
     amplitudes_to_wire,
     run_session,
     run_session_tcp,
@@ -48,7 +50,7 @@ from blindsim.quantum import (
     states_equal_up_to_phase,
 )
 
-from oracles import circuit_oracle, conditional_transmitted_state
+from oracles import amplitudes_from_wire_oracle, circuit_oracle, conditional_transmitted_state
 
 PI = math.pi
 A = Angle8
@@ -67,16 +69,26 @@ def secrets_for(
     )
 
 
+def transferred(secrets) -> list:
+    """The amplitudes of each qubit_transfer the client's start() sends."""
+    return [m.body["amplitudes"] for m in ClientSession(secrets).start() if m.type == "qubit_transfer"]
+
+
+def prepared_qubits(secrets) -> list[PureState]:
+    """The qubits the client sends, read back from the wire."""
+    return [amplitudes_from_wire(pairs) for pairs in transferred(secrets)]
+
+
 class TestClientPrepare:
     def test_theta_zero_is_plus(self):
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 0, 0)
-        qubits = ClientSession(secrets).prepared_qubits()
+        qubits = prepared_qubits(secrets)
         for q in qubits:
             assert states_equal_up_to_phase(q, PureState.plus())
 
     def test_theta_pi_over_4(self):
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 1, 0)
-        q2 = ClientSession(secrets).prepared_qubits()[1]
+        q2 = prepared_qubits(secrets)[1]
         expected = PureState.from_amplitudes(
             np.array([1.0, np.exp(1j * PI / 4)]) / math.sqrt(2)
         )
@@ -84,13 +96,13 @@ class TestClientPrepare:
 
     def test_family_2_3(self):
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 2, 3)
-        qubits = ClientSession(secrets).prepared_qubits()
+        qubits = prepared_qubits(secrets)
         for q, target in zip(qubits, (0.0, PI / 2, 3 * PI / 4, 0.0)):
             assert states_equal_up_to_phase(q, PureState.ket_theta(target))
 
     def test_no_entanglement_client_side(self):
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 5, 2)
-        qubits = ClientSession(secrets).prepared_qubits()
+        qubits = prepared_qubits(secrets)
         assert all(q.num_qubits == 1 for q in qubits)
 
     def test_grid_ket_table_is_ket_theta_bit_for_bit_and_read_only(self):
@@ -104,9 +116,13 @@ class TestClientPrepare:
                 ket.amplitudes[0] = 0.0
 
     def test_prepared_qubits_are_the_shared_table_entries(self):
+        # each transfer carries the shared, immutable wire form of a grid ket
         secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(0), 3: A(0)}, 5, 2)
-        qubits = ClientSession(secrets).prepared_qubits()
-        assert [q is _GRID_KETS[e] for q, e in zip(qubits, (0, 5, 2, 0))] == [True] * 4
+        bodies = transferred(secrets)
+        assert [b is _GRID_WIRE[e] for b, e in zip(bodies, (0, 5, 2, 0))] == [True] * 4
+        for ket, wire in zip(_GRID_KETS, _GRID_WIRE):
+            assert [list(pair) for pair in wire] == amplitudes_to_wire(ket)
+            assert all(type(pair) is tuple for pair in (wire, *wire))
 
 
 class TestServerEntangle:
@@ -629,6 +645,15 @@ HOSTILE = {
         [INIT, _line(2, "qubit_transfer", {"qubit_id": 1, "amplitudes": [[10**400, 0], [0, 0]]})],
         "bad_message",
     ),
+    # an instruction names a Pauli axis or an angle, never both
+    "pauli_and_delta": (
+        OPENING + [_line(6, "measure_instruction", {"qubit_id": 1, "pauli": "Z", "delta_eighths": 3})],
+        "bad_message",
+    ),
+    "pauli_and_junk_delta": (
+        OPENING + [_line(6, "measure_instruction", {"qubit_id": 2, "pauli": "X", "delta_eighths": "junk"})],
+        "bad_message",
+    ),
 }
 # two qubits' amplitudes, the first a 401-digit JSON integer
 HUGE_AMPLITUDES = [[10**400, 0], [0, 0], [0, 0], [0, 0]]
@@ -978,6 +1003,99 @@ class TestWire:
         with pytest.raises(ProtocolError, match="bad_qubit") as info:
             run_session_tcp(secrets, tcp_server.server_address, timeout=10)
         assert info.value.reason == "bad_qubit"
+
+
+class TestClosedSession:
+    def test_every_message_after_session_close_is_out_of_order(self):
+        late_messages = [
+            Message(3, "session_close", {"status": "ok"}),
+            Message(3, "qubit_transfer", {"qubit_id": 1, "amplitudes": PLUS}),
+            Message(2, "session_init", {"config": "linear_right", "qubit_count": 4}),
+        ]
+        for late in late_messages:
+            server = ServerSession()
+            server.handle(Message.from_json(INIT))
+            assert server.handle(Message(2, "session_close", {"status": "ok"})) == []
+            with pytest.raises(ProtocolError) as info:
+                server.handle(late)
+            assert info.value.reason == "out_of_order"
+
+    def test_a_finished_session_refuses_a_second_close(self):
+        secrets = secrets_for(ClusterConfig.HORSESHOE, {2: A(3), 3: A(6)}, 2, 5)
+        server = ServerSession(seed=3)
+        transcript = protocol._drive_in_process(ClientSession(secrets), server)
+        close = transcript.messages[-1]
+        assert close.type == "session_close"
+        with pytest.raises(ProtocolError) as info:
+            server.handle(Message(close.seq + 1, close.type, close.body))
+        assert info.value.reason == "out_of_order"
+
+
+# what a JSON amplitude slot may hold: numbers, and what a hostile client sends instead
+WIRE_VALUE = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.integers(-2, 2),
+    st.booleans(),
+    st.text(max_size=2),
+    st.sampled_from([10**400, math.nan, math.inf, -math.inf]),
+)
+
+
+def _unit_pairs(parts):
+    norm = math.sqrt(sum(re * re + im * im for re, im in parts))
+    return [[re / norm, im / norm] for re, im in parts]
+
+
+def _basis_pairs(size, slot, zeros, one):
+    """A basis vector of `size` amplitudes with `one` in real or imaginary
+    part `slot`: a JSON number, or a bool, string or list that looks like one."""
+    flat = zeros[: 2 * size]
+    flat[slot % (2 * size)] = one
+    return [flat[i : i + 2] for i in range(0, 2 * size, 2)]
+
+
+WIRE_AMPLITUDES = st.one_of(
+    # pairs of one to three values, zero to five of them: mostly refused
+    st.lists(st.lists(WIRE_VALUE, min_size=1, max_size=3), max_size=5),
+    # unit vectors of a power-of-2 length, as floats or as JSON integers
+    st.sampled_from([1, 2, 4]).flatmap(
+        lambda n: st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=n, max_size=n)
+    ).filter(lambda parts: sum(re * re + im * im for re, im in parts) > 0.01).map(_unit_pairs),
+    st.builds(
+        _basis_pairs,
+        st.sampled_from([1, 2, 4]),
+        st.integers(0, 7),
+        st.lists(st.sampled_from([0, 0.0, -0.0, False, "0"]), min_size=8, max_size=8),
+        st.sampled_from([1, -1, 1.0, True, "1", [1]]),
+    ),
+)
+
+
+class TestWireParse:
+    @given(WIRE_AMPLITUDES)
+    @settings(max_examples=400, deadline=None)
+    def test_one_pass_parse_matches_the_two_pass_oracle(self, pairs):
+        parsed = []
+        for parse in (amplitudes_from_wire, amplitudes_from_wire_oracle):
+            try:
+                parsed.append(parse(pairs))
+            except (TypeError, ValueError, OverflowError):  # each is bad_message on the wire
+                parsed.append(None)
+        new, old = parsed
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert new.num_qubits == old.num_qubits
+            np.testing.assert_allclose(new.amplitudes, old.amplitudes, rtol=0, atol=1e-15)
+
+        server = ServerSession()
+        server.handle(Message.from_json(INIT))
+        transfer = Message(2, "qubit_transfer", {"qubit_id": 1, "amplitudes": pairs})
+        if old is not None and len(pairs) == 2:
+            assert server.handle(transfer) == []
+            return
+        with pytest.raises(ProtocolError) as info:
+            server.handle(transfer)
+        assert info.value.reason in ("bad_message", "bad_qubit")
 
 
 def run_session_with_rng(secrets, rng):
