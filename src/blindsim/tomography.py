@@ -9,7 +9,10 @@ Before the ascent, the linear-inversion estimate with its negative
 eigenvalues clipped to 0 is checked against the likelihood's concavity
 certificate, which bounds how far below the maximum it lies; when that
 bound is within the stopping gain (noise-free counts), the estimate is
-returned at iteration 0.
+returned at iteration 0.  On three or more qubits the bound's top
+eigenvalue is found only when the gradient's Rayleigh quotients on the
+estimate's eigenvectors, a lower bound on it, do not already rule the
+return out, as they do on Poisson counts.
 Error bars come from re-running an extractor on Poisson-resampled counts.
 
 The measurement model lives in the Pauli basis.  Each outcome projector of
@@ -23,7 +26,11 @@ tables and the permutation to the layout they act on) is built once and
 shared by the MLE, its linear-inversion seed, the Monte Carlo resamples,
 `exact_counts` and `simulate_counts`, which read every setting's
 probabilities from it in one evaluation; no dense projector or
-outcome-vector stack is built for them.  The dense `setting_projectors` and
+outcome-vector stack is built for them.  An evaluation reads the real
+parts of the measured Pauli expectations with one gather from the
+interleaved float64 view of the Walsh product, each scaled by +-1/d, which
+is exactly what the real part of the complex phase product rounds to.
+The dense `setting_projectors` and
 `measurement_rank` remain only as names that the benchmark harness
 (bench/tracing.py) traces.
 """
@@ -77,6 +84,19 @@ def setting_projectors(setting: Sequence[str]) -> np.ndarray:
     return vectors[:, :, None] * vectors[:, None, :].conj()
 
 
+def _checked_width(settings: Sequence[Sequence[str]]) -> int:
+    """The number of qubits the settings measure, refused unless the list
+    is non-empty and every setting names that many axes, each X, Y or Z."""
+    if not settings:
+        raise ValueError("settings must not be empty")
+    n = len(settings[0])
+    if n == 0 or any(len(s) != n for s in settings):
+        raise ValueError("settings must all measure the same nonzero number of qubits")
+    if not set().union(*settings) <= set("XYZ"):
+        raise ValueError("settings may name only the axes X, Y and Z")
+    return n
+
+
 @dataclass(frozen=True)
 class CountsTable:
     settings: list[tuple[str, ...]]
@@ -84,11 +104,17 @@ class CountsTable:
     exposure: float  # mean total events per setting
 
     def __post_init__(self) -> None:
+        n = _checked_width(self.settings)
         counts = np.asarray(self.counts, dtype=float)
-        if counts.shape[0] != len(self.settings):
-            raise ValueError("counts rows must match settings")
+        if counts.shape != (len(self.settings), 2**n):
+            raise ValueError(
+                f"counts of shape {counts.shape}: need {(len(self.settings), 2**n)},"
+                f" a row of 2^{n} outcomes per setting"
+            )
         if not np.isfinite(counts).all() or (counts < 0).any():
             raise ValueError("counts must be finite and nonnegative")
+        if not (math.isfinite(self.exposure) and self.exposure >= 0):
+            raise ValueError(f"exposure = {self.exposure}: must be finite and nonnegative")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -152,6 +178,9 @@ class _MeasurementModel(NamedTuple):
     string_counts: np.ndarray  # (4^n,): how many (k, m) measure each string
     phase: np.ndarray  # (2^n, 2^n): [z, x] = i^{popcount(x & z)} / 2^n
     xor_index: np.ndarray  # (2^n, 2^n): [a, x] = a 2^n + (a ^ x), its own inverse
+    real_index: np.ndarray  # (K, 2^n): where Re(phase W) of string_index sits in W's float64 view
+    real_sign: np.ndarray  # (K, 2^n): +-1/2^n, so Re(phase W) = real_sign * that entry
+    upper_index: np.ndarray  # flat indices of the strict upper triangle of a 2^n x 2^n matrix
 
 
 @functools.lru_cache(maxsize=8)
@@ -163,8 +192,12 @@ def _measurement_model(settings: tuple[tuple[str, ...], ...]) -> _MeasurementMod
     (qubit q <-> bit n-1-q of m) and I elsewhere.  So the projectors of one
     setting span its 2^n strings, and the settings are informationally
     complete exactly when together they measure all 4^n strings.
+
+    Each phase is i^k / d, so Re(phase (a + ib)) is a/d, -b/d, -a/d or b/d
+    for k = 0, 1, 2, 3: one entry of W's interleaved float64 view scaled by
+    +-1/d, exactly as the complex product rounds it.
     """
-    n = len(settings[0])
+    n = _checked_width(settings)
     dim = 2**n
     walsh = _tensor_products(np.tile([[1.0, 1.0], [1.0, -1.0]], (1, n, 1, 1)))[0]
     # the 1/d of every projector, folded in exactly: d is a power of two
@@ -176,8 +209,13 @@ def _measurement_model(settings: tuple[tuple[str, ...], ...]) -> _MeasurementMod
     string_index = (z_bits[:, None] & subsets) * dim + (x_bits[:, None] & subsets)
     string_counts = np.bincount(string_index.reshape(-1), minlength=dim * dim)
     xor_index = subsets[:, None] * dim + (subsets[:, None] ^ subsets[None, :])
+    imaginary = (phase.imag != 0).reshape(-1)
+    real_index = 2 * string_index + imaginary.take(string_index)
+    real_sign = (phase.real - phase.imag).take(string_index)
+    upper_index = np.flatnonzero(~np.tri(dim, dtype=bool))
     model = _MeasurementModel(
-        bool(string_counts.all()), walsh, string_index, string_counts, phase, xor_index
+        bool(string_counts.all()), walsh, string_index, string_counts, phase, xor_index,
+        real_index, real_sign, upper_index,
     )
     for field in model:
         if isinstance(field, np.ndarray):
@@ -189,27 +227,25 @@ def _model_of(table: CountsTable) -> _MeasurementModel:
     return _measurement_model(tuple(tuple(s) for s in table.settings))
 
 
-def _walsh_times(model: _MeasurementModel, mat: np.ndarray) -> np.ndarray:
-    """walsh @ mat for a C-ordered mat, as one real product over the
-    interleaved real and imaginary parts."""
-    pairs = mat.astype(np.complex128, copy=False).view(np.float64)
-    return (model.walsh @ pairs).view(np.complex128)
-
-
 def _model_probabilities(model: _MeasurementModel, rho: np.ndarray) -> np.ndarray:
     """Every outcome's probability, from the 4^n Pauli expectations
-    Tr(rho P)[z, x] = Re(i^{popcount(x & z)} (walsh @ M)[z, x]), where
-    M[a, x] = rho[a, a ^ x]; here each is divided by d."""
-    scaled = (model.phase * _walsh_times(model, rho.take(model.xor_index))).real
-    return (scaled.take(model.string_index) @ model.walsh).reshape(-1)
+    Tr(rho P)[z, x] = Re(i^{popcount(x & z)} W[z, x]), W = walsh @ M, where
+    M[a, x] = rho[a, a ^ x]; here each is divided by d.  W is one real
+    product over M's interleaved real and imaginary parts, and every
+    measured expectation is one gather from it."""
+    pairs = rho.take(model.xor_index).astype(np.complex128, copy=False).view(np.float64)
+    scaled = (model.walsh @ pairs).take(model.real_index)
+    scaled *= model.real_sign
+    return (scaled @ model.walsh).reshape(-1)
 
 
 def _pauli_sum(model: _MeasurementModel, coefficients: np.ndarray) -> np.ndarray:
     """G = (1/d) sum_s c_s P_s for real c.  With C[z, x] = c_{z 2^n + x},
-    G[a ^ x, a] = (walsh @ (C * i^{popcount(x & z)}))[a, x] / d."""
+    G[a ^ x, a] = (walsh @ (C * i^{popcount(x & z)}))[a, x] / d, the
+    product taken over C's interleaved real and imaginary parts."""
     dim = len(model.walsh)
-    q_mat = _walsh_times(model, coefficients.reshape(dim, dim) * model.phase)
-    return q_mat.take(model.xor_index).T
+    pairs = (coefficients.reshape(dim, dim) * model.phase).view(np.float64)
+    return (model.walsh @ pairs).view(np.complex128).take(model.xor_index).T
 
 
 def _weighted_projector_sum(model: _MeasurementModel, weights: np.ndarray) -> np.ndarray:
@@ -235,16 +271,26 @@ class _Seed(NamedTuple):
     def floored(self) -> np.ndarray:
         """Eigenvalues raised to 1e-6: the ascent's start."""
         floored = (self.vecs * np.clip(self.vals, 1e-6, None)) @ self.vecs.conj().T
-        return floored / np.trace(floored).real
+        floored /= floored.trace().real
+        return floored
+
+    def gap_below(self, grad_rho: np.ndarray) -> float:
+        """A lower bound on `_gap(projected, grad_rho)` without its eigvalsh:
+        lambda_max(R) is at least each Rayleigh quotient of R on the seed's
+        eigenvectors, less a margin far above the rounding of either side
+        (1e-9 |R|_F, the vectors being orthonormal)."""
+        applied = grad_rho @ self.vecs
+        quotients = (self.vecs.conj() * applied).sum(axis=0).real
+        margin = 1e-9 * math.sqrt(np.vdot(applied, applied).real)
+        return float(quotients.max() - np.vdot(self.projected, grad_rho).real - margin)
 
 
-def _linear_inversion(table: CountsTable) -> _Seed:
+def _linear_inversion(table: CountsTable, model: _MeasurementModel) -> _Seed:
     """Pauli-expectation inversion, projected to the PSD cone; MLE seed.
 
     Each Pauli string's expectation is the mean of its estimates over every
     setting that measures it, each estimate a parity of the outcome bits.
     """
-    model = _model_of(table)
     totals = table.counts.sum(axis=1)
     freqs = table.counts / np.where(totals > 0, totals, 1.0)[:, None]
     sums = np.bincount(
@@ -256,8 +302,8 @@ def _linear_inversion(table: CountsTable) -> _Seed:
     means[0] = 1.0  # the identity string: Tr rho = 1
     vals, vecs = np.linalg.eigh(_pauli_sum(model, means))
     projected = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    clipped = int(np.count_nonzero(vals < 1e-6))
-    return _Seed(vals, vecs, projected / np.trace(projected).real, clipped)
+    projected /= projected.trace().real
+    return _Seed(vals, vecs, projected, int(np.count_nonzero(vals < 1e-6)))
 
 
 def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
@@ -266,20 +312,17 @@ def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
     return int(np.linalg.matrix_rank(rows, tol=1e-9))
 
 
-@functools.lru_cache(maxsize=8)
-def _lower_triangle(dim: int) -> np.ndarray:
-    """The read-only mask that np.tril applies to a dim x dim matrix."""
-    mask = np.tri(dim, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
 class _Point(NamedTuple):  # one likelihood evaluation at a Cholesky factor T
     t_mat: np.ndarray
     rho: np.ndarray  # T T^dagger / Tr(T T^dagger), physical for every T
     trace: float  # Tr(T T^dagger)
     probabilities: np.ndarray  # clipped at 1e-15
     log_likelihood: float
+
+
+def _gap(rho: np.ndarray, grad_rho: np.ndarray) -> float:
+    """lambda_max(R) - Tr(rho R), the certificate's bound on log L* - log L(rho)."""
+    return float(np.linalg.eigvalsh(grad_rho)[-1] - np.vdot(rho, grad_rho).real)
 
 
 class _PoissonLikelihood(NamedTuple):
@@ -294,45 +337,57 @@ class _PoissonLikelihood(NamedTuple):
         return cls(_model_of(table), table.counts.reshape(-1), table.exposure)
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return np.maximum(_model_probabilities(self.model, rho), 1e-15)
+        probabilities = _model_probabilities(self.model, rho)
+        return np.maximum(probabilities, 1e-15, out=probabilities)
 
     def value(self, rho: np.ndarray) -> float:
         return self._value_at(self.probabilities(rho))
 
     def _value_at(self, probabilities: np.ndarray) -> float:
-        mu = self.exposure * probabilities
-        return float(np.sum(self.counts * np.log(mu) - mu))
+        mu = probabilities * self.exposure
+        terms = np.log(mu)
+        terms *= self.counts
+        terms -= mu
+        return float(terms.sum())
+
+    def _rho_gradient_at(self, probabilities: np.ndarray) -> np.ndarray:
+        """R = sum_k (n_k / p_k - exposure) Pi_k, log L's gradient in rho."""
+        weights = self.counts / probabilities
+        weights -= self.exposure
+        return _weighted_projector_sum(self.model, weights)
 
     def at(self, t_mat: np.ndarray) -> _Point:
         """The one evaluation at T: a line-search trial's, then the next gradient's."""
-        product = t_mat @ t_mat.conj().T
-        trace = np.trace(product).real
-        rho = product / trace
+        rho = t_mat @ t_mat.conj().T
+        trace = rho.trace().real
+        rho /= trace
         probabilities = self.probabilities(rho)
         return _Point(t_mat, rho, trace, probabilities, self._value_at(probabilities))
 
+    def rho_gradient(self, rho: np.ndarray) -> tuple[float, np.ndarray]:
+        """log L(rho) and R, from one evaluation."""
+        probabilities = self.probabilities(rho)
+        return self._value_at(probabilities), self._rho_gradient_at(probabilities)
+
     def certificate(self, rho: np.ndarray) -> tuple[float, float]:
         """log L(rho) and the bound lambda_max(R) - Tr(rho R) on log L* -
-        log L(rho), where R = sum_k (n_k / p_k - exposure) Pi_k is log L's
-        gradient in rho.  log L is concave in rho, so log L(sigma) <= log
-        L(rho) + Tr((sigma - rho) R) for every state sigma, and the right
-        side is largest at R's top eigenvector (Glancy, Knill and Girard,
-        New J. Phys. 14, 095017, 2012)."""
-        probabilities = self.probabilities(rho)
-        grad_rho = _weighted_projector_sum(
-            self.model, self.counts / probabilities - self.exposure
-        )
-        top = np.linalg.eigvalsh(grad_rho)[-1]
-        return self._value_at(probabilities), float(top - np.vdot(rho, grad_rho).real)
+        log L(rho).  log L is concave in rho, so log L(sigma) <= log L(rho)
+        + Tr((sigma - rho) R) for every state sigma, and the right side is
+        largest at R's top eigenvector (Glancy, Knill and Girard, New J.
+        Phys. 14, 095017, 2012)."""
+        log_likelihood, grad_rho = self.rho_gradient(rho)
+        return log_likelihood, _gap(rho, grad_rho)
 
     def gradient(self, point: _Point) -> np.ndarray:
         """Ascent direction G in T's lower triangle, scaled so that the
         slope of log L along G is |G|^2."""
-        weights = self.counts / point.probabilities - self.exposure
-        grad_rho = _weighted_projector_sum(self.model, weights)
-        mean_shift = np.real(np.trace(grad_rho @ point.rho))
-        grad_t = (2.0 / point.trace) * (grad_rho @ point.t_mat - mean_shift * point.t_mat)
-        return np.where(_lower_triangle(len(grad_t)), grad_t, 0.0)
+        grad_rho = self._rho_gradient_at(point.probabilities)
+        mean_shift = (grad_rho @ point.rho).trace().real
+        grad_t = grad_rho @ point.t_mat
+        grad_t -= mean_shift * point.t_mat
+        grad_t *= 2.0 / point.trace
+        grad_t.put(self.model.upper_index, 0.0)
+        return grad_t
 
 
 class _Ascent(NamedTuple):
@@ -357,6 +412,7 @@ def _ascend(
     where an absolute 1e-9 window is finer than float64 can resolve.
     """
     point = likelihood.at(np.linalg.cholesky(seed + 1e-9 * np.eye(len(seed))))  # T lower triangular
+    stop = improvement_tol * max(abs(point.log_likelihood), 1.0)  # the stopping gain at point
 
     step: float | None = None
     prev_t: np.ndarray | None = None
@@ -367,25 +423,28 @@ def _ascend(
     norm = math.nan
     for iterations in range(1, max_iterations + 1):
         grad_t = likelihood.gradient(point)
-        norm = float(np.linalg.norm(grad_t))
+        flat = grad_t.reshape(-1)
+        re, im = flat.real, flat.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's sum, inline
         if norm < 1e-14:
             converged = True
             break
         if prev_t is not None:
             dt = (point.t_mat - prev_t).reshape(-1)
             dg = (grad_t - prev_grad).reshape(-1)
-            curvature = -np.real(np.vdot(dt, dg))
+            curvature = -np.vdot(dt, dg).real
             if curvature > 1e-30:
-                step = float(np.real(np.vdot(dt, dt)) / curvature)
+                step = float(np.vdot(dt, dt).real / curvature)
         if step is None:
             step = 1.0 / norm
         prev_t, prev_grad = point.t_mat, grad_t
         trial = abs(step)
+        # norm**2 is the slope of the likelihood along grad_t: a step whose
+        # first-order gain is under the stopping gain ends the run
+        slope = norm**2
         improved = False
         for _ in range(60):
-            # norm**2 is the slope of the likelihood along grad_t: a step
-            # whose first-order gain is under the stopping gain ends the run
-            if trial * norm**2 < improvement_tol * max(abs(point.log_likelihood), 1.0):
+            if trial * slope < stop:
                 break
             candidate = likelihood.at(point.t_mat + trial * grad_t)
             if candidate.log_likelihood > point.log_likelihood:
@@ -398,7 +457,8 @@ def _ascend(
             break
         gain = candidate.log_likelihood - point.log_likelihood
         point = candidate
-        if gain < improvement_tol * max(abs(point.log_likelihood), 1.0):
+        stop = improvement_tol * max(abs(point.log_likelihood), 1.0)
+        if gain < stop:
             converged = True
             break
     return _Ascent(point.rho, point.log_likelihood, converged, iterations, norm, halvings)
@@ -419,13 +479,19 @@ def mle_reconstruct(
     free counts certify this way.  Otherwise, as for Poisson counts, the
     ascent runs from the estimate with its eigenvalues floored at 1e-6.
     """
+    if table.exposure == 0:
+        raise ValueError("exposure = 0: the counts have no likelihood to maximise")
     likelihood = _PoissonLikelihood.of(table)
     if not likelihood.model.complete:
         raise ValueError("settings are not informationally complete")
 
-    seed = _linear_inversion(table)
-    ll, bound = likelihood.certificate(seed.projected)
-    if bound <= improvement_tol * max(abs(ll), 1.0):
+    seed = _linear_inversion(table, likelihood.model)
+    ll, grad_rho = likelihood.rho_gradient(seed.projected)
+    stop = improvement_tol * max(abs(ll), 1.0)
+    # the Rayleigh bound settles most tables that cannot certify, and from
+    # d = 8 on it costs less than the eigvalsh it skips
+    ruled_out = len(grad_rho) >= 8 and seed.gap_below(grad_rho) > stop
+    if not ruled_out and _gap(seed.projected, grad_rho) <= stop:
         run = _Ascent(seed.projected, ll, True, 0, math.nan, 0)
     else:
         run = _ascend(likelihood, seed.floored(), max_iterations, improvement_tol)

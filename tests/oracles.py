@@ -4,7 +4,11 @@
 engine, and `conditional_transmitted_state` is the blindness invariant in
 executable form: the server's view of one blind qubit given its delta.
 `amplitudes_from_wire_oracle` is the two-pass wire parse that the one-pass
-`protocol.amplitudes_from_wire` replaced.
+`protocol.amplitudes_from_wire` replaced.  The `*_oracle` likelihood
+evaluations are the MLE's earlier forms (a complex phase product and its
+real part, a gather by Pauli string, out-of-place arithmetic and the numpy
+wrappers), which the fewer-call kernels of `tomography` must match bit for
+bit.
 The three small helpers stand in for what a library caller reaches with
 one public expression.
 """
@@ -20,6 +24,7 @@ from blindsim.clusters import ClusterConfig, GraphSpec
 from blindsim.mbqc import _input_steps, _prep_step
 from blindsim.protocol import _GRID_KETS
 from blindsim.quantum import HADAMARD, DensityMatrix, PureState, phase_gate, rx, rz
+from blindsim.tomography import _MeasurementModel, _Point, _PoissonLikelihood
 
 
 def phase_insensitive_fidelity(a: PureState, b: PureState) -> float:
@@ -127,3 +132,45 @@ def conditional_transmitted_state(delta: Angle8, phi: Angle8) -> DensityMatrix:
     if not rhos:
         raise ValueError("no (theta, r) pair is consistent with this delta")
     return DensityMatrix.mixture(rhos)
+
+
+def _walsh_times_oracle(model: _MeasurementModel, mat: np.ndarray) -> np.ndarray:
+    pairs = mat.astype(np.complex128, copy=False).view(np.float64)
+    return (model.walsh @ pairs).view(np.complex128)
+
+
+def model_probabilities_oracle(model: _MeasurementModel, rho: np.ndarray) -> np.ndarray:
+    scaled = (model.phase * _walsh_times_oracle(model, rho.take(model.xor_index))).real
+    return (scaled.take(model.string_index) @ model.walsh).reshape(-1)
+
+
+def weighted_projector_sum_oracle(model: _MeasurementModel, weights: np.ndarray) -> np.ndarray:
+    dim = len(model.walsh)
+    per_string = np.bincount(
+        model.string_index.reshape(-1),
+        weights=(weights.reshape(-1, dim) @ model.walsh).reshape(-1),
+        minlength=dim * dim,
+    )
+    q_mat = _walsh_times_oracle(model, per_string.reshape(dim, dim) * model.phase)
+    return q_mat.take(model.xor_index).T
+
+
+def value_at_oracle(likelihood: _PoissonLikelihood, probabilities: np.ndarray) -> float:
+    mu = likelihood.exposure * probabilities
+    return float(np.sum(likelihood.counts * np.log(mu) - mu))
+
+
+def likelihood_at_oracle(likelihood: _PoissonLikelihood, t_mat: np.ndarray) -> _Point:
+    product = t_mat @ t_mat.conj().T
+    trace = np.trace(product).real
+    rho = product / trace
+    probabilities = np.maximum(model_probabilities_oracle(likelihood.model, rho), 1e-15)
+    return _Point(t_mat, rho, trace, probabilities, value_at_oracle(likelihood, probabilities))
+
+
+def gradient_oracle(likelihood: _PoissonLikelihood, point: _Point) -> np.ndarray:
+    weights = likelihood.counts / point.probabilities - likelihood.exposure
+    grad_rho = weighted_projector_sum_oracle(likelihood.model, weights)
+    mean_shift = np.real(np.trace(grad_rho @ point.rho))
+    grad_t = (2.0 / point.trace) * (grad_rho @ point.t_mat - mean_shift * point.t_mat)
+    return np.where(np.tri(len(grad_t), dtype=bool), grad_t, 0.0)

@@ -31,7 +31,7 @@ from blindsim.tomography import (
     simulate_counts,
 )
 
-from oracles import maximally_mixed
+from oracles import gradient_oracle, likelihood_at_oracle, maximally_mixed
 
 PI = math.pi
 
@@ -300,7 +300,7 @@ class TestMle:
         evaluations = 0
         run = tomography._ascend(
             tomography._PoissonLikelihood.of(table),
-            tomography._linear_inversion(table).floored(),
+            tomography._linear_inversion(table, tomography._model_of(table)).floored(),
             max_iterations=2000,
             improvement_tol=1e-9,
         )
@@ -313,12 +313,14 @@ class TestMle:
     def test_gradient_is_the_slope_along_itself(self):
         # the line search's stop rests on |G|^2 being the slope of log L
         # along G; checked by finite differences on a four-qubit input
-        from blindsim.tomography import _PoissonLikelihood, _linear_inversion
+        from blindsim.tomography import _PoissonLikelihood, _linear_inversion, _model_of
 
         rho_true = apply_noise(lab_family_state(2, 3), NoiseParams())
         table = simulate_counts(rho_true, pauli_settings(4), 10_000, np.random.default_rng(3))
         likelihood = _PoissonLikelihood.of(table)
-        t_mat = np.linalg.cholesky(_linear_inversion(table).floored() + 1e-9 * np.eye(16))
+        t_mat = np.linalg.cholesky(
+            _linear_inversion(table, _model_of(table)).floored() + 1e-9 * np.eye(16)
+        )
         point = likelihood.at(t_mat)
         grad = likelihood.gradient(point)
         assert np.array_equal(grad, np.tril(grad))
@@ -332,7 +334,7 @@ class TestMle:
         assert abs(central - 1.0) <= 1e-5
 
     def test_likelihood_dominates_linear_inversion(self):
-        from blindsim.tomography import _linear_inversion
+        from blindsim.tomography import _linear_inversion, _model_of
 
         rng = np.random.default_rng(13)
         target = random_pure(2, rng)
@@ -340,7 +342,7 @@ class TestMle:
             DensityMatrix.from_pure(target), pauli_settings(2), 1000, rng
         )
         result = mle_reconstruct(table)
-        seed = _linear_inversion(table).floored()
+        seed = _linear_inversion(table, _model_of(table)).floored()
         projectors = np.concatenate(
             [born_probabilities(DensityMatrix.from_matrix(seed), s) for s in table.settings]
         )
@@ -441,6 +443,150 @@ class TestCertifiedStop:
         assert result.converged
         pinned = (result.iterations, result.line_search_halvings, result.log_likelihood)
         assert pinned + (_rho_digest(result),) == POISSON_PINS[name]
+
+
+def _ascend_oracle(likelihood, seed, max_iterations=2000, improvement_tol=1e-9):
+    """The ascent loop as it was before its evaluations were made cheaper,
+    on the oracle evaluations: every point it evaluates, in order, and the
+    point it ends at."""
+    point = likelihood_at_oracle(likelihood, np.linalg.cholesky(seed + 1e-9 * np.eye(len(seed))))
+    points = [point]
+    step = prev_t = prev_grad = None
+    for _ in range(max_iterations):
+        grad_t = gradient_oracle(likelihood, point)
+        norm = float(np.linalg.norm(grad_t))
+        if norm < 1e-14:
+            break
+        if prev_t is not None:
+            dt = (point.t_mat - prev_t).reshape(-1)
+            dg = (grad_t - prev_grad).reshape(-1)
+            curvature = -np.real(np.vdot(dt, dg))
+            if curvature > 1e-30:
+                step = float(np.real(np.vdot(dt, dt)) / curvature)
+        if step is None:
+            step = 1.0 / norm
+        prev_t, prev_grad = point.t_mat, grad_t
+        trial = abs(step)
+        improved = False
+        for _ in range(60):
+            if trial * norm**2 < improvement_tol * max(abs(point.log_likelihood), 1.0):
+                break
+            candidate = likelihood_at_oracle(likelihood, point.t_mat + trial * grad_t)
+            points.append(candidate)
+            if candidate.log_likelihood > point.log_likelihood:
+                improved = True
+                break
+            trial /= 2.0
+        if not improved:
+            break
+        gain = candidate.log_likelihood - point.log_likelihood
+        point = candidate
+        if gain < improvement_tol * max(abs(point.log_likelihood), 1.0):
+            break
+    return points, point
+
+
+class TestEvaluationReplay:
+    @pytest.mark.parametrize("name", ["four0", "four1", "four2", "four3", "four4"])
+    def test_ascent_replays_the_earlier_loop(self, name):
+        # every point the ascent evaluates, bit for bit and in order, as
+        # the loop before the cheaper evaluations evaluated it
+        from blindsim import tomography
+
+        table = _poisson_table(name)
+        evaluated = []
+
+        class Recording(tomography._PoissonLikelihood):
+            def at(self, t_mat):
+                evaluated.append(super().at(t_mat))
+                return evaluated[-1]
+
+        likelihood = Recording(*tomography._PoissonLikelihood.of(table))
+        seed = tomography._linear_inversion(table, likelihood.model).floored()
+        run = tomography._ascend(likelihood, seed, max_iterations=2000, improvement_tol=1e-9)
+        replayed, end = _ascend_oracle(likelihood, seed)
+        assert len(evaluated) == len(replayed) > run.iterations
+        for ours, theirs in zip(evaluated, replayed):
+            for field, a, b in zip(ours._fields, ours, theirs):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field
+        assert run.rho.tobytes() == end.rho.tobytes()
+        assert run.log_likelihood == end.log_likelihood
+
+    def test_tomography_run_pinned(self, monkeypatch):
+        # run_tomography(seed=0, mc_trials=3), pinned before the evaluations
+        # were made cheaper: the reconstruction and the three Monte Carlo
+        # resamples' MLEs, bit for bit
+        from blindsim import experiments
+
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(mle_reconstruct(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, "mle_reconstruct", recording)
+        out = experiments.run_tomography(seed=0, mc_trials=3)
+        first = results[0]
+        assert (
+            float.hex(out["fidelity_to_ideal"]),
+            float.hex(out["error_bars"]["fidelity_to_target"]),
+            float.hex(first.log_likelihood),
+            first.iterations,
+            hashlib.sha256(np.ascontiguousarray(first.rho_hat.matrix).tobytes()).hexdigest(),
+        ) == (
+            "0x1.8f0a62e2fa934p-1",
+            "0x1.3a0be74eb97f1p-11",
+            "0x1.18f9cefaac875p+22",
+            16,
+            "ed9533de018f7080fbc6ce8028f232c373b6e45d5385b30f2b25c743ea8bc192",
+        )
+        assert [(r.iterations, r.line_search_halvings, float.hex(r.log_likelihood)) for r in results] == [
+            (16, 7, "0x1.18f9cefaac875p+22"),
+            (18, 10, "0x1.188345c3f4748p+22"),
+            (20, 10, "0x1.190acf8eba8f0p+22"),
+            (18, 10, "0x1.192fc4d6e16d6p+22"),
+        ]
+
+
+class TestMalformedTables:
+    """`CountsTable` refuses what no likelihood can be built on, naming the
+    field, and `mle_reconstruct` refuses a table with nothing to maximise."""
+
+    GOOD = (pauli_settings(1), np.full((3, 2), 5.0), 10.0)
+
+    @pytest.mark.parametrize("exposure", [-1.0, math.nan, math.inf, -math.inf])
+    def test_exposure_not_finite_and_nonnegative(self, exposure):
+        with pytest.raises(ValueError, match="exposure"):
+            CountsTable(self.GOOD[0], self.GOOD[1], exposure)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 1), (3,), (3, 2, 1), (2, 2)])
+    def test_counts_not_one_row_of_2_to_the_n_per_setting(self, shape):
+        with pytest.raises(ValueError, match="counts"):
+            CountsTable(self.GOOD[0], np.ones(shape), 10.0)
+
+    def test_empty_settings(self):
+        with pytest.raises(ValueError, match="settings"):
+            CountsTable([], np.ones((0, 2)), 10.0)
+
+    @pytest.mark.parametrize("settings_", [[("X", "Y"), ("Z",)], [(), ()]])
+    def test_settings_of_unequal_or_zero_length(self, settings_):
+        with pytest.raises(ValueError, match="settings"):
+            CountsTable(settings_, np.ones((2, 2)), 10.0)
+
+    @pytest.mark.parametrize("axis", ["W", "x", "XY", 0])
+    def test_settings_with_an_axis_outside_xyz(self, axis):
+        with pytest.raises(ValueError, match="settings"):
+            CountsTable([("X",), (axis,)], np.ones((2, 2)), 10.0)
+
+    def test_mle_refuses_exposure_zero(self):
+        table = simulate_counts(maximally_mixed(1), pauli_settings(1), 0, np.random.default_rng(0))
+        assert table.exposure == 0 and not table.counts.any()
+        with pytest.raises(ValueError, match="exposure"):
+            mle_reconstruct(table)
+
+    def test_simulated_settings_checked_before_the_model(self):
+        with pytest.raises(ValueError, match="settings"):
+            simulate_counts(maximally_mixed(1), [], 10.0, np.random.default_rng(0))
 
 
 class TestMonteCarlo:

@@ -23,9 +23,12 @@ from blindsim import tomography
 from blindsim.quantum import DensityMatrix, von_neumann_entropy
 from blindsim.tomography import (
     CountsTable,
+    _gap,
     _linear_inversion,
     _measurement_model,
+    _model_of,
     _model_probabilities,
+    _PoissonLikelihood,
     _weighted_projector_sum,
     measurement_rank,
     mle_reconstruct,
@@ -33,6 +36,13 @@ from blindsim.tomography import (
     pauli_settings,
     setting_projectors,
     simulate_counts,
+)
+
+from oracles import (
+    gradient_oracle,
+    likelihood_at_oracle,
+    model_probabilities_oracle,
+    weighted_projector_sum_oracle,
 )
 
 LOG2 = math.log(2.0)
@@ -311,7 +321,10 @@ class TestTomographyKernels:
             settings = [s for s in settings if s[0] != "Z"]
         table = random_table(settings, rng)
         np.testing.assert_allclose(
-            _linear_inversion(table).floored(), reference_linear_inversion(table), rtol=0, atol=1e-12
+            _linear_inversion(table, _model_of(table)).floored(),
+            reference_linear_inversion(table),
+            rtol=0,
+            atol=1e-12,
         )
         assert _measurement_model(tuple(settings)).complete == complete
 
@@ -374,7 +387,16 @@ class TestTomographyKernels:
             for name, field in zip(model._fields, model)
             if isinstance(field, np.ndarray)
         }
-        assert set(arrays) == {"walsh", "string_index", "string_counts", "phase", "xor_index"}
+        assert set(arrays) == {
+            "walsh",
+            "string_index",
+            "string_counts",
+            "phase",
+            "xor_index",
+            "real_index",
+            "real_sign",
+            "upper_index",
+        }
         for array in arrays.values():
             with pytest.raises(ValueError):
                 array.reshape(-1)[0] = 0
@@ -478,3 +500,67 @@ class TestPauliBasisKernels:
         np.testing.assert_allclose(
             fast.rho_hat.matrix, dense.rho_hat.matrix, rtol=0, atol=1e-12
         )
+
+
+class TestEvaluationKernels:
+    """The MLE's likelihood evaluation against its earlier forms
+    (`oracles.*_oracle`), bit for bit, and the certificate's Rayleigh
+    shortcut against the eigvalsh it skips."""
+
+    @staticmethod
+    def poisson_likelihood(settings_, seed, exposure):
+        dim = 2 ** len(settings_[0])
+        rng = np.random.default_rng(seed)
+        model = _measurement_model(tuple(settings_))
+        rho = random_density(dim, int(rng.integers(1, dim + 1)), rng).matrix
+        probs = _model_probabilities(model, rho).reshape(len(settings_), dim)
+        counts = rng.poisson(exposure * np.clip(probs, 0.0, None))
+        table = CountsTable(list(settings_), counts, exposure)
+        return rng, rho, table, _PoissonLikelihood.of(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        settings_=setting_lists(st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        exposure=st.floats(1.0, 1e6),
+    )
+    def test_bit_identical_to_the_earlier_forms(self, settings_, seed, exposure):
+        rng, rho, table, likelihood = self.poisson_likelihood(settings_, seed, exposure)
+        model, dim = likelihood.model, len(rho)
+        assert (
+            _model_probabilities(model, rho).tobytes()
+            == model_probabilities_oracle(model, rho).tobytes()
+        )
+        weights = rng.normal(size=table.counts.size)
+        assert (
+            _weighted_projector_sum(model, weights).tobytes()
+            == weighted_projector_sum_oracle(model, weights).tobytes()
+        )
+        # a Cholesky factor as the ascent's trial steps make them: complex,
+        # lower triangular
+        t_mat = np.tril(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        point, oracle = likelihood.at(t_mat), likelihood_at_oracle(likelihood, t_mat)
+        for field, ours, theirs in zip(point._fields, point, oracle):
+            assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), field
+        assert likelihood.gradient(point).tobytes() == gradient_oracle(likelihood, oracle).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        exposure=st.floats(1.0, 1e6),
+        exact=st.booleans(),
+    )
+    def test_rayleigh_bound_never_exceeds_the_certificate(self, n, seed, exposure, exact):
+        # so skipping the eigvalsh when the bound clears the stopping gain
+        # leaves the certify-or-ascend decision as the full certificate makes it
+        settings_ = pauli_settings(n)
+        _, rho, table, likelihood = self.poisson_likelihood(settings_, seed, exposure)
+        if exact:
+            table = exact_counts(DensityMatrix.from_matrix(rho), settings_, exposure)
+            likelihood = _PoissonLikelihood.of(table)
+        seed_ = _linear_inversion(table, likelihood.model)
+        log_likelihood, grad_rho = likelihood.rho_gradient(seed_.projected)
+        gap = _gap(seed_.projected, grad_rho)
+        assert seed_.gap_below(grad_rho) <= gap
+        assert likelihood.certificate(seed_.projected) == (log_likelihood, gap)
