@@ -245,7 +245,11 @@ def _run(args: argparse.Namespace, parser: argparse.ArgumentParser, seed: int | 
         "fig3c": (lambda: run_fig3c(noise=noise), None, _figure_checks),
         "fig3d": (lambda: run_fig3d(noise=noise), None, _figure_checks),
         "grover": (lambda: run_grover(args.tag), branch_columns, _success_checks),
-        "deutsch": (lambda: run_deutsch(args.oracle), branch_columns, _success_checks),
+        "deutsch": (
+            lambda: run_deutsch(args.oracle),
+            branch_columns,
+            lambda t: {**_success_checks(t), "verdicts_correct": t["verdicts_correct"]},
+        ),
         "quantumness": (
             lambda: run_quantumness(seed=seed, rounds=args.rounds, stub_trials=args.stub_trials),
             None,

@@ -200,23 +200,35 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
         mat = np.asarray(matrix, dtype=complex)
-        dim = mat.shape[0]
-        n = int(round(math.log2(dim)))
-        if mat.shape != (dim, dim) or 2**n != dim:
+        if mat.ndim != 2:
             raise ValueError(f"density matrix shape {mat.shape} is not 2^n x 2^n")
-        if not np.isfinite(mat).all():
+        return cls.from_matrices(mat)[0]
+
+    @classmethod
+    def from_matrices(cls, matrices: np.ndarray) -> list["DensityMatrix"]:
+        """One density matrix per entry of a (B, d, d) stack, or of one
+        (d, d) matrix, each checked as `from_matrix` checks one, with one
+        eigvalsh.  A refusal names the worst trace or lowest eigenvalue."""
+        mats = np.asarray(matrices, dtype=complex)
+        dim = mats.shape[-1] if mats.ndim in (2, 3) else 0
+        if mats.shape[-2:] != (dim, dim) or dim < 1 or dim & (dim - 1):
+            raise ValueError(f"density matrix shape {mats.shape[-2:]} is not 2^n x 2^n")
+        if not np.isfinite(mats).all():
             raise ValueError("density matrix has a non-finite entry")
-        adjoint = mat.conj().T  # np.allclose's |a - b| <= atol + 1e-5 |b|, fused
-        if not (np.abs(mat - adjoint) <= HERMITIAN_TOL + 1e-5 * np.abs(adjoint)).all():
+        adjoint = mats.conj().swapaxes(-1, -2)  # np.allclose's |a - b| <= atol + 1e-5 |b|, fused
+        if not (np.abs(mats - adjoint) <= HERMITIAN_TOL + 1e-5 * np.abs(adjoint)).all():
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > HERMITIAN_TOL:
-            raise ValueError(f"trace {np.trace(mat)} deviates from 1")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        if eigenvalues.min() < EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {eigenvalues.min()}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        return cls(mat, n)
+        traces = mats.trace(axis1=-2, axis2=-1)
+        offsets = np.abs(traces.real - 1.0)
+        if offsets.max(initial=0.0) > HERMITIAN_TOL:
+            raise ValueError(f"trace {traces.reshape(-1)[offsets.argmax()]} deviates from 1")
+        lowest = np.linalg.eigvalsh(mats)[..., 0].min(initial=0.0)
+        if lowest < EIGENVALUE_FLOOR:
+            raise ValueError(f"negative eigenvalue {lowest}")
+        mats = mats.copy()
+        mats.setflags(write=False)
+        n = dim.bit_length() - 1
+        return [cls(mats, n)] if mats.ndim == 2 else [cls(mat, n) for mat in mats]
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":

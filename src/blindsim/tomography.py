@@ -13,6 +13,13 @@ returned at iteration 0.  On three or more qubits the bound's top
 eigenvalue is found only when the gradient's Rayleigh quotients on the
 estimate's eigenvectors, a lower bound on it, do not already rule the
 return out, as they do on Poisson counts.
+`mle_reconstruct_batch` certifies many tables of one settings tuple at
+once: the seeds' eigh, the likelihood and its gradient at the clipped
+seeds, the certificate's eigvalsh and the checks of the estimates each
+run once over the (B, d, d) stack, and only the tables left uncertified
+run the ascent, one at a time.  `mle_reconstruct` is its batch of one, and
+`exact_counts_batch` likewise builds many exact tables from one stacked
+evaluation, so Deutsch's ten verdict tomographies are one call each.
 Error bars come from re-running an extractor on Poisson-resampled counts.
 
 The measurement model lives in the Pauli basis.  Each outcome projector of
@@ -55,6 +62,10 @@ _EIGENBASES = {
 
 # below numpy's Poisson limit (~9.22e18) by more than a probability rounded past 1
 MAX_MEAN_TOTAL = 9e18
+# the ascent's iteration cap, and its stopping gain relative to |log L|,
+# which the certificate also has to meet
+MAX_ITERATIONS = 2000
+IMPROVEMENT_TOL = 1e-9
 
 
 def pauli_settings(num_qubits: int) -> list[tuple[str, ...]]:
@@ -111,7 +122,7 @@ class CountsTable:
                 f"counts of shape {counts.shape}: need {(len(self.settings), 2**n)},"
                 f" a row of 2^{n} outcomes per setting"
             )
-        if not np.isfinite(counts).all() or (counts < 0).any():
+        if not (counts.min() >= 0 and counts.max() < math.inf):  # NaN fails both
             raise ValueError("counts must be finite and nonnegative")
         if not (math.isfinite(self.exposure) and self.exposure >= 0):
             raise ValueError(f"exposure = {self.exposure}: must be finite and nonnegative")
@@ -136,7 +147,8 @@ def simulate_counts(
     """
     if not 0.0 <= mean_total <= MAX_MEAN_TOTAL:  # NaN fails too
         raise ValueError(f"mean_total = {mean_total} outside [0, {MAX_MEAN_TOTAL:g}]")
-    model = _measurement_model(tuple(tuple(s) for s in settings))
+    model = _measurement_model(_settings_key(settings))
+    _check_width(model, [rho.num_qubits], "state")
     probs = _model_probabilities(model, rho.matrix).reshape(len(settings), -1)
     probs = np.clip(np.where(np.abs(probs) < 1e-15, 0.0, probs), 0.0, None)
     return CountsTable(list(settings), rng.poisson(mean_total * probs), mean_total)
@@ -147,9 +159,21 @@ def exact_counts(
 ) -> CountsTable:
     """Infinite-statistics limit: counts equal exposure * probabilities, all
     read from the settings' Pauli-basis model in one evaluation."""
-    model = _measurement_model(tuple(tuple(s) for s in settings))
-    probs = _model_probabilities(model, rho.matrix).reshape(len(settings), -1)
-    return CountsTable(list(settings), np.clip(probs, 0.0, None) * exposure, exposure)
+    return exact_counts_batch([rho], settings, exposure)[0]
+
+
+def exact_counts_batch(
+    states: Sequence[DensityMatrix], settings: Sequence[tuple[str, ...]], exposure: float = 1.0
+) -> list[CountsTable]:
+    """`exact_counts` of each state, every state's probabilities read from
+    the settings' model in one evaluation over the stacked matrices."""
+    if not states:
+        raise ValueError("no states to count")
+    model = _measurement_model(_settings_key(settings))
+    _check_width(model, [rho.num_qubits for rho in states], "state")
+    probs = _model_probabilities(model, np.array([rho.matrix for rho in states]))
+    counts = (np.clip(probs, 0.0, None) * exposure).reshape(len(states), len(settings), -1)
+    return [CountsTable(list(settings), rows, exposure) for rows in counts]
 
 
 @dataclass(frozen=True)
@@ -223,8 +247,26 @@ def _measurement_model(settings: tuple[tuple[str, ...], ...]) -> _MeasurementMod
     return model
 
 
+def _settings_key(settings: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
+    """The settings as the hashable tuple that `_measurement_model` caches by."""
+    return tuple(map(tuple, settings))
+
+
 def _model_of(table: CountsTable) -> _MeasurementModel:
-    return _measurement_model(tuple(tuple(s) for s in table.settings))
+    return _measurement_model(_settings_key(table.settings))
+
+
+def _check_width(model: _MeasurementModel, widths: Sequence[int], what: str) -> None:
+    """Refuse a state or target whose width is not the settings' width."""
+    width = len(model.walsh).bit_length() - 1
+    for num_qubits in widths:
+        if num_qubits != width:
+            raise ValueError(f"a {what} of width {num_qubits}: the settings have width {width}")
+
+
+# The kernels below take one matrix or a (B, ...) stack of them.  Each
+# matrix of a stack goes through the same BLAS calls as alone, and one
+# matrix takes no call that a kernel for one alone would not make.
 
 
 def _model_probabilities(model: _MeasurementModel, rho: np.ndarray) -> np.ndarray:
@@ -232,45 +274,79 @@ def _model_probabilities(model: _MeasurementModel, rho: np.ndarray) -> np.ndarra
     Tr(rho P)[z, x] = Re(i^{popcount(x & z)} W[z, x]), W = walsh @ M, where
     M[a, x] = rho[a, a ^ x]; here each is divided by d.  W is one real
     product over M's interleaved real and imaginary parts, and every
-    measured expectation is one gather from it."""
-    pairs = rho.take(model.xor_index).astype(np.complex128, copy=False).view(np.float64)
-    scaled = (model.walsh @ pairs).take(model.real_index)
+    measured expectation is one gather from it.  A stack gives one row of
+    probabilities per matrix."""
+    if rho.ndim == 2:
+        pairs = rho.take(model.xor_index)
+    else:  # a stack: each matrix gathered from its own entries
+        pairs = rho.reshape(len(rho), -1).take(model.xor_index, axis=1)
+    products = model.walsh @ pairs.astype(np.complex128, copy=False).view(np.float64)
+    if rho.ndim == 2:
+        scaled = products.take(model.real_index)
+    else:
+        scaled = products.reshape(len(rho), -1).take(model.real_index, axis=1)
     scaled *= model.real_sign
-    return (scaled @ model.walsh).reshape(-1)
+    probabilities = scaled @ model.walsh
+    return probabilities.reshape(-1) if rho.ndim == 2 else probabilities.reshape(len(rho), -1)
 
 
 def _pauli_sum(model: _MeasurementModel, coefficients: np.ndarray) -> np.ndarray:
-    """G = (1/d) sum_s c_s P_s for real c.  With C[z, x] = c_{z 2^n + x},
-    G[a ^ x, a] = (walsh @ (C * i^{popcount(x & z)}))[a, x] / d, the
-    product taken over C's interleaved real and imaginary parts."""
+    """G = (1/d) sum_s c_s P_s for real c, given as C[z, x] = c_{z 2^n + x}
+    (or a stack of such C): G[a ^ x, a] = (walsh @ (C * i^{popcount(x &
+    z)}))[a, x] / d, the product taken over C's interleaved real and
+    imaginary parts."""
+    pairs = (coefficients * model.phase).view(np.float64)
+    products = (model.walsh @ pairs).view(np.complex128)
+    if coefficients.ndim == 2:
+        return products.take(model.xor_index).T
+    return products.reshape(len(products), -1).take(model.xor_index, axis=1).swapaxes(1, 2)
+
+
+def _string_sums(model: _MeasurementModel, rows: np.ndarray) -> np.ndarray:
+    """Per-setting rows (K, 2^n), or a stack of them, to each Pauli string's
+    sum of the rows' Walsh transforms over the (setting, subset) pairs that
+    measure it, added in that order by one bincount: string z 2^n + x at
+    [z, x] of a (2^n, 2^n) array, or of one per table of a stack."""
     dim = len(model.walsh)
-    pairs = (coefficients.reshape(dim, dim) * model.phase).view(np.float64)
-    return (model.walsh @ pairs).view(np.complex128).take(model.xor_index).T
+    index = model.string_index.reshape(-1)
+    walshed = (rows @ model.walsh).reshape(-1)
+    if rows.ndim == 2:
+        return np.bincount(index, weights=walshed, minlength=dim * dim).reshape(dim, dim)
+    tables = len(rows)
+    if tables > 1:  # each table's strings in bins of their own
+        index = (np.arange(tables)[:, None] * (dim * dim) + index).reshape(-1)
+    sums = np.bincount(index, weights=walshed, minlength=tables * dim * dim)
+    return sums.reshape(tables, dim, dim)
 
 
 def _weighted_projector_sum(model: _MeasurementModel, weights: np.ndarray) -> np.ndarray:
     """sum_{k,o} w_{k,o} Pi_{k,o}, the adjoint of `_model_probabilities`."""
     dim = len(model.walsh)
-    per_string = np.bincount(
-        model.string_index.reshape(-1),
-        weights=(weights.reshape(-1, dim) @ model.walsh).reshape(-1),
-        minlength=dim * dim,
+    rows = (
+        weights.reshape(-1, dim) if weights.ndim == 1 else weights.reshape(len(weights), -1, dim)
     )
-    return _pauli_sum(model, per_string)
+    return _pauli_sum(model, _string_sums(model, rows))
 
 
 class _Seed(NamedTuple):
-    """The linear-inversion estimate's eigendecomposition, projected to the
-    PSD cone two ways: clipped at once, floored only for an ascent."""
+    """A linear-inversion estimate's eigendecomposition, projected to the
+    PSD cone two ways: clipped at once, floored only for an ascent.  From a
+    stack of tables the fields are stacked too, and `tables` splits them."""
 
     vals: np.ndarray
     vecs: np.ndarray
     projected: np.ndarray  # eigenvalues clipped at 0: the certified candidate
-    clipped: int  # eigenvalues the floor raises
+    clipped: int | np.ndarray  # eigenvalues the floor raises
+
+    def tables(self) -> list["_Seed"]:
+        """One seed per table, each of a stack a view of its entries."""
+        if self.vals.ndim == 1:
+            return [self]
+        return list(map(_Seed, self.vals, self.vecs, self.projected, self.clipped.tolist()))
 
     def floored(self) -> np.ndarray:
         """Eigenvalues raised to 1e-6: the ascent's start."""
-        floored = (self.vecs * np.clip(self.vals, 1e-6, None)) @ self.vecs.conj().T
+        floored = (self.vecs * np.maximum(self.vals, 1e-6)) @ self.vecs.conj().T
         floored /= floored.trace().real
         return floored
 
@@ -285,25 +361,30 @@ class _Seed(NamedTuple):
         return float(quotients.max() - np.vdot(self.projected, grad_rho).real - margin)
 
 
-def _linear_inversion(table: CountsTable, model: _MeasurementModel) -> _Seed:
-    """Pauli-expectation inversion, projected to the PSD cone; MLE seed.
+def _linear_inversions(counts: np.ndarray, model: _MeasurementModel) -> _Seed:
+    """Pauli-expectation inversion of one table's counts (K 2^n of them, in
+    setting order), or of each table of a stack of them with one eigh,
+    projected to the PSD cone: the MLE's seeds.
 
     Each Pauli string's expectation is the mean of its estimates over every
     setting that measures it, each estimate a parity of the outcome bits.
     """
-    totals = table.counts.sum(axis=1)
-    freqs = table.counts / np.where(totals > 0, totals, 1.0)[:, None]
-    sums = np.bincount(
-        model.string_index.reshape(-1),
-        weights=(freqs @ model.walsh).reshape(-1),
-        minlength=len(model.string_counts),
-    )
-    means = sums / np.maximum(model.string_counts, 1)
-    means[0] = 1.0  # the identity string: Tr rho = 1
+    dim = len(model.walsh)
+    rows = counts.reshape(counts.shape[:-1] + (-1, dim))
+    totals = rows.sum(axis=-1)
+    freqs = rows / np.where(totals > 0, totals, 1.0)[..., None]
+    means = _string_sums(model, freqs) / np.maximum(model.string_counts, 1).reshape(dim, dim)
+    means[..., 0, 0] = 1.0  # the identity string: Tr rho = 1
     vals, vecs = np.linalg.eigh(_pauli_sum(model, means))
-    projected = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    projected /= projected.trace().real
-    return _Seed(vals, vecs, projected, int(np.count_nonzero(vals < 1e-6)))
+    # np.maximum is the ufunc np.clip calls for a floor alone, without its wrappers
+    projected = (vecs * np.maximum(vals, 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    projected /= projected.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return _Seed(vals, vecs, projected, (vals < 1e-6).sum(axis=-1))
+
+
+def _linear_inversion(table: CountsTable, model: _MeasurementModel) -> _Seed:
+    """One table's seed."""
+    return _linear_inversions(table.counts.reshape(-1), model)
 
 
 def measurement_rank(settings: Sequence[tuple[str, ...]], dim: int) -> int:
@@ -322,33 +403,63 @@ class _Point(NamedTuple):  # one likelihood evaluation at a Cholesky factor T
 
 def _gap(rho: np.ndarray, grad_rho: np.ndarray) -> float:
     """lambda_max(R) - Tr(rho R), the certificate's bound on log L* - log L(rho)."""
-    return float(np.linalg.eigvalsh(grad_rho)[-1] - np.vdot(rho, grad_rho).real)
+    return _gaps(rho[None], grad_rho[None])[0]
+
+
+def _gaps(rhos: np.ndarray, grad_rhos: np.ndarray) -> list[float]:
+    """`_gap` of each pair of two (B, d, d) stacks, with one eigvalsh."""
+    tops = np.linalg.eigvalsh(grad_rhos)[:, -1]
+    return [float(top - np.vdot(rho, grad).real) for top, rho, grad in zip(tops, rhos, grad_rhos)]
 
 
 class _PoissonLikelihood(NamedTuple):
-    """log L(rho) = sum_k n_k ln(mu_k) - mu_k, with mu_k = exposure * p_k(rho)."""
+    """log L(rho) = sum_k n_k ln(mu_k) - mu_k, with mu_k = exposure * p_k(rho).
+
+    With counts (B, K 2^n) and exposures (B, 1) it is B likelihoods,
+    evaluated at a (B, d, d) stack of states (`stacked`), and `table`
+    takes one of them."""
 
     model: _MeasurementModel
     counts: np.ndarray
-    exposure: float
+    exposure: float | np.ndarray
 
     @classmethod
-    def of(cls, table: CountsTable) -> "_PoissonLikelihood":
-        return cls(_model_of(table), table.counts.reshape(-1), table.exposure)
+    def of(
+        cls, table: CountsTable, model: _MeasurementModel | None = None
+    ) -> "_PoissonLikelihood":
+        """One table's likelihood, under its settings' model unless given."""
+        return cls(model or _model_of(table), table.counts.reshape(-1), table.exposure)
+
+    @classmethod
+    def stacked(
+        cls, tables: Sequence[CountsTable], model: _MeasurementModel
+    ) -> "_PoissonLikelihood":
+        """One table's likelihood, or the B likelihoods of many on their stack."""
+        if len(tables) == 1:
+            return cls.of(tables[0], model)
+        counts = np.array([table.counts.reshape(-1) for table in tables])
+        return cls(model, counts, np.array([[table.exposure] for table in tables]))
+
+    def table(self, b: int) -> "_PoissonLikelihood":
+        """Table b's likelihood."""
+        if self.counts.ndim == 1:
+            return self
+        return _PoissonLikelihood(self.model, self.counts[b], float(self.exposure[b, 0]))
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         probabilities = _model_probabilities(self.model, rho)
         return np.maximum(probabilities, 1e-15, out=probabilities)
 
     def value(self, rho: np.ndarray) -> float:
-        return self._value_at(self.probabilities(rho))
+        return float(self._value_at(self.probabilities(rho)))
 
-    def _value_at(self, probabilities: np.ndarray) -> float:
+    def _value_at(self, probabilities: np.ndarray) -> np.ndarray:
+        """log L of each table: a 0-d array for one."""
         mu = probabilities * self.exposure
         terms = np.log(mu)
         terms *= self.counts
         terms -= mu
-        return float(terms.sum())
+        return np.add.reduce(terms, axis=-1)  # ndarray.sum's reduction, unwrapped
 
     def _rho_gradient_at(self, probabilities: np.ndarray) -> np.ndarray:
         """R = sum_k (n_k / p_k - exposure) Pi_k, log L's gradient in rho."""
@@ -362,12 +473,12 @@ class _PoissonLikelihood(NamedTuple):
         trace = rho.trace().real
         rho /= trace
         probabilities = self.probabilities(rho)
-        return _Point(t_mat, rho, trace, probabilities, self._value_at(probabilities))
+        return _Point(t_mat, rho, trace, probabilities, float(self._value_at(probabilities)))
 
     def rho_gradient(self, rho: np.ndarray) -> tuple[float, np.ndarray]:
         """log L(rho) and R, from one evaluation."""
         probabilities = self.probabilities(rho)
-        return self._value_at(probabilities), self._rho_gradient_at(probabilities)
+        return float(self._value_at(probabilities)), self._rho_gradient_at(probabilities)
 
     def certificate(self, rho: np.ndarray) -> tuple[float, float]:
         """log L(rho) and the bound lambda_max(R) - Tr(rho R) on log L* -
@@ -464,51 +575,87 @@ def _ascend(
     return _Ascent(point.rho, point.log_likelihood, converged, iterations, norm, halvings)
 
 
-def mle_reconstruct(
-    table: CountsTable,
-    target: PureState | None = None,
-    max_iterations: int = 2000,
-    improvement_tol: float = 1e-9,
-) -> MLEResult:
-    """Most likely physical density matrix under the Poisson count model.
+def mle_reconstruct(table: CountsTable, target: PureState | None = None) -> MLEResult:
+    """Most likely physical density matrix under the Poisson count model:
+    the batch of one of `mle_reconstruct_batch`.
 
     The linear-inversion estimate with its negative eigenvalues clipped to 0
     is returned at once, converged at iteration 0, when the concavity
     certificate (`_PoissonLikelihood.certificate`) proves it within the
-    stopping gain improvement_tol * max(|log L|, 1) of the maximum.  Noise-
+    stopping gain IMPROVEMENT_TOL * max(|log L|, 1) of the maximum.  Noise-
     free counts certify this way.  Otherwise, as for Poisson counts, the
     ascent runs from the estimate with its eigenvalues floored at 1e-6.
     """
-    if table.exposure == 0:
-        raise ValueError("exposure = 0: the counts have no likelihood to maximise")
-    likelihood = _PoissonLikelihood.of(table)
-    if not likelihood.model.complete:
-        raise ValueError("settings are not informationally complete")
+    return mle_reconstruct_batch([table], target)[0]
 
-    seed = _linear_inversion(table, likelihood.model)
-    ll, grad_rho = likelihood.rho_gradient(seed.projected)
-    stop = improvement_tol * max(abs(ll), 1.0)
+
+def mle_reconstruct_batch(
+    tables: Sequence[CountsTable], target: PureState | None = None
+) -> list[MLEResult]:
+    """`mle_reconstruct` of each table, for tables of one settings tuple.
+
+    The linear-inversion seeds, the likelihood and its gradient R at the
+    clipped seeds, the certificates' top eigenvalues and the checks of the
+    estimates each run once over the (B, d, d) stack; a batch of one runs
+    them on its own (d, d) matrices, with no stack to build.  The tables
+    that the certificate does not settle run the ascent one at a time, in
+    order.
+    """
+    if not tables:
+        raise ValueError("no tables to reconstruct")
+    keys = [_settings_key(table.settings) for table in tables]
+    if keys.count(keys[0]) < len(keys):
+        raise ValueError("the tables must share one settings tuple")
+    if any(table.exposure == 0 for table in tables):
+        raise ValueError("exposure = 0: the counts have no likelihood to maximise")
+    model = _measurement_model(keys[0])
+    if not model.complete:
+        raise ValueError("settings are not informationally complete")
+    if target is not None:
+        _check_width(model, [target.num_qubits], "target")
+
+    # one table runs on its own arrays and many on their stack: each step
+    # below takes either, each matrix of a stack as it runs alone
+    likelihoods = _PoissonLikelihood.stacked(tables, model)
+    stacked = _linear_inversions(likelihoods.counts, model)
+    probabilities = likelihoods.probabilities(stacked.projected)
+    lls = likelihoods._value_at(probabilities).reshape(-1).tolist()
+    grad_rho = likelihoods._rho_gradient_at(probabilities)
+    grads = [grad_rho] if grad_rho.ndim == 2 else list(grad_rho)
+    seeds = stacked.tables()
+    stops = [IMPROVEMENT_TOL * max(abs(ll), 1.0) for ll in lls]
     # the Rayleigh bound settles most tables that cannot certify, and from
     # d = 8 on it costs less than the eigvalsh it skips
-    ruled_out = len(grad_rho) >= 8 and seed.gap_below(grad_rho) > stop
-    if not ruled_out and _gap(seed.projected, grad_rho) <= stop:
-        run = _Ascent(seed.projected, ll, True, 0, math.nan, 0)
-    else:
-        run = _ascend(likelihood, seed.floored(), max_iterations, improvement_tol)
+    open_ = [
+        b for b, (seed, grad, stop) in enumerate(zip(seeds, grads, stops))
+        if len(model.walsh) < 8 or not seed.gap_below(grad) > stop
+    ]
+    gaps = {}
+    if open_:
+        candidates = np.array([seeds[b].projected for b in open_])
+        gaps = dict(zip(open_, _gaps(candidates, np.array([grads[b] for b in open_]))))
+    runs = [
+        _Ascent(seed.projected, ll, True, 0, math.nan, 0) if gaps.get(b, math.inf) <= stop
+        else _ascend(likelihoods.table(b), seed.floored(), MAX_ITERATIONS, IMPROVEMENT_TOL)
+        for b, (seed, ll, stop) in enumerate(zip(seeds, lls, stops))
+    ]
 
-    rho_hat = DensityMatrix.from_matrix(run.rho)
-    fid = fidelity_pure(rho_hat, target) if target is not None else None
-    return MLEResult(
-        rho_hat=rho_hat,
-        log_likelihood=run.log_likelihood,
-        fidelity_to_target=fid,
-        error_bars={},
-        converged=run.converged,
-        iterations=run.iterations,
-        gradient_norm=run.gradient_norm,
-        line_search_halvings=run.halvings,
-        seed_clipped_eigenvalues=seed.clipped,
-    )
+    rhos = runs[0].rho if len(runs) == 1 else np.array([run.rho for run in runs])
+    rho_hats = DensityMatrix.from_matrices(rhos)
+    return [
+        MLEResult(
+            rho_hat=rho_hat,
+            log_likelihood=run.log_likelihood,
+            fidelity_to_target=fidelity_pure(rho_hat, target) if target is not None else None,
+            error_bars={},
+            converged=run.converged,
+            iterations=run.iterations,
+            gradient_norm=run.gradient_norm,
+            line_search_halvings=run.halvings,
+            seed_clipped_eigenvalues=int(seed.clipped),
+        )
+        for rho_hat, run, seed in zip(rho_hats, runs, seeds)
+    ]
 
 
 def monte_carlo_errors(

@@ -8,7 +8,8 @@ executable form: the server's view of one blind qubit given its delta.
 evaluations are the MLE's earlier forms (a complex phase product and its
 real part, a gather by Pauli string, out-of-place arithmetic and the numpy
 wrappers), which the fewer-call kernels of `tomography` must match bit for
-bit.
+bit.  `deutsch_oracle` is `run_deutsch` with one `exact_counts` and one
+`mle_reconstruct` per output, the loop the batched tomography replaced.
 The three small helpers stand in for what a library caller reaches with
 one public expression.
 """
@@ -21,10 +22,33 @@ import numpy as np
 
 from blindsim.angles import Angle8
 from blindsim.clusters import ClusterConfig, GraphSpec
+from blindsim.experiments import (
+    DEUTSCH_ORACLE_ANGLES,
+    DEUTSCH_PHI,
+    DEUTSCH_VERDICT_STATE,
+    REPORTED_VALUES,
+    _deutsch_outputs,
+)
 from blindsim.mbqc import _input_steps, _prep_step
 from blindsim.protocol import _GRID_KETS
-from blindsim.quantum import HADAMARD, DensityMatrix, PureState, phase_gate, rx, rz
-from blindsim.tomography import _MeasurementModel, _Point, _PoissonLikelihood
+from blindsim.quantum import (
+    HADAMARD,
+    DensityMatrix,
+    PureState,
+    fidelity_pure,
+    phase_gate,
+    rx,
+    rz,
+)
+from blindsim.tomography import (
+    _MeasurementModel,
+    _Point,
+    _PoissonLikelihood,
+    exact_counts,
+    mle_reconstruct,
+    pauli_settings,
+)
+from blindsim.verification import ALIGNED10
 
 
 def phase_insensitive_fidelity(a: PureState, b: PureState) -> float:
@@ -174,3 +198,41 @@ def gradient_oracle(likelihood: _PoissonLikelihood, point: _Point) -> np.ndarray
     mean_shift = np.real(np.trace(grad_rho @ point.rho))
     grad_t = (2.0 / point.trace) * (grad_rho @ point.t_mat - mean_shift * point.t_mat)
     return np.where(np.tri(len(grad_t), dtype=bool), grad_t, 0.0)
+
+
+def deutsch_oracle(oracle: str) -> dict:
+    """`run_deutsch`'s table, its tomography one table at a time."""
+    if oracle not in DEUTSCH_ORACLE_ANGLES:
+        raise ValueError("oracle must be 'constant' or 'balanced'")
+    phi = DEUTSCH_PHI[oracle]
+    verdict = DEUTSCH_VERDICT_STATE[oracle].amplitudes
+    settings1 = pauli_settings(1)
+    branches, outputs = _deutsch_outputs(oracle, ALIGNED10)
+    fidelity = np.abs(branches.corrected @ verdict.conj()) ** 2
+    success = np.where(~branches.impossible, branches.probability * fidelity, 0.0).sum(axis=1)
+    rows = []
+    for b, (n2, n3) in enumerate(ALIGNED10):
+        output = PureState.from_amplitudes(outputs[b])
+        counts = exact_counts(DensityMatrix.from_pure(output), settings1)
+        rho_hat = mle_reconstruct(counts).rho_hat
+        f_constant = fidelity_pure(rho_hat, DEUTSCH_VERDICT_STATE["constant"])
+        f_balanced = fidelity_pure(rho_hat, DEUTSCH_VERDICT_STATE["balanced"])
+        rows.append(
+            {
+                "n2": n2,
+                "n3": n3,
+                "success_probability": float(success[b]),
+                "tomography_verdict": "constant" if f_constant >= f_balanced else "balanced",
+                "verdict_fidelity": max(f_constant, f_balanced),
+            }
+        )
+    successes = [row["success_probability"] for row in rows]
+    return {
+        "config": {"experiment": "deutsch"},
+        "oracle": oracle,
+        "phi_eighths": {str(q): angle.eighths for q, angle in phi.items()},
+        "rows": rows,
+        "success_min": min(successes),
+        "verdicts_correct": all(r["tomography_verdict"] == oracle for r in rows),
+        "reported_reference": REPORTED_VALUES[f"deutsch_{oracle}_success"],
+    }

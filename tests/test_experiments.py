@@ -192,6 +192,12 @@ class TestDeutsch:
                 assert row["tomography_verdict"] == oracle
                 assert abs(row["verdict_fidelity"] - 1.0) <= 1e-12
 
+    def test_batched_tomography_matches_the_per_table_loop(self):
+        from oracles import deutsch_oracle
+
+        for oracle in ("constant", "balanced"):
+            assert run_deutsch(oracle) == deutsch_oracle(oracle)
+
     def test_output_states_pinned(self):
         # every corrected output of the family, bit for bit
         digest = hashlib.sha256()
@@ -556,6 +562,7 @@ FORCED_FAILURES = [
      "rows.fidelity_to_target"),
     (["grover"], "run_grover", lambda t: {**t, "success_min": 0.5}, "success_min"),
     (["deutsch", "--csv"], "run_deutsch", lambda t: {**t, "success_min": 0.5}, "success_min"),
+    (["deutsch"], "run_deutsch", lambda t: {**t, "verdicts_correct": False}, "verdicts_correct"),
     (["quantumness", "--rounds", "500"], "run_quantumness",
      lambda t: {**t, "honest": {**t["honest"], "verdict": "classical-suspect"}}, "honest.verdict"),
     (["quantumness", "--rounds", "500"], "run_quantumness",

@@ -23,8 +23,10 @@ from blindsim.quantum import (
 from blindsim.tomography import (
     CountsTable,
     exact_counts,
+    exact_counts_batch,
     measurement_rank,
     mle_reconstruct,
+    mle_reconstruct_batch,
     monte_carlo_errors,
     pauli_settings,
     setting_projectors,
@@ -548,6 +550,154 @@ class TestEvaluationReplay:
         ]
 
 
+def _result_fields(result) -> tuple:
+    """Every field of an MLEResult, floats by their bits (NaN included)."""
+    hexed = lambda x: None if x is None else float.hex(x)
+    return (
+        result.rho_hat.matrix.tobytes(),
+        result.rho_hat.num_qubits,
+        hexed(result.log_likelihood),
+        hexed(result.fidelity_to_target),
+        result.error_bars,
+        result.converged,
+        result.iterations,
+        hexed(result.gradient_norm),
+        result.line_search_halvings,
+        result.seed_clipped_eigenvalues,
+    )
+
+
+class TestBatch:
+    """`mle_reconstruct_batch` and `exact_counts_batch` against their
+    batches of one, field by field and bit for bit."""
+
+    @staticmethod
+    def assert_matches_batches_of_one(tables, target=None):
+        batched = mle_reconstruct_batch(tables, target)
+        assert len(batched) == len(tables)
+        for table, result in zip(tables, batched):
+            assert _result_fields(result) == _result_fields(mle_reconstruct(table, target))
+        return batched
+
+    @staticmethod
+    def exact_tables(states):
+        settings = pauli_settings(states[0].num_qubits)
+        tables = exact_counts_batch(states, settings)
+        for rho, table in zip(states, tables):
+            alone = exact_counts(rho, settings)
+            assert table.settings == alone.settings and table.exposure == alone.exposure
+            assert table.counts.tobytes() == alone.counts.tobytes()
+        return tables
+
+    def test_deutsch_tables(self):
+        from blindsim.experiments import deutsch_output_state
+        from blindsim.verification import ALIGNED10
+
+        states = [
+            DensityMatrix.from_pure(deutsch_output_state(oracle, n2, n3))
+            for oracle in ("constant", "balanced")
+            for n2, n3 in ALIGNED10
+        ]
+        results = self.assert_matches_batches_of_one(self.exact_tables(states))
+        assert all(r.converged and r.iterations == 0 for r in results)
+
+    def test_noise_free_states(self):
+        states = TestCertifiedStop.noise_free_states()
+        for num_qubits in (1, 2, 3):
+            group = [rho for rho in states if rho.num_qubits == num_qubits]
+            target = PureState.computational(num_qubits, 1)
+            self.assert_matches_batches_of_one(self.exact_tables(group), target)
+
+    def test_four_qubit_poisson_tables(self):
+        tables = [_poisson_table(f"four{seed}") for seed in range(5)]
+        results = self.assert_matches_batches_of_one(tables, lab_family_state(2, 3))
+        assert all(r.iterations > 0 for r in results)
+
+    def test_certified_and_uncertified_tables_mixed(self):
+        rng = np.random.default_rng(31)
+        exact = self.exact_tables([random_density(2, rank, rng) for rank in (1, 2, 4)])
+        poisson = [_poisson_table(name) for name in ("pure2_5", "pure2_7", "pure2_13")]
+        tables = [exact[0], poisson[0], poisson[1], exact[1], poisson[2], exact[2]]
+        results = self.assert_matches_batches_of_one(tables)
+        assert [r.iterations == 0 for r in results] == [True, False, False, True, False, True]
+
+    def test_empty_batch_refused(self):
+        with pytest.raises(ValueError, match="no tables"):
+            mle_reconstruct_batch([])
+        with pytest.raises(ValueError, match="no states"):
+            exact_counts_batch([], pauli_settings(1))
+
+    def test_mixed_settings_refused(self):
+        rho = maximally_mixed(1)
+        tables = [exact_counts(rho, pauli_settings(1)), exact_counts(rho, [("Z",), ("Y",), ("X",)])]
+        with pytest.raises(ValueError, match="one settings tuple"):
+            mle_reconstruct_batch(tables)
+        wide = exact_counts(maximally_mixed(2), pauli_settings(2))
+        with pytest.raises(ValueError, match="one settings tuple"):
+            mle_reconstruct_batch([tables[0], wide])
+
+    def test_deutsch_tomography_runs_each_step_once(self, monkeypatch):
+        # ten outputs: one evaluation for the counts and one at the seeds,
+        # one eigh for the seeds, one eigvalsh for the certificates and one
+        # for the checks of the estimates, and no one-matrix validation
+        import blindsim.tomography as tomography
+        from blindsim.experiments import run_deutsch
+
+        calls = {"probabilities": 0, "eigh": 0, "eigvalsh": 0, "from_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            tomography, "_model_probabilities", counted("probabilities", tomography._model_probabilities)
+        )
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(
+            DensityMatrix, "from_matrix", counted("from_matrix", DensityMatrix.from_matrix)
+        )
+        assert run_deutsch("balanced")["verdicts_correct"]
+        assert calls == {"probabilities": 2, "eigh": 1, "eigvalsh": 2, "from_matrix": 0}
+
+
+class TestWidths:
+    """A state or target whose number of qubits is not the settings' is
+    refused, with both widths named."""
+
+    def test_exact_counts_of_a_wider_state(self):
+        rho = DensityMatrix.from_pure(PureState.computational(2, 1))
+        with pytest.raises(ValueError, match="a state of width 2: the settings have width 1"):
+            exact_counts(rho, pauli_settings(1))
+
+    def test_exact_counts_of_a_narrower_state(self):
+        with pytest.raises(ValueError, match="a state of width 1: the settings have width 2"):
+            exact_counts(maximally_mixed(1), pauli_settings(2))
+
+    def test_batch_with_one_state_of_another_width(self):
+        states = [maximally_mixed(1), maximally_mixed(2), maximally_mixed(1)]
+        with pytest.raises(ValueError, match="a state of width 2: the settings have width 1"):
+            exact_counts_batch(states, pauli_settings(1))
+
+    def test_simulated_counts_of_a_narrower_state(self):
+        with pytest.raises(ValueError, match="a state of width 1: the settings have width 2"):
+            simulate_counts(maximally_mixed(1), pauli_settings(2), 100.0, np.random.default_rng(0))
+
+    def test_simulated_counts_of_a_wider_state(self):
+        with pytest.raises(ValueError, match="a state of width 2: the settings have width 1"):
+            simulate_counts(maximally_mixed(2), pauli_settings(1), 100.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("num_qubits", [1, 3])
+    def test_mle_target_of_another_width(self, num_qubits):
+        table = exact_counts(maximally_mixed(2), pauli_settings(2))
+        with pytest.raises(
+            ValueError, match=f"a target of width {num_qubits}: the settings have width 2"
+        ):
+            mle_reconstruct(table, target=PureState.computational(num_qubits, 0))
+
+
 class TestMalformedTables:
     """`CountsTable` refuses what no likelihood can be built on, naming the
     field, and `mle_reconstruct` refuses a table with nothing to maximise."""
@@ -558,6 +708,13 @@ class TestMalformedTables:
     def test_exposure_not_finite_and_nonnegative(self, exposure):
         with pytest.raises(ValueError, match="exposure"):
             CountsTable(self.GOOD[0], self.GOOD[1], exposure)
+
+    @pytest.mark.parametrize("entry", [-1.0, math.nan, math.inf, -math.inf])
+    def test_counts_not_finite_and_nonnegative(self, entry):
+        counts = self.GOOD[1].copy()
+        counts[2, 1] = entry
+        with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
+            CountsTable(self.GOOD[0], counts, 10.0)
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 1), (3,), (3, 2, 1), (2, 2)])
     def test_counts_not_one_row_of_2_to_the_n_per_setting(self, shape):
@@ -577,6 +734,13 @@ class TestMalformedTables:
     def test_settings_with_an_axis_outside_xyz(self, axis):
         with pytest.raises(ValueError, match="settings"):
             CountsTable([("X",), (axis,)], np.ones((2, 2)), 10.0)
+
+    @pytest.mark.parametrize("exposure", [-1.0, math.nan, math.inf])
+    def test_exact_tables_of_a_bad_exposure(self, exposure):
+        # each table of a batch goes through the constructor's checks
+        for states in ([maximally_mixed(1)], [maximally_mixed(1)] * 2):
+            with pytest.raises(ValueError, match="counts must be finite and nonnegative"):
+                exact_counts_batch(states, pauli_settings(1), exposure)
 
     def test_mle_refuses_exposure_zero(self):
         table = simulate_counts(maximally_mixed(1), pauli_settings(1), 0, np.random.default_rng(0))

@@ -286,6 +286,48 @@ class TestHermitianCheck:
             DensityMatrix.from_matrix(mat)
 
 
+class TestStackedDensityMatrices:
+    """`from_matrices` checks a stack as `from_matrix` checks each entry."""
+
+    GOOD = [np.eye(2) / 2, np.array([[0.5, 0.5j], [-0.5j, 0.5]]), np.diag([1.0, 0.0])]
+
+    def test_each_entry_as_from_matrix_makes_it(self):
+        stacked = DensityMatrix.from_matrices(np.array(self.GOOD))
+        assert len(stacked) == len(self.GOOD)
+        for rho, mat in zip(stacked, self.GOOD):
+            alone = DensityMatrix.from_matrix(mat)
+            assert rho.num_qubits == alone.num_qubits == 1
+            assert rho.matrix.tobytes() == alone.matrix.tobytes()
+            assert not rho.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[0.5, 0.1], [0.2, 0.5]]), "not Hermitian"),
+            (np.diag([0.7, 0.7]), "trace"),
+            (np.diag([1.5, -0.5]), "negative eigenvalue -0.5"),
+            (np.diag([np.nan, 1.0]), "non-finite"),
+        ],
+    )
+    def test_one_bad_entry_refuses_the_stack(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix.from_matrices(np.array(self.GOOD + [bad]))
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        (rho,) = DensityMatrix.from_matrices(self.GOOD[1])
+        assert rho.matrix.tobytes() == DensityMatrix.from_matrix(self.GOOD[1]).matrix.tobytes()
+        assert rho.num_qubits == 1 and not rho.matrix.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 3, 3), (1, 2, 3), (0,), (1, 1, 2, 2)])
+    def test_a_stack_of_other_shape_refused(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix.from_matrices(np.zeros(shape))
+
+    def test_from_matrix_refuses_a_stack(self):
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix.from_matrix(np.array(self.GOOD[:1]))
+
+
 class TestEntropies:
     def test_linear_entropy_pure_zero(self):
         rho = DensityMatrix.from_pure(PureState.ket_theta(1.1))
